@@ -18,7 +18,7 @@ from .certificates import (CertificateReport, CertificateResult, certify_run,
                            check_mgprox_sufficient_descent, check_one_over_k,
                            check_smoothing_descent, check_stage_monotonicity,
                            check_work_units)
-from .grid import GridLevel, ij_to_k, k_to_ij, sparse_from_triplets, spmv
+from .grid import GridLevel, ij_to_k, k_to_ij
 from .hierarchy import Level, LevelStack, build_obstacle_hierarchy, build_tau
 from .membrane import (MembraneEnergy, build_difference_operators,
                        lipschitz_upper_bound, make_obstacle_problem,

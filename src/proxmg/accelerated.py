@@ -80,9 +80,10 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     alpha = solve_alpha(L, state.gamma)
     gamma_next = (1.0 - alpha) * state.gamma
     y = alpha * state.z + (1.0 - alpha) * x
-    w = prox_grad_step(problem, None, y, L)
+    f_y, grad_y = problem.smooth.value_and_grad(y)
+    w = prox_grad_step(problem, None, y, L, grad_y)
     G_y = L * (y - w)
-    F_y = problem.objective(y)
+    F_y = problem.objective(y, f_y)
     x_next, ctrace = vcycle(stack, w, config)
     g = (y - x_next) / L
     z_next = state.z - (alpha / gamma_next) * g
@@ -117,9 +118,10 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     trace = SolverTrace(algorithm="fastmgprox")
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
                       num_levels=len(stack), gamma0=gamma0, L0=L0)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0)))
+    f_x, grad_x = problem.smooth.value_and_grad(x)
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, grad_x)))
     trace.g_norm_initial = gn
-    trace.objective_initial = problem.objective(x)
+    trace.objective_initial = problem.objective(x, f_x)
     state = FastState(z=x.copy(), gamma=gamma0, lam=1.0,
                       phi_bar=trace.objective_initial)
     for key in ("alpha", "lam", "gamma", "phi_bar", "F_y", "g_norm_y",
@@ -131,8 +133,9 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
             trace.converged = True
             break
         x, state, diag = fast_step(stack, state, x, config)
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0)))
-        trace.cycles.append(diag.pop("cycle"))
+        ctrace = diag.pop("cycle")
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, ctrace.pop_exit()[1])))
+        trace.cycles.append(ctrace)
         trace.objectives.append(diag["F_x_next"])
         trace.g_norms.append(gn)
         trace.rel_g_norms.append(_rel(gn, trace.g_norm_initial))

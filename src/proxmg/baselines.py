@@ -27,18 +27,21 @@ def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray, stop: StoppingRule
     trace = SolverTrace(algorithm="proxgrad")
     trace.meta.update(eta=eta, L0=L)
     trace.extras["L_hat"] = []
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric)))
+    fg = problem.smooth.value_and_grad(x)
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
     trace.g_norm_initial = gn
-    trace.objective_initial = problem.objective(x)
+    trace.objective_initial = problem.objective(x, fg[0])
     L_cap = 4.0 * L
     t0 = time.perf_counter()
     for _ in range(stop.max_iters):
         if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
             trace.converged = True
             break
-        L, x = backtrack_L(problem, None, x, L, eta=eta, L_cap=L_cap)
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric)))
-        trace.objectives.append(problem.objective(x))
+        L, x, fg = backtrack_L(problem, None, x, L, eta=eta, L_cap=L_cap, fg_x=fg)
+        if fg is None:
+            fg = problem.smooth.value_and_grad(x)
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
+        trace.objectives.append(problem.objective(x, fg[0]))
         trace.g_norms.append(gn)
         trace.rel_g_norms.append(_rel(gn, trace.g_norm_initial))
         trace.coarse_alphas.append(None)
@@ -66,22 +69,25 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray, stop: StoppingRule,
     trace.meta.update(eta=eta, L0=L)
     trace.extras["L_hat"] = []
     trace.extras["beta"] = []
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric)))
+    fg = problem.smooth.value_and_grad(x)
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
     trace.g_norm_initial = gn
-    trace.objective_initial = problem.objective(x)
+    trace.objective_initial = problem.objective(x, fg[0])
     L_cap = 4.0 * L
     t0 = time.perf_counter()
     for _ in range(stop.max_iters):
         if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
             trace.converged = True
             break
-        L, x_next = backtrack_L(problem, None, y, L, eta=eta, L_cap=L_cap)
+        L, x_next, fg = backtrack_L(problem, None, y, L, eta=eta, L_cap=L_cap)
+        if fg is None:
+            fg = problem.smooth.value_and_grad(x_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x_next + beta * (x_next - x)
         x, t = x_next, t_next
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric)))
-        trace.objectives.append(problem.objective(x))
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
+        trace.objectives.append(problem.objective(x, fg[0]))
         trace.g_norms.append(gn)
         trace.rel_g_norms.append(_rel(gn, trace.g_norm_initial))
         trace.coarse_alphas.append(None)

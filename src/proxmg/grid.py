@@ -1,10 +1,12 @@
-"""Square-grid geometry and small sparse-matrix helpers shared by all modules.
+"""Square-grid geometry shared by all modules.
 
 Vectors on an ``n_side x n_side`` grid of interior points are stored flat in
 column-major order: the flat index of the 1-based point ``(i, j)`` is
-``(j - 1) * n_side + (i - 1)``, so ``i`` is the fast index.  Every operator
-construction in the library goes through :func:`ij_to_k` so the ordering is
-fixed in exactly one place.
+``(j - 1) * n_side + (i - 1)``, so ``i`` is the fast index.  The membrane
+stencil fixes this ordering: it reads a flat vector as ``u.reshape(n_side,
+n_side)``, whose row ``j - 1`` is grid column ``j``.  :func:`ij_to_k` and
+:func:`k_to_ij` spell the same rule out point by point, as an index oracle
+for the tests.
 
 All floating-point work is IEEE double precision.
 """
@@ -12,9 +14,6 @@ All floating-point work is IEEE double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-import scipy.sparse as sp
 
 
 def _is_pow2_minus_1(n: int) -> bool:
@@ -70,34 +69,3 @@ def k_to_ij(k: int, n_side: int) -> tuple[int, int]:
         raise IndexError(f"flat index {k} outside 0..{n_side * n_side - 1}")
     j, i = divmod(k, n_side)
     return (i + 1, j + 1)
-
-
-def sparse_from_triplets(rows, cols, values, shape) -> sp.csr_array:
-    """Assemble a CSR matrix from (row, col, value) triplets.
-
-    Unlike plain COO assembly, duplicate (row, col) pairs are an error here
-    rather than being summed silently.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if not (rows.shape == cols.shape == values.shape):
-        raise ValueError("rows, cols and values must have equal length")
-    n_rows, n_cols = shape
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= n_rows:
-            raise IndexError("row index out of range")
-        if cols.min() < 0 or cols.max() >= n_cols:
-            raise IndexError("column index out of range")
-        keys = rows * np.int64(n_cols) + cols
-        if np.unique(keys).size != keys.size:
-            raise ValueError("duplicate (row, col) coordinates are forbidden")
-    return sp.csr_array(sp.coo_array((values, (rows, cols)), shape=shape))
-
-
-def spmv(A, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x, dtype=np.float64)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has {x.shape[0]}")
-    return A @ x

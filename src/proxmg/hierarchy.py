@@ -71,7 +71,9 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
               transfer: TransferPair, mask: np.ndarray,
               y_fine: np.ndarray, y_coarse: np.ndarray,
               upstream_tau: np.ndarray | None = None,
-              policy: str | None = "zero") -> np.ndarray:
+              policy: str | None = "zero",
+              grad_fine: np.ndarray | None = None,
+              grad_coarse: np.ndarray | None = None) -> np.ndarray:
     """Linear correction for the coarse objective, from matched points.
 
     tau = [grad f_c(y_c) + s_c] - R_adaptive [grad f_f(y_f) + s_f - upstream_tau]
@@ -86,9 +88,13 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
     sides), which is the classical smooth-problem correction; the ``kocvara3``
     variant runs on it.  The exact fixed-point property is then lost up to
     O(lam).
+
+    ``grad_fine`` and ``grad_coarse`` are the smooth gradients at y_fine and
+    y_coarse when the caller already has them.
     """
-    fine_side = fine_problem.smooth.grad(y_fine)
-    coarse_side = coarse_problem.smooth.grad(y_coarse)
+    fine_side = fine_problem.smooth.grad(y_fine) if grad_fine is None else grad_fine
+    coarse_side = (coarse_problem.smooth.grad(y_coarse) if grad_coarse is None
+                   else grad_coarse)
     if policy is not None:
         fine_side = fine_side + select_subgradient(
             fine_problem.nonsmooth.subdiff(y_fine), policy)

@@ -35,6 +35,8 @@ def build_difference_operators(grid: GridLevel) -> tuple[sp.csr_array, sp.csr_ar
     Row (i, j) of D is -1/h at (i, j) and +1/h at (i, j+1) when that neighbor
     is interior; rows in the last column keep only the diagonal entry, which
     encodes u = 0 beyond the boundary.  E is the same along the i index.
+    :class:`MembraneEnergy` applies them as a stencil; these matrices are its
+    test oracle.
     """
     n, h = grid.n_side, grid.h
     eye = sp.identity(n, format="csr")
@@ -54,37 +56,70 @@ def lipschitz_upper_bound(grid: GridLevel) -> float:
 class MembraneEnergy:
     """Surface-area energy of the clamped membrane on one grid level.
 
+    The differences are taken as a stencil on the grid: ``u.reshape(n, n)``
+    puts grid column j in row j-1 (i runs along the row), so Du is the
+    difference of consecutive rows and Eu of consecutive columns, with a
+    zero row and column appended for the Dirichlet closure.  The gradient
+    applies the adjoint stencil to (Du, Eu) / sqrt(1 + (Du)^2 + (Eu)^2).
+
+    The sparse operators of :func:`build_difference_operators` are the test
+    oracle, and the stencil reproduces their products bit for bit.  1/h is a
+    power of two, so scaling by it commutes with rounding.  A sparse row sum
+    starts from +0.0, so it never returns -0.0; the stencil adds +0.0 to its
+    gradient, which turns -0.0 into +0.0 and leaves every other value alone.
+
     Evaluation and gradient allocate per call, so one instance can be shared
     read-only by concurrent solvers.
     """
 
     def __init__(self, grid: GridLevel):
         self.grid = grid
-        self.D, self.E = build_difference_operators(grid)
-        self._Dt = sp.csr_array(self.D.T)
-        self._Et = sp.csr_array(self.E.T)
         self.lipschitz = lipschitz_upper_bound(grid)
+        self._n = grid.n_side
+        self._inv_h = 1.0 / grid.h  # n + 1, a power of two
 
     @property
     def dim(self) -> int:
         return self.grid.n_total
 
-    def _check(self, u):
-        if u.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: grid has {self.dim}, vector {u.shape[0]}")
+    def _slopes(self, u: np.ndarray):
+        """(Du, Eu, sqrt(1 + (Du)^2 + (Eu)^2)) as n x n arrays."""
+        n = self._n
+        if u.shape[0] != n * n:
+            raise ValueError(f"dimension mismatch: grid has {n * n}, vector {u.shape[0]}")
+        pad = np.zeros((n + 1, n + 1))
+        body = pad[:n, :n]
+        np.multiply(u.reshape(n, n), self._inv_h, out=body)
+        du = pad[1:, :n] - body
+        eu = pad[:n, 1:] - body
+        r = du * du
+        r += 1.0
+        r += eu * eu
+        np.sqrt(r, out=r)
+        return du, eu, r
+
+    def _adjoint(self, du: np.ndarray, eu: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """D^T (du / r) + E^T (eu / r), flat."""
+        n = self._n
+        pd = np.zeros((n + 1, n))
+        np.divide(du, r, out=pd[1:])
+        pe = np.zeros((n, n + 1))
+        np.divide(eu, r, out=pe[:, 1:])
+        g = pd[:-1] - pd[1:]
+        g += pe[:, :-1] - pe[:, 1:]
+        g *= self._inv_h
+        g += 0.0  # -0.0 -> +0.0, as in a sparse row sum
+        return g.ravel()
 
     def value(self, u: np.ndarray) -> float:
-        self._check(u)
-        du = self.D @ u
-        eu = self.E @ u
-        return float(np.sum(np.sqrt(1.0 + du * du + eu * eu)))
+        return float(self._slopes(u)[2].sum())
 
     def grad(self, u: np.ndarray) -> np.ndarray:
-        self._check(u)
-        du = self.D @ u
-        eu = self.E @ u
-        r = np.sqrt(1.0 + du * du + eu * eu)
-        return self._Dt @ (du / r) + self._Et @ (eu / r)
+        return self._adjoint(*self._slopes(u))
+
+    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        du, eu, r = self._slopes(u)
+        return float(r.sum()), self._adjoint(du, eu, r)
 
 
 def obstacle_values(n_side: int, domain_side: float = DOMAIN_SIDE) -> np.ndarray:

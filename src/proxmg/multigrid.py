@@ -65,12 +65,18 @@ class CycleTrace:
     y_first: np.ndarray | None = None
     F_y_first: float = 0.0
     L_first: float = 0.0
+    fg_exit: tuple | None = None       # (f, grad f) of the fine smooth part at the exit
 
     @classmethod
     def empty(cls, num_levels: int) -> "CycleTrace":
         k = num_levels - 1
         return cls([], [0.0] * k, [0.0] * k, [0.0] * k, [0] * k, [0.0] * k,
                    [0] * num_levels)
+
+    def pop_exit(self) -> tuple:
+        """The exit pair, removed so that stored traces hold no gradients."""
+        fg, self.fg_exit = self.fg_exit, None
+        return fg
 
 
 def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
@@ -94,29 +100,36 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
 
 
 def _coarse_solve(problem: CompositeProblem, tau, x: np.ndarray, L: float,
-                  n_smooth: int, config: CycleConfig,
-                  L_cap: float) -> tuple[np.ndarray, float, int]:
+                  n_smooth: int, config: CycleConfig, L_cap: float,
+                  fg_x: tuple) -> tuple[np.ndarray, float, int]:
     """Coarsest-level solve: budgeted smoothing, or iterate to tolerance."""
     if config.coarse_mode == "smoothing":
         res = run_smoothing(problem, tau, x, L, n_smooth, mode=config.step_mode,
-                            L_cap=L_cap)
+                            L_cap=L_cap, fg_x=fg_x)
         return res.x, res.L, res.steps
-    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, L))
+    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, L, fg_x[1]))
     target = config.coarse_rel_tol * g_entry
     steps = 0
+    fg = fg_x
     for _ in range(config.coarse_max_iters):
-        res = run_smoothing(problem, tau, x, L, 1, mode=config.step_mode, L_cap=L_cap)
+        res = run_smoothing(problem, tau, x, L, 1, mode=config.step_mode, L_cap=L_cap,
+                            fg_x=fg)
         x, L = res.x, res.L
+        fg = res.fg if res.fg is not None else problem.smooth.value_and_grad(x)
         steps += 1
-        if np.linalg.norm(prox_grad_map(problem, tau, x, L)) <= target:
+        if np.linalg.norm(prox_grad_map(problem, tau, x, L, fg[1])) <= target:
             break
     return x, L, steps
 
 
 def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
-                config: CycleConfig, trace: CycleTrace) -> np.ndarray:
+                config: CycleConfig, trace: CycleTrace, fg_x: tuple):
+    """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
+    level's smooth part.  Returns the level's output and, at the finest
+    level, the pair there (None below, where nothing reads it)."""
     level = stack[ell]
     problem = level.problem
+    smooth = problem.smooth
     # backtracking grows a cheap working estimate and never shrinks it; it is
     # capped at a small multiple of the certified bound because beyond that
     # the descent test carries no information (see backtrack_L)
@@ -127,26 +140,28 @@ def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
         L = level.L_est
 
     if ell == len(stack) - 1:
-        x_out, L, steps = _coarse_solve(problem, tau, x, L, stack.n_smooth, config, L_cap)
+        x_out, L, steps = _coarse_solve(problem, tau, x, L, stack.n_smooth, config, L_cap,
+                                        fg_x)
         trace.smoothing_steps[ell] += steps
         if config.step_mode == "backtracking":
             level.L_smooth = L
-        return x_out
+        return x_out, None
 
     at_finest = ell == 0
     if at_finest:
         trace.x_entry = x
-        trace.stage_objectives.append(tilted_objective(problem, tau, x))
+        trace.stage_objectives.append(tilted_objective(problem, tau, x, fg_x[0]))
 
     pre = run_smoothing(problem, tau, x, L, stack.n_smooth, mode=config.step_mode,
-                        L_cap=L_cap)
+                        L_cap=L_cap, fg_x=fg_x)
     y, L = pre.x, pre.L
+    fg_y = pre.fg if pre.fg is not None else smooth.value_and_grad(y)
     trace.smoothing_steps[ell] += pre.steps
     if at_finest:
         trace.y_first = pre.y_first
         trace.L_first = pre.L_first
         trace.F_y_first = tilted_objective(problem, tau, pre.y_first)
-        trace.stage_objectives.append(tilted_objective(problem, tau, y))
+        trace.stage_objectives.append(tilted_objective(problem, tau, y, fg_y[0]))
 
     g = problem.nonsmooth
     kocvara = config.variant == "kocvara3"
@@ -158,25 +173,28 @@ def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
     transfer = level.transfer_down
     x_coarse = transfer.restrict @ y  # variables restrict with the full operator
     coarse_level = stack[ell + 1]
+    fg_coarse = coarse_level.problem.smooth.value_and_grad(x_coarse)
     tau_next = build_tau(problem, coarse_level.problem, transfer, mask,
-                         y, x_coarse, upstream_tau=tau, policy=policy)
+                         y, x_coarse, upstream_tau=tau, policy=policy,
+                         grad_fine=fg_y[1], grad_coarse=fg_coarse[1])
     if config.tau_hook is not None:
         tau_next = config.tau_hook(tau_next, ell + 1)
     coarse_level.tau = tau_next
 
-    w_coarse = _level_pass(stack, ell + 1, x_coarse, tau_next, config, trace)
+    w_coarse, _ = _level_pass(stack, ell + 1, x_coarse, tau_next, config, trace, fg_coarse)
     trace.coarse_moves[ell] = float(np.max(np.abs(w_coarse - x_coarse)))
 
     p = prolong_adaptive(transfer, mask, w_coarse - x_coarse)
     # angle-condition witness: any valid subgradient works, so take the default
     s = select_subgradient(g.subdiff(y), config.subgrad_policy)
-    s_hat = problem.smooth.grad(y) + s
+    s_hat = fg_y[1] + s
     if tau is not None:
         s_hat = s_hat - tau
     trace.angle_products[ell] = float(s_hat @ p)
     trace.correction_norms[ell] = float(np.linalg.norm(p))
 
-    f_y = trace.stage_objectives[1] if at_finest else tilted_objective(problem, tau, y)
+    f_y = trace.stage_objectives[1] if at_finest else tilted_objective(problem, tau, y,
+                                                                        fg_y[0])
     z, alpha, f_z = naive_line_search(lambda v: tilted_objective(problem, tau, v),
                                       y, p, f_y, config.alpha_init, config.alpha_tol)
     trace.alphas[ell] = alpha
@@ -188,20 +206,30 @@ def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
     trace.smoothing_steps[ell] += post.steps
     if config.step_mode == "backtracking":
         level.L_smooth = post.L
-    if at_finest:
-        trace.stage_objectives.append(tilted_objective(problem, tau, post.x))
-    return post.x
+    if not at_finest:
+        return post.x, None
+    fg_out = post.fg if post.fg is not None else smooth.value_and_grad(post.x)
+    trace.stage_objectives.append(tilted_objective(problem, tau, post.x, fg_out[0]))
+    return post.x, fg_out
 
 
-def vcycle(stack: LevelStack, x: np.ndarray,
-           config: CycleConfig | None = None) -> tuple[np.ndarray, CycleTrace]:
-    """One V-cycle over the whole stack, starting and ending at the finest level."""
+def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
+           fg_x: tuple | None = None) -> tuple[np.ndarray, CycleTrace]:
+    """One V-cycle over the whole stack, starting and ending at the finest level.
+
+    ``fg_x`` is (f(x), grad f(x)) of the fine smooth part when the caller
+    already has it; the pair at the returned iterate is left in the trace's
+    ``fg_exit``.
+    """
     if len(stack) < 2:
         raise ValueError("a V-cycle needs at least two levels")
     config = config or CycleConfig()
     trace = CycleTrace.empty(len(stack))
-    stack.fine.tau = np.zeros(stack.fine.problem.dim)
-    x_next = _level_pass(stack, 0, x, None, config, trace)
+    fine = stack.fine
+    fine.tau = np.zeros(fine.problem.dim)
+    if fg_x is None:
+        fg_x = fine.problem.smooth.value_and_grad(x)
+    x_next, trace.fg_exit = _level_pass(stack, 0, x, None, config, trace, fg_x)
     return x_next, trace
 
 
@@ -288,16 +316,18 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
                       num_levels=len(stack), variant=config.variant)
     x = np.asarray(x0, dtype=np.float64)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0)))
+    fg = problem.smooth.value_and_grad(x)
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1])))
     trace.g_norm_initial = gn
-    trace.objective_initial = problem.objective(x)
+    trace.objective_initial = problem.objective(x, fg[0])
     t0 = time.perf_counter()
     for _ in range(stop.max_iters):
         if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
             trace.converged = True
             break
-        x, ctrace = vcycle(stack, x, config)
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0)))
+        x, ctrace = vcycle(stack, x, config, fg)
+        fg = ctrace.pop_exit()
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1])))
         trace.cycles.append(ctrace)
         trace.objectives.append(ctrace.stage_objectives[-1])
         trace.g_norms.append(gn)

@@ -1,8 +1,10 @@
 """Composite objectives F(x) = f(x) + g(x) and the quadratic smooth part.
 
-A smooth part is any object with ``value(x)``, ``grad(x)``, a ``lipschitz``
-attribute (an upper bound for the gradient's Lipschitz constant, used for
-fixed 1/L steps and as the scale of the prox-gradient map), and ``dim``.
+A smooth part is any object with ``value(x)``, ``grad(x)``,
+``value_and_grad(x)`` (the pair from one evaluation, bit for bit equal to the
+two separate calls), a ``lipschitz`` attribute (an upper bound for the
+gradient's Lipschitz constant, used for fixed 1/L steps and as the scale of
+the prox-gradient map), and ``dim``.
 """
 
 from __future__ import annotations
@@ -30,13 +32,20 @@ class CompositeProblem:
     def lipschitz(self) -> float:
         return self.smooth.lipschitz
 
-    def objective(self, u: np.ndarray) -> float:
-        return self.smooth.value(u) + self.nonsmooth.value(u)
+    def objective(self, u: np.ndarray, f_u: float | None = None) -> float:
+        """F(u); ``f_u`` is the smooth part's value at u when already known."""
+        if f_u is None:
+            f_u = self.smooth.value(u)
+        return f_u + self.nonsmooth.value(u)
 
 
-def tilted_objective(problem: CompositeProblem, tau, xi: np.ndarray) -> float:
-    """F(xi) - <tau, xi>: the objective with the cross-level linear correction."""
-    val = problem.objective(xi)
+def tilted_objective(problem: CompositeProblem, tau, xi: np.ndarray,
+                     f_xi: float | None = None) -> float:
+    """F(xi) - <tau, xi>: the objective with the cross-level linear correction.
+
+    ``f_xi`` is the smooth part's value at xi when already known.
+    """
+    val = problem.objective(xi, f_xi)
     if tau is None:
         return val
     return val - float(np.dot(tau, xi))
@@ -59,6 +68,10 @@ class QuadraticForm:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x - self.b
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        Ax = self.A @ x
+        return float(0.5 * np.dot(x, Ax) - np.dot(self.b, x)), Ax - self.b
 
 
 def laplacian_1d(n: int) -> sp.csr_array:

@@ -17,53 +17,61 @@ import numpy as np
 from .problems import CompositeProblem
 
 
-def _tilted_grad(problem: CompositeProblem, tau, x: np.ndarray) -> np.ndarray:
-    g = problem.smooth.grad(x)
-    return g if tau is None else g - tau
+def prox_grad_step(problem: CompositeProblem, tau, x: np.ndarray, L: float,
+                   gx: np.ndarray | None = None) -> np.ndarray:
+    """One proximal-gradient step with stepsize 1/L on the tilted objective.
 
-
-def prox_grad_step(problem: CompositeProblem, tau, x: np.ndarray, L: float) -> np.ndarray:
-    """One proximal-gradient step with stepsize 1/L on the tilted objective."""
+    ``gx`` is grad f(x) when the caller already has it.
+    """
     if L <= 0:
         raise ValueError(f"L must be positive, got {L}")
-    return problem.nonsmooth.prox(x - _tilted_grad(problem, tau, x) / L, 1.0 / L)
+    if gx is None:
+        gx = problem.smooth.grad(x)
+    if tau is not None:
+        gx = gx - tau
+    return problem.nonsmooth.prox(x - gx / L, 1.0 / L)
 
 
-def prox_grad_map(problem: CompositeProblem, tau, x: np.ndarray, L: float) -> np.ndarray:
+def prox_grad_map(problem: CompositeProblem, tau, x: np.ndarray, L: float,
+                  gx: np.ndarray | None = None) -> np.ndarray:
     """G(x) = L * (x - prox_grad_step(x)); zero exactly at tilted minimizers."""
-    return L * (x - prox_grad_step(problem, tau, x, L))
+    return L * (x - prox_grad_step(problem, tau, x, L, gx))
 
 
 def backtrack_L(problem: CompositeProblem, tau, x: np.ndarray, L0: float,
                 eta: float = 2.0, max_doublings: int = 60,
-                L_cap: float | None = None) -> tuple[float, np.ndarray]:
+                L_cap: float | None = None,
+                fg_x: tuple | None = None) -> tuple[float, np.ndarray, tuple | None]:
     """Smallest L in {L0 * eta^t} whose prox-grad step satisfies the descent model.
 
     Accepts L once f(y) <= f(x) + <grad f(x), y - x> + (L/2) ||y - x||^2 for
     y = prox_grad_step(x, L).  The tilt drops out of the inequality (it is
-    linear), so the raw smooth part is tested.  Returns (L, y).
+    linear), so the raw smooth part is tested.  ``fg_x`` is (f(x), grad f(x))
+    when the caller already has it.  Returns (L, y, fg_y), where fg_y is
+    (f(y), grad f(y)) from the descent test that accepted y.
 
     ``L_cap`` is accepted unconditionally once reached: near the arithmetic
     floor the descent test degenerates to rounding noise while the inequality
     is certified analytically for any L above the true curvature, so callers
     pass a small multiple of their Lipschitz estimate to stop the estimate
-    from ratcheting without bound.
+    from ratcheting without bound.  A step accepted there never evaluates
+    f(y), and fg_y is None.
     """
     if L0 <= 0:
         raise ValueError(f"L0 must be positive, got {L0}")
     if eta <= 1:
         raise ValueError(f"growth factor must exceed 1, got {eta}")
     f = problem.smooth
-    fx = f.value(x)
-    gx = f.grad(x)
+    fx, gx = f.value_and_grad(x) if fg_x is None else fg_x
     L = L0 if L_cap is None else min(L0, L_cap)
     for _ in range(max_doublings + 1):
-        y = problem.nonsmooth.prox(x - (gx - (0 if tau is None else tau)) / L, 1.0 / L)
+        y = prox_grad_step(problem, tau, x, L, gx)
         if L_cap is not None and L >= L_cap:
-            return L, y
+            return L, y, None
         d = y - x
-        if f.value(y) <= fx + float(gx @ d) + 0.5 * L * float(d @ d) + 1e-15 * abs(fx):
-            return L, y
+        fg_y = f.value_and_grad(y)
+        if fg_y[0] <= fx + float(gx @ d) + 0.5 * L * float(d @ d) + 1e-15 * abs(fx):
+            return L, y, fg_y
         L = L * eta if L_cap is None else min(L * eta, L_cap)
     raise RuntimeError(f"backtracking exceeded {max_doublings} doublings; last L = {L / eta}")
 
@@ -83,26 +91,35 @@ class SmoothResult:
     y_first: np.ndarray  # iterate after the first step
     L_first: float       # stepsize parameter used at the first step
     steps: int
+    fg: tuple | None = None  # (f(x), grad f(x)) when the last step computed it
 
 
 def run_smoothing(problem: CompositeProblem, tau, x: np.ndarray, L: float,
                   n_steps: int, mode: str = "fixed", eta: float = 2.0,
-                  max_doublings: int = 60, L_cap: float | None = None) -> SmoothResult:
-    """n_steps proximal-gradient steps; the backtracking estimate never shrinks."""
+                  max_doublings: int = 60, L_cap: float | None = None,
+                  fg_x: tuple | None = None) -> SmoothResult:
+    """n_steps proximal-gradient steps; the backtracking estimate never shrinks.
+
+    ``fg_x`` is (f(x), grad f(x)) when the caller already has it; each
+    backtracking step hands the pair at its output to the next.
+    """
     if n_steps < 1:
         raise ValueError("need at least one smoothing step")
     y_first = None
     L_first = L
+    fg = fg_x
     for k in range(n_steps):
         if mode == "backtracking":
-            L, x_next = backtrack_L(problem, tau, x, L, eta=eta,
-                                    max_doublings=max_doublings, L_cap=L_cap)
+            L, x_next, fg = backtrack_L(problem, tau, x, L, eta=eta,
+                                        max_doublings=max_doublings, L_cap=L_cap,
+                                        fg_x=fg)
         elif mode == "fixed":
-            x_next = prox_grad_step(problem, tau, x, L)
+            x_next = prox_grad_step(problem, tau, x, L, None if fg is None else fg[1])
+            fg = None
         else:
             raise ValueError(f"unknown step mode {mode!r}")
         if k == 0:
             y_first = x_next
             L_first = L
         x = x_next
-    return SmoothResult(x, L, y_first, L_first, n_steps)
+    return SmoothResult(x, L, y_first, L_first, n_steps, fg)

@@ -137,3 +137,15 @@ def test_verify_negative_controls(capsys):
     out = capsys.readouterr().out
     assert "negative-control-tau" in out
     assert "negative-control-trace" in out
+
+
+def test_compare_rows_match_standalone_solves(tmp_path):
+    # every solver in compare gets its own stack, so a row does not depend on
+    # the solvers that ran before it (kocvara3 and fastmgprox follow mgprox)
+    common = ["--n-exp", "4", "--levels", "3", "--seed", "42", "--max-iters", "8"]
+    main(["compare", *common, "--out-prefix", str(tmp_path / "c")])
+    for algo in ("kocvara3", "fastmgprox"):
+        alone = tmp_path / f"solve_{algo}.csv"
+        main(["solve", *common, "--algo", algo, "--step-mode", "backtracking",
+              "--out", str(alone)])
+        assert (tmp_path / f"c_{algo}.csv").read_bytes() == alone.read_bytes()

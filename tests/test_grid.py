@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from proxmg.grid import GridLevel, ij_to_k, k_to_ij, sparse_from_triplets, spmv
+from proxmg.grid import GridLevel, ij_to_k, k_to_ij
 
 
 def test_flat_index_examples():
@@ -44,39 +43,3 @@ def test_grid_level_validation():
         GridLevel(-1, 3)
     with pytest.raises(ValueError):
         GridLevel(0, 1).coarsen()
-
-
-def test_spmv_examples():
-    eye = sparse_from_triplets([0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0], (3, 3))
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(spmv(eye, x), x)
-
-    zero = sparse_from_triplets([], [], [], (3, 3))
-    assert np.array_equal(spmv(zero, x), np.zeros(3))
-
-    perm = sparse_from_triplets([0, 1], [1, 0], [1.0, 1.0], (2, 2))
-    assert np.array_equal(spmv(perm, np.array([5.0, 7.0])), np.array([7.0, 5.0]))
-
-
-def test_spmv_dimension_error():
-    eye = sparse_from_triplets([0, 1], [0, 1], [1.0, 1.0], (2, 2))
-    with pytest.raises(ValueError):
-        spmv(eye, np.ones(3))
-
-
-def test_spmv_matches_dense_oracle():
-    rng = np.random.Generator(np.random.PCG64(11))
-    for _ in range(5):
-        dense = np.where(rng.uniform(size=(10, 10)) < 0.3,
-                         rng.standard_normal((10, 10)), 0.0)
-        rows, cols = np.nonzero(dense)
-        A = sparse_from_triplets(rows, cols, dense[rows, cols], (10, 10))
-        x = rng.standard_normal(10)
-        assert np.max(np.abs(spmv(A, x) - dense @ x)) <= 1e-14
-
-
-def test_duplicate_triplets_rejected():
-    with pytest.raises(ValueError):
-        sparse_from_triplets([0, 0], [1, 1], [1.0, 2.0], (2, 2))
-    with pytest.raises(IndexError):
-        sparse_from_triplets([0], [5], [1.0], (2, 2))

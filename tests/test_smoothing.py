@@ -51,7 +51,7 @@ def test_prox_grad_map_examples():
 
 def test_backtracking_returns_initial_L_when_sufficient():
     p = quadratic_problem(a=1.0)
-    L, y = backtrack_L(p, None, np.array([3.0]), 2.0)
+    L, y, _ = backtrack_L(p, None, np.array([3.0]), 2.0)
     assert L == 2.0
     assert y[0] == pytest.approx(1.5)
 
@@ -59,7 +59,7 @@ def test_backtracking_returns_initial_L_when_sufficient():
 def test_backtracking_grows_to_the_curvature():
     a = 8.0
     p = quadratic_problem(a=a)
-    L, y = backtrack_L(p, None, np.array([2.0]), a / 4.0, eta=2.0)
+    L, y, _ = backtrack_L(p, None, np.array([2.0]), a / 4.0, eta=2.0)
     assert L in (a / 2.0, a)
     # whichever was accepted satisfies the descent model
     f = p.smooth
