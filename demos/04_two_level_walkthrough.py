@@ -12,14 +12,13 @@ that distinguishes a full-approximation scheme from naive nested iteration).
 import numpy as np
 
 from proxmg import (CycleConfig, StoppingRule, build_obstacle_hierarchy,
-                    check_fixed_point, mgprox_solve, reference_solution,
-                    two_level_cycle)
+                    check_fixed_point, mgprox_solve, reference_solution, vcycle)
 
 stack = build_obstacle_hierarchy(7, lam=1e-6, num_levels=2)
 rng = np.random.Generator(np.random.PCG64(0))
 x0 = rng.uniform(0, 1, size=49)
 
-x, ct = two_level_cycle(stack, x0)
+x, ct = vcycle(stack, x0)
 stages = ["entry           ", "after pre-smooth", "after correction", "after post-smooth"]
 print("== stage objectives of the first cycle ==")
 for name, F in zip(stages, ct.stage_objectives):

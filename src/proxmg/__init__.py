@@ -19,21 +19,23 @@ from .certificates import (CertificateReport, CertificateResult, certify_run,
                            check_smoothing_descent, check_stage_monotonicity,
                            check_work_units)
 from .grid import GridLevel, ij_to_k, k_to_ij
-from .hierarchy import Level, LevelStack, build_obstacle_hierarchy, build_tau
+from .hierarchy import (Level, LevelStack, LevelWork, build_obstacle_hierarchy,
+                        build_tau, workspace)
 from .membrane import (MembraneEnergy, build_difference_operators,
                        lipschitz_upper_bound, make_obstacle_problem,
                        obstacle_values)
 from .multigrid import (CycleConfig, CycleTrace, SolverTrace, StoppingRule,
-                        cycle_work_units, kocvara3_cycle, mgprox_solve,
-                        naive_line_search, two_level_cycle, vcycle)
+                        cycle_work_units, mgprox_solve, naive_line_search,
+                        vcycle)
 from .nonsmooth import IntervalVec, SeparableNonsmooth, select_subgradient
 from .oracles import (Reference, brute_force_prox, build_chain_hierarchy,
                       chain_constants, fd_gradient, golden_section,
                       make_chain_problem, reference_solution)
 from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues,
                        laplacian_1d, power_iteration, tilted_objective)
-from .smoothing import (SmoothResult, backtrack_L, check_sufficient_descent,
-                        prox_grad_map, prox_grad_step, run_smoothing)
+from .smoothing import (SmoothResult, StepScratch, backtrack_L,
+                        check_sufficient_descent, prox_grad_map, prox_grad_step,
+                        run_smoothing)
 from .transfer import (TransferPair, adaptive_mask, build_full_weighting,
                        build_line_weighting, prolong_adaptive,
                        restrict_adaptive)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import LevelStack
+from .hierarchy import LevelStack, LevelWork, workspace
 from .multigrid import CycleConfig, SolverTrace, StoppingRule, _rel, vcycle
 from .smoothing import prox_grad_map, prox_grad_step
 
@@ -72,19 +72,26 @@ class FastState:
 
 
 def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
-              config: CycleConfig | None = None) -> tuple[np.ndarray, FastState, dict]:
-    """One accelerated iteration; returns (x_next, state_next, diagnostics)."""
+              config: CycleConfig | None = None,
+              work: list[LevelWork] | None = None) -> tuple[np.ndarray, FastState, dict]:
+    """One accelerated iteration; returns (x_next, state_next, diagnostics).
+
+    ``work`` is the solve's workspace; a step run without one starts from a
+    fresh workspace.
+    """
     config = config or CycleConfig()
-    problem = stack.fine.problem
+    if work is None:
+        work = workspace(stack)
+    problem = work[0].problem
     L = stack.fine.L_est
     alpha = solve_alpha(L, state.gamma)
     gamma_next = (1.0 - alpha) * state.gamma
     y = alpha * state.z + (1.0 - alpha) * x
     f_y, grad_y = problem.smooth.value_and_grad(y)
-    w = prox_grad_step(problem, None, y, L, grad_y)
+    w = prox_grad_step(problem, None, y, L, grad_y, work[0].step)
     G_y = L * (y - w)
     F_y = problem.objective(y, f_y)
-    x_next, ctrace = vcycle(stack, w, config)
+    x_next, ctrace = vcycle(stack, w, config, work=work)
     g = (y - x_next) / L
     z_next = state.z - (alpha / gamma_next) * g
     F_x_next = ctrace.stage_objectives[-1]
@@ -109,9 +116,14 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
 def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
                      config: CycleConfig | None = None,
                      gamma0: float | None = None) -> tuple[np.ndarray, SolverTrace]:
-    """Accelerated multigrid solve; gamma0 defaults to the fine Lipschitz bound."""
+    """Accelerated multigrid solve; gamma0 defaults to the fine Lipschitz bound.
+
+    The solve keeps its per-level state in a workspace of its own and only
+    reads the stack.
+    """
     config = config or CycleConfig()
-    problem = stack.fine.problem
+    work = workspace(stack)
+    problem, scratch = work[0].problem, work[0].step
     L0 = stack.fine.L_est
     gamma0 = L0 if gamma0 is None else gamma0
     x = np.asarray(x0, dtype=np.float64)
@@ -119,7 +131,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
                       num_levels=len(stack), gamma0=gamma0, L0=L0)
     f_x, grad_x = problem.smooth.value_and_grad(x)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, grad_x)))
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, grad_x, scratch)))
     trace.g_norm_initial = gn
     trace.objective_initial = problem.objective(x, f_x)
     state = FastState(z=x.copy(), gamma=gamma0, lam=1.0,
@@ -132,9 +144,10 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
         if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
             trace.converged = True
             break
-        x, state, diag = fast_step(stack, state, x, config)
+        x, state, diag = fast_step(stack, state, x, config, work)
         ctrace = diag.pop("cycle")
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, ctrace.pop_exit()[1])))
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, ctrace.pop_exit()[1],
+                                                scratch)))
         trace.cycles.append(ctrace)
         trace.objectives.append(diag["F_x_next"])
         trace.g_norms.append(gn)

@@ -4,6 +4,7 @@ Both backtrack the Lipschitz estimate upward from the problem's canonical
 bound and never shrink it between iterations.  Convergence is measured by the
 prox-gradient map at x^k with the canonical bound, the same metric the
 multigrid solvers use, so iteration counts are comparable across methods.
+Each solve evaluates on a one-level workspace of its own (``LevelWork``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import time
 
 import numpy as np
 
+from .hierarchy import LevelWork
 from .multigrid import SolverTrace, StoppingRule, _rel
 from .problems import CompositeProblem
 from .smoothing import backtrack_L, prox_grad_map
@@ -23,12 +25,14 @@ def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray, stop: StoppingRule
     """Plain proximal gradient with a backtracked, monotone stepsize estimate."""
     L_metric = problem.lipschitz
     L = L_metric if L0 is None else L0
+    work = LevelWork(problem)
+    problem, scratch = work.problem, work.step
     x = np.asarray(x0, dtype=np.float64)
     trace = SolverTrace(algorithm="proxgrad")
     trace.meta.update(eta=eta, L0=L)
     trace.extras["L_hat"] = []
     fg = problem.smooth.value_and_grad(x)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1], scratch)))
     trace.g_norm_initial = gn
     trace.objective_initial = problem.objective(x, fg[0])
     L_cap = 4.0 * L
@@ -37,10 +41,11 @@ def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray, stop: StoppingRule
         if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
             trace.converged = True
             break
-        L, x, fg = backtrack_L(problem, None, x, L, eta=eta, L_cap=L_cap, fg_x=fg)
+        L, x, fg = backtrack_L(problem, None, x, L, eta=eta, L_cap=L_cap, fg_x=fg,
+                               scratch=scratch)
         if fg is None:
             fg = problem.smooth.value_and_grad(x)
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1], scratch)))
         trace.objectives.append(problem.objective(x, fg[0]))
         trace.g_norms.append(gn)
         trace.rel_g_norms.append(_rel(gn, trace.g_norm_initial))
@@ -62,6 +67,8 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray, stop: StoppingRule,
     """
     L_metric = problem.lipschitz
     L = L_metric if L0 is None else L0
+    work = LevelWork(problem)
+    problem, scratch = work.problem, work.step
     x = np.asarray(x0, dtype=np.float64)
     y = x.copy()
     t = 1.0
@@ -70,7 +77,7 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray, stop: StoppingRule,
     trace.extras["L_hat"] = []
     trace.extras["beta"] = []
     fg = problem.smooth.value_and_grad(x)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1], scratch)))
     trace.g_norm_initial = gn
     trace.objective_initial = problem.objective(x, fg[0])
     L_cap = 4.0 * L
@@ -79,14 +86,17 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray, stop: StoppingRule,
         if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
             trace.converged = True
             break
-        L, x_next, fg = backtrack_L(problem, None, y, L, eta=eta, L_cap=L_cap)
+        L, x_next, fg = backtrack_L(problem, None, y, L, eta=eta, L_cap=L_cap,
+                                    scratch=scratch)
         if fg is None:
             fg = problem.smooth.value_and_grad(x_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y = x_next + beta * (x_next - x)
+        y = x_next - x  # y = x_next + beta * (x_next - x), in one array
+        y *= beta
+        y += x_next
         x, t = x_next, t_next
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1])))
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L_metric, fg[1], scratch)))
         trace.objectives.append(problem.objective(x, fg[0]))
         trace.g_norms.append(gn)
         trace.rel_g_norms.append(_rel(gn, trace.g_norm_initial))

@@ -220,11 +220,11 @@ def cmd_compare(args) -> int:
     cfg = _merge_config(args, RunConfig(step_mode="backtracking"),
                         tuple(k for k in _SOLVE_KEYS if k != "algorithm"))
     x0 = _draw_start(cfg, cfg.fine_size())
+    # solvers keep their per-solve state in workspaces of their own, so they
+    # share one stack and no row depends on the run order
+    problem, stack = _setup(cfg)
     results = {}
     for algo in ALGORITHMS:
-        # a solve writes Level.L_smooth and Level.tau into its stack, so each
-        # solver gets a fresh one and no row depends on the run order
-        problem, stack = _setup(cfg)
         start = time.perf_counter()
         x, trace = _run_algorithm(algo, problem, stack, x0.copy(), cfg)
         elapsed = time.perf_counter() - start

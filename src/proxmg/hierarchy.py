@@ -1,10 +1,15 @@
 """Level stacks for the coarse-correction solvers, and the tau correction.
 
 Each level holds a re-discretized copy of the problem (same functional form,
-coarser grid), the transfer pair down to the next level, a gradient-Lipschitz
-estimate, and the tau vector most recently built for it.  Coarse objectives
-are always used in tilted form F(xi) - <tau, xi>; tau is rebuilt every cycle
-so that the stack has a fixed point at the fine minimizer.
+coarser grid), the transfer pair down to the next level, and a
+gradient-Lipschitz estimate.  Coarse objectives are always used in tilted form
+F(xi) - <tau, xi>; tau is rebuilt every cycle so that the stack has a fixed
+point at the fine minimizer.
+
+No solve writes to a stack.  What belongs to one solve, the backtracking
+estimate and the scratch arrays of each level, lives in a workspace
+(:func:`workspace`) that the solver builds at entry and drops on return, so a
+solve's output does not depend on what ran on the stack before it.
 
 Re-discretization (rather than composing the fine functions with R) keeps the
 nonsmooth term separable with a closed-form prox on every level; the tau
@@ -13,7 +18,7 @@ correction absorbs the fine/coarse mismatch to first order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,29 +26,22 @@ from .grid import GridLevel
 from .membrane import make_obstacle_problem
 from .nonsmooth import select_subgradient
 from .problems import CompositeProblem
+from .smoothing import StepScratch
 from .transfer import TransferPair, build_full_weighting, restrict_adaptive
 
 
 @dataclass
 class Level:
-    """One level of the stack.  ``tau`` is zero at the finest level, always."""
+    """One level of the stack."""
 
     problem: CompositeProblem
     L_est: float
     transfer_down: TransferPair | None = None
     grid: GridLevel | None = None
-    tau: np.ndarray = field(default=None)  # type: ignore[assignment]
-    L_smooth: float | None = None  # working backtracking estimate, grows monotonically
-
-    def __post_init__(self):
-        if self.tau is None:
-            self.tau = np.zeros(self.problem.dim)
-        if self.tau.shape[0] != self.problem.dim:
-            raise ValueError("tau length must match the level dimension")
 
 
 class LevelStack:
-    """Ordered levels, finest first.  Owned by a single solver instance."""
+    """Ordered levels, finest first; solvers only read it."""
 
     def __init__(self, levels: list[Level], n_smooth: int = 20):
         if not levels:
@@ -53,7 +51,7 @@ class LevelStack:
         for lev in levels[:-1]:
             if lev.transfer_down is None:
                 raise ValueError("non-coarsest level lacks a transfer pair")
-        self.levels = levels
+        self.levels = tuple(levels)
         self.n_smooth = n_smooth
 
     def __len__(self) -> int:
@@ -65,6 +63,26 @@ class LevelStack:
     @property
     def fine(self) -> Level:
         return self.levels[0]
+
+
+class LevelWork:
+    """One level's share of a solve's workspace.
+
+    ``problem`` is the level's problem with a smooth part that evaluates into
+    scratch of its own (see ``CompositeProblem.with_scratch``), ``step`` the
+    prox-gradient step's scratch, and ``L_smooth`` the working backtracking
+    estimate, which grows monotonically over the solve.
+    """
+
+    def __init__(self, problem: CompositeProblem):
+        self.problem = problem.with_scratch()
+        self.step = StepScratch(problem.dim)
+        self.L_smooth: float | None = None
+
+
+def workspace(stack: LevelStack) -> list[LevelWork]:
+    """A fresh workspace for one solve on the stack, finest level first."""
+    return [LevelWork(level.problem) for level in stack.levels]
 
 
 def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,

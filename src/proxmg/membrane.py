@@ -53,14 +53,45 @@ def lipschitz_upper_bound(grid: GridLevel) -> float:
     return math.sqrt(3.0) * grid.n_side**2 / grid.h
 
 
+class MembraneScratch:
+    """Preallocated flat arrays for one membrane evaluation at a time, and
+    the fixed views of them that the stencil reads and writes.
+
+    ``body`` (u/h) is followed by one zero grid column, ``qd`` (Du/r) is
+    preceded by one, and ``qe`` (Eu/r) by one zero entry; those zeros are
+    the Dirichlet closure, and no evaluation writes them.  The ``*_edge``
+    views are the n entries at one end of every grid column.
+    """
+
+    def __init__(self, n: int):
+        nn = n * n
+        pad = np.zeros(nn + n)
+        self.body, self.body_next_j, self.body_next_i = pad[:nn], pad[n:], pad[1:nn + 1]
+        self.body_edge = self.body.reshape(n, n)[:, -1]
+        self.du = np.empty(nn)
+        self.eu = np.empty(nn)
+        self.eu_edge = self.eu.reshape(n, n)[:, -1]
+        self.r = np.empty(nn)
+        self.tmp = np.empty(nn)
+        self.tmp_edge = self.tmp.reshape(n, n)[:, 0]
+        pd = np.zeros(n + nn)
+        self.qd, self.qd_prev_j = pd[n:], pd[:nn]
+        pe = np.zeros(1 + nn)
+        self.qe, self.qe_prev_i = pe[1:], pe[:nn]
+        self.qe_edge = self.qe.reshape(n, n)[:, 0]
+
+
 class MembraneEnergy:
     """Surface-area energy of the clamped membrane on one grid level.
 
-    The differences are taken as a stencil on the grid: ``u.reshape(n, n)``
-    puts grid column j in row j-1 (i runs along the row), so Du is the
-    difference of consecutive rows and Eu of consecutive columns, with a
-    zero row and column appended for the Dirichlet closure.  The gradient
-    applies the adjoint stencil to (Du, Eu) / sqrt(1 + (Du)^2 + (Eu)^2).
+    The differences are taken as a stencil on the flat vector, whose entry
+    (j-1)*n + (i-1) is grid point (i, j).  Du is the difference of entries n
+    apart (consecutive grid columns) and Eu of neighbouring entries
+    (consecutive i), each over one contiguous range, with zeros past the last
+    column; the n entries of Eu whose neighbour lies across a column break
+    are then recomputed against the zero boundary value.  The gradient
+    applies the adjoint stencil to (Du, Eu) / sqrt(1 + (Du)^2 + (Eu)^2) the
+    same way.
 
     The sparse operators of :func:`build_difference_operators` are the test
     oracle, and the stencil reproduces their products bit for bit.  1/h is a
@@ -68,8 +99,11 @@ class MembraneEnergy:
     starts from +0.0, so it never returns -0.0; the stencil adds +0.0 to its
     gradient, which turns -0.0 into +0.0 and leaves every other value alone.
 
-    Evaluation and gradient allocate per call, so one instance can be shared
-    read-only by concurrent solvers.
+    An instance built directly holds no scratch: each evaluation allocates
+    its own, so one instance can be shared read-only by concurrent solvers.
+    :meth:`with_scratch` gives the copy a solve's workspace holds, which
+    evaluates into preallocated arrays and belongs to that solve alone.
+    Values and gradients returned are fresh arrays either way.
     """
 
     def __init__(self, grid: GridLevel):
@@ -77,49 +111,58 @@ class MembraneEnergy:
         self.lipschitz = lipschitz_upper_bound(grid)
         self._n = grid.n_side
         self._inv_h = 1.0 / grid.h  # n + 1, a power of two
+        self._scratch: MembraneScratch | None = None
 
     @property
     def dim(self) -> int:
         return self.grid.n_total
 
-    def _slopes(self, u: np.ndarray):
-        """(Du, Eu, sqrt(1 + (Du)^2 + (Eu)^2)) as n x n arrays."""
+    def with_scratch(self) -> "MembraneEnergy":
+        """A copy that evaluates into scratch of its own; not to be shared."""
+        twin = MembraneEnergy(self.grid)
+        twin._scratch = MembraneScratch(self._n)
+        return twin
+
+    def _slopes(self, u: np.ndarray) -> MembraneScratch:
+        """Scratch holding Du, Eu and r = sqrt(1 + (Du)^2 + (Eu)^2), flat."""
         n = self._n
         if u.shape[0] != n * n:
             raise ValueError(f"dimension mismatch: grid has {n * n}, vector {u.shape[0]}")
-        pad = np.zeros((n + 1, n + 1))
-        body = pad[:n, :n]
-        np.multiply(u.reshape(n, n), self._inv_h, out=body)
-        du = pad[1:, :n] - body
-        eu = pad[:n, 1:] - body
-        r = du * du
-        r += 1.0
-        r += eu * eu
-        np.sqrt(r, out=r)
-        return du, eu, r
+        s = self._scratch if self._scratch is not None else MembraneScratch(n)
+        np.multiply(u, self._inv_h, out=s.body)
+        np.subtract(s.body_next_j, s.body, out=s.du)
+        np.subtract(s.body_next_i, s.body, out=s.eu)
+        # the last i of each grid column has the zero boundary as its neighbour
+        np.subtract(0.0, s.body_edge, out=s.eu_edge)
+        np.multiply(s.du, s.du, out=s.r)
+        s.r += 1.0
+        np.multiply(s.eu, s.eu, out=s.tmp)
+        s.r += s.tmp
+        np.sqrt(s.r, out=s.r)
+        return s
 
-    def _adjoint(self, du: np.ndarray, eu: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """D^T (du / r) + E^T (eu / r), flat."""
-        n = self._n
-        pd = np.zeros((n + 1, n))
-        np.divide(du, r, out=pd[1:])
-        pe = np.zeros((n, n + 1))
-        np.divide(eu, r, out=pe[:, 1:])
-        g = pd[:-1] - pd[1:]
-        g += pe[:, :-1] - pe[:, 1:]
+    def _adjoint(self, s: MembraneScratch) -> np.ndarray:
+        """D^T (du / r) + E^T (eu / r), flat and freshly allocated."""
+        np.divide(s.du, s.r, out=s.qd)
+        np.divide(s.eu, s.r, out=s.qe)
+        g = s.qd_prev_j - s.qd
+        np.subtract(s.qe_prev_i, s.qe, out=s.tmp)
+        # the first i of each grid column has the zero boundary as its neighbour
+        np.subtract(0.0, s.qe_edge, out=s.tmp_edge)
+        g += s.tmp
         g *= self._inv_h
         g += 0.0  # -0.0 -> +0.0, as in a sparse row sum
-        return g.ravel()
+        return g
 
     def value(self, u: np.ndarray) -> float:
-        return float(self._slopes(u)[2].sum())
+        return float(self._slopes(u).r.sum())
 
     def grad(self, u: np.ndarray) -> np.ndarray:
-        return self._adjoint(*self._slopes(u))
+        return self._adjoint(self._slopes(u))
 
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        du, eu, r = self._slopes(u)
-        return float(r.sum()), self._adjoint(du, eu, r)
+        s = self._slopes(u)
+        return float(s.r.sum()), self._adjoint(s)
 
 
 def obstacle_values(n_side: int, domain_side: float = DOMAIN_SIDE) -> np.ndarray:

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .hierarchy import LevelStack, build_tau
+from .hierarchy import LevelStack, LevelWork, build_tau, workspace
 from .nonsmooth import select_subgradient
-from .problems import CompositeProblem, tilted_objective
+from .problems import tilted_objective
 from .smoothing import prox_grad_map, run_smoothing
 from .transfer import adaptive_mask, prolong_adaptive
 
@@ -99,52 +99,53 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
             return y, 0.0, f_y
 
 
-def _coarse_solve(problem: CompositeProblem, tau, x: np.ndarray, L: float,
+def _coarse_solve(work: LevelWork, tau, x: np.ndarray, L: float,
                   n_smooth: int, config: CycleConfig, L_cap: float,
                   fg_x: tuple) -> tuple[np.ndarray, float, int]:
     """Coarsest-level solve: budgeted smoothing, or iterate to tolerance."""
+    problem, scratch = work.problem, work.step
     if config.coarse_mode == "smoothing":
         res = run_smoothing(problem, tau, x, L, n_smooth, mode=config.step_mode,
-                            L_cap=L_cap, fg_x=fg_x)
+                            L_cap=L_cap, fg_x=fg_x, scratch=scratch)
         return res.x, res.L, res.steps
-    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, L, fg_x[1]))
+    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, L, fg_x[1], scratch))
     target = config.coarse_rel_tol * g_entry
     steps = 0
     fg = fg_x
     for _ in range(config.coarse_max_iters):
         res = run_smoothing(problem, tau, x, L, 1, mode=config.step_mode, L_cap=L_cap,
-                            fg_x=fg)
+                            fg_x=fg, scratch=scratch)
         x, L = res.x, res.L
         fg = res.fg if res.fg is not None else problem.smooth.value_and_grad(x)
         steps += 1
-        if np.linalg.norm(prox_grad_map(problem, tau, x, L, fg[1])) <= target:
+        if np.linalg.norm(prox_grad_map(problem, tau, x, L, fg[1], scratch)) <= target:
             break
     return x, L, steps
 
 
-def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
-                config: CycleConfig, trace: CycleTrace, fg_x: tuple):
+def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
+                tau, config: CycleConfig, trace: CycleTrace, fg_x: tuple):
     """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
     level's smooth part.  Returns the level's output and, at the finest
     level, the pair there (None below, where nothing reads it)."""
-    level = stack[ell]
-    problem = level.problem
+    level, lw = stack[ell], work[ell]
+    problem = lw.problem
     smooth = problem.smooth
     # backtracking grows a cheap working estimate and never shrinks it; it is
     # capped at a small multiple of the certified bound because beyond that
     # the descent test carries no information (see backtrack_L)
     L_cap = 4.0 * level.L_est
     if config.step_mode == "backtracking":
-        L = level.L_smooth if level.L_smooth is not None else 1.0
+        L = lw.L_smooth if lw.L_smooth is not None else 1.0
     else:
         L = level.L_est
 
     if ell == len(stack) - 1:
-        x_out, L, steps = _coarse_solve(problem, tau, x, L, stack.n_smooth, config, L_cap,
+        x_out, L, steps = _coarse_solve(lw, tau, x, L, stack.n_smooth, config, L_cap,
                                         fg_x)
         trace.smoothing_steps[ell] += steps
         if config.step_mode == "backtracking":
-            level.L_smooth = L
+            lw.L_smooth = L
         return x_out, None
 
     at_finest = ell == 0
@@ -153,14 +154,14 @@ def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
         trace.stage_objectives.append(tilted_objective(problem, tau, x, fg_x[0]))
 
     pre = run_smoothing(problem, tau, x, L, stack.n_smooth, mode=config.step_mode,
-                        L_cap=L_cap, fg_x=fg_x)
+                        L_cap=L_cap, fg_x=fg_x, scratch=lw.step)
     y, L = pre.x, pre.L
     fg_y = pre.fg if pre.fg is not None else smooth.value_and_grad(y)
     trace.smoothing_steps[ell] += pre.steps
     if at_finest:
         trace.y_first = pre.y_first
         trace.L_first = pre.L_first
-        trace.F_y_first = tilted_objective(problem, tau, pre.y_first)
+        trace.F_y_first = tilted_objective(problem, tau, pre.y_first, pre.f_first)
         trace.stage_objectives.append(tilted_objective(problem, tau, y, fg_y[0]))
 
     g = problem.nonsmooth
@@ -172,16 +173,16 @@ def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
 
     transfer = level.transfer_down
     x_coarse = transfer.restrict @ y  # variables restrict with the full operator
-    coarse_level = stack[ell + 1]
-    fg_coarse = coarse_level.problem.smooth.value_and_grad(x_coarse)
-    tau_next = build_tau(problem, coarse_level.problem, transfer, mask,
+    coarse_problem = work[ell + 1].problem
+    fg_coarse = coarse_problem.smooth.value_and_grad(x_coarse)
+    tau_next = build_tau(problem, coarse_problem, transfer, mask,
                          y, x_coarse, upstream_tau=tau, policy=policy,
                          grad_fine=fg_y[1], grad_coarse=fg_coarse[1])
     if config.tau_hook is not None:
         tau_next = config.tau_hook(tau_next, ell + 1)
-    coarse_level.tau = tau_next
 
-    w_coarse, _ = _level_pass(stack, ell + 1, x_coarse, tau_next, config, trace, fg_coarse)
+    w_coarse, _ = _level_pass(stack, work, ell + 1, x_coarse, tau_next, config, trace,
+                              fg_coarse)
     trace.coarse_moves[ell] = float(np.max(np.abs(w_coarse - x_coarse)))
 
     p = prolong_adaptive(transfer, mask, w_coarse - x_coarse)
@@ -202,10 +203,10 @@ def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
         trace.stage_objectives.append(f_z)
 
     post = run_smoothing(problem, tau, z, L, stack.n_smooth, mode=config.step_mode,
-                         L_cap=L_cap)
+                         L_cap=L_cap, scratch=lw.step)
     trace.smoothing_steps[ell] += post.steps
     if config.step_mode == "backtracking":
-        level.L_smooth = post.L
+        lw.L_smooth = post.L
     if not at_finest:
         return post.x, None
     fg_out = post.fg if post.fg is not None else smooth.value_and_grad(post.x)
@@ -214,40 +215,26 @@ def _level_pass(stack: LevelStack, ell: int, x: np.ndarray, tau,
 
 
 def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
-           fg_x: tuple | None = None) -> tuple[np.ndarray, CycleTrace]:
+           fg_x: tuple | None = None,
+           work: list[LevelWork] | None = None) -> tuple[np.ndarray, CycleTrace]:
     """One V-cycle over the whole stack, starting and ending at the finest level.
 
     ``fg_x`` is (f(x), grad f(x)) of the fine smooth part when the caller
     already has it; the pair at the returned iterate is left in the trace's
-    ``fg_exit``.
+    ``fg_exit``.  ``work`` is the solve's workspace, which carries the
+    backtracking estimates from one cycle to the next; a cycle run without
+    one starts from a fresh workspace.
     """
     if len(stack) < 2:
         raise ValueError("a V-cycle needs at least two levels")
     config = config or CycleConfig()
+    if work is None:
+        work = workspace(stack)
     trace = CycleTrace.empty(len(stack))
-    fine = stack.fine
-    fine.tau = np.zeros(fine.problem.dim)
     if fg_x is None:
-        fg_x = fine.problem.smooth.value_and_grad(x)
-    x_next, trace.fg_exit = _level_pass(stack, 0, x, None, config, trace, fg_x)
+        fg_x = work[0].problem.smooth.value_and_grad(x)
+    x_next, trace.fg_exit = _level_pass(stack, work, 0, x, None, config, trace, fg_x)
     return x_next, trace
-
-
-def two_level_cycle(stack: LevelStack, x: np.ndarray,
-                    config: CycleConfig | None = None) -> tuple[np.ndarray, CycleTrace]:
-    """The two-level cycle; identical to a V-cycle on a two-level stack."""
-    if len(stack) != 2:
-        raise ValueError("two_level_cycle requires exactly two levels")
-    return vcycle(stack, x, config)
-
-
-def kocvara3_cycle(stack: LevelStack, x: np.ndarray,
-                   config: CycleConfig | None = None) -> tuple[np.ndarray, CycleTrace]:
-    """One V-cycle of the reference variant: full transfers, no masking, and
-    the subdifferential terms dropped from the correction."""
-    base = config or CycleConfig()
-    forced = CycleConfig(**{**base.__dict__, "variant": "kocvara3"})
-    return vcycle(stack, x, forced)
 
 
 def cycle_work_units(trace: CycleTrace, r: float = 0.25) -> float:
@@ -307,17 +294,19 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     The stopping metric is measured at the finest level with the canonical
     Lipschitz bound of the fine problem, independently of the step mode, so
     runs of different solvers are comparable.  Non-convergence within the
-    iteration budget is reported on the trace, not raised.
+    iteration budget is reported on the trace, not raised.  The solve keeps
+    its per-level state in a workspace of its own and only reads the stack.
     """
     config = config or CycleConfig()
-    problem = stack.fine.problem
+    work = workspace(stack)
+    problem, scratch = work[0].problem, work[0].step
     L0 = stack.fine.L_est
     trace = SolverTrace(algorithm=config.variant)
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
                       num_levels=len(stack), variant=config.variant)
     x = np.asarray(x0, dtype=np.float64)
     fg = problem.smooth.value_and_grad(x)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1])))
+    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1], scratch)))
     trace.g_norm_initial = gn
     trace.objective_initial = problem.objective(x, fg[0])
     t0 = time.perf_counter()
@@ -325,9 +314,9 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
         if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
             trace.converged = True
             break
-        x, ctrace = vcycle(stack, x, config, fg)
+        x, ctrace = vcycle(stack, x, config, fg, work)
         fg = ctrace.pop_exit()
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1])))
+        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1], scratch)))
         trace.cycles.append(ctrace)
         trace.objectives.append(ctrace.stage_objectives[-1])
         trace.g_norms.append(gn)

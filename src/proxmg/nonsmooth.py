@@ -81,7 +81,8 @@ class SeparableNonsmooth:
         u = np.asarray(u, dtype=np.float64)
         self._check_dim(u)
         if self.kind == "hinge":
-            return float(self.lam * np.sum(np.maximum(self.obstacle - u, 0.0)))
+            gap = self.obstacle - u
+            return float(self.lam * np.sum(np.maximum(gap, 0.0, out=gap)))
         if self.kind == "l1":
             return float(self.lam * np.sum(np.abs(u)))
         return 0.0
@@ -92,6 +93,15 @@ class SeparableNonsmooth:
         The unit-step closed forms extend to a general step by scaling
         ``lam -> step * lam``, which is exact for these positively homogeneous
         penalties.
+
+        The hinge prox is the clamp ``max(v, min(v + lam, c))``, taken in two
+        passes over one output array: v + lam where that is below the floor,
+        v where v is above it, and c in between.  numpy's minimum and maximum
+        return their second argument when the two compare equal (+0.0 and
+        -0.0 do), so with this argument order a tie yields the same signed
+        zero as the three-way case split (v + lam < c, v > c, otherwise c);
+        the tests hold the two to the same bytes.  A NaN in v propagates to
+        the output.
         """
         if step <= 0:
             raise ValueError(f"prox step must be positive, got {step}")
@@ -99,11 +109,9 @@ class SeparableNonsmooth:
         self._check_dim(v)
         lam = step * self.lam
         if self.kind == "hinge":
-            c = self.obstacle
-            shifted = v + lam
-            # below: v + lam < c; at: v <= c <= v + lam; above: v > c
-            out = np.where(shifted < c, shifted, np.where(v > c, v, c))
-            return out
+            out = v + lam
+            np.minimum(out, self.obstacle, out=out)
+            return np.maximum(v, out, out=out)
         if self.kind == "l1":
             return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
         return v.copy()

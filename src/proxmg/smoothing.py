@@ -17,8 +17,23 @@ import numpy as np
 from .problems import CompositeProblem
 
 
+class StepScratch:
+    """Preallocated arrays for prox-gradient steps on one level.
+
+    ``point`` holds the gradient step x - (grad f(x) - tau) / L that the prox
+    maps, and ``diff`` holds y - x for the descent test.  Steps called
+    without one build a throwaway set; the iterates and gradients they
+    return are fresh arrays either way, so callers may keep them.
+    """
+
+    def __init__(self, dim: int):
+        self.point = np.empty(dim)
+        self.diff = np.empty(dim)
+
+
 def prox_grad_step(problem: CompositeProblem, tau, x: np.ndarray, L: float,
-                   gx: np.ndarray | None = None) -> np.ndarray:
+                   gx: np.ndarray | None = None,
+                   scratch: StepScratch | None = None) -> np.ndarray:
     """One proximal-gradient step with stepsize 1/L on the tilted objective.
 
     ``gx`` is grad f(x) when the caller already has it.
@@ -27,21 +42,31 @@ def prox_grad_step(problem: CompositeProblem, tau, x: np.ndarray, L: float,
         raise ValueError(f"L must be positive, got {L}")
     if gx is None:
         gx = problem.smooth.grad(x)
-    if tau is not None:
-        gx = gx - tau
-    return problem.nonsmooth.prox(x - gx / L, 1.0 / L)
+    point = (scratch if scratch is not None else StepScratch(x.shape[0])).point
+    if tau is None:
+        np.divide(gx, L, out=point)
+    else:
+        np.subtract(gx, tau, out=point)
+        point /= L
+    np.subtract(x, point, out=point)
+    return problem.nonsmooth.prox(point, 1.0 / L)
 
 
 def prox_grad_map(problem: CompositeProblem, tau, x: np.ndarray, L: float,
-                  gx: np.ndarray | None = None) -> np.ndarray:
+                  gx: np.ndarray | None = None,
+                  scratch: StepScratch | None = None) -> np.ndarray:
     """G(x) = L * (x - prox_grad_step(x)); zero exactly at tilted minimizers."""
-    return L * (x - prox_grad_step(problem, tau, x, L, gx))
+    out = prox_grad_step(problem, tau, x, L, gx, scratch)
+    np.subtract(x, out, out=out)
+    out *= L
+    return out
 
 
 def backtrack_L(problem: CompositeProblem, tau, x: np.ndarray, L0: float,
                 eta: float = 2.0, max_doublings: int = 60,
                 L_cap: float | None = None,
-                fg_x: tuple | None = None) -> tuple[float, np.ndarray, tuple | None]:
+                fg_x: tuple | None = None,
+                scratch: StepScratch | None = None) -> tuple[float, np.ndarray, tuple | None]:
     """Smallest L in {L0 * eta^t} whose prox-grad step satisfies the descent model.
 
     Accepts L once f(y) <= f(x) + <grad f(x), y - x> + (L/2) ||y - x||^2 for
@@ -61,14 +86,17 @@ def backtrack_L(problem: CompositeProblem, tau, x: np.ndarray, L0: float,
         raise ValueError(f"L0 must be positive, got {L0}")
     if eta <= 1:
         raise ValueError(f"growth factor must exceed 1, got {eta}")
+    if scratch is None:
+        scratch = StepScratch(x.shape[0])
+    d = scratch.diff
     f = problem.smooth
     fx, gx = f.value_and_grad(x) if fg_x is None else fg_x
     L = L0 if L_cap is None else min(L0, L_cap)
     for _ in range(max_doublings + 1):
-        y = prox_grad_step(problem, tau, x, L, gx)
+        y = prox_grad_step(problem, tau, x, L, gx, scratch)
         if L_cap is not None and L >= L_cap:
             return L, y, None
-        d = y - x
+        np.subtract(y, x, out=d)
         fg_y = f.value_and_grad(y)
         if fg_y[0] <= fx + float(gx @ d) + 0.5 * L * float(d @ d) + 1e-15 * abs(fx):
             return L, y, fg_y
@@ -92,12 +120,14 @@ class SmoothResult:
     L_first: float       # stepsize parameter used at the first step
     steps: int
     fg: tuple | None = None  # (f(x), grad f(x)) when the last step computed it
+    f_first: float | None = None  # f(y_first) when the first step computed it
 
 
 def run_smoothing(problem: CompositeProblem, tau, x: np.ndarray, L: float,
                   n_steps: int, mode: str = "fixed", eta: float = 2.0,
                   max_doublings: int = 60, L_cap: float | None = None,
-                  fg_x: tuple | None = None) -> SmoothResult:
+                  fg_x: tuple | None = None,
+                  scratch: StepScratch | None = None) -> SmoothResult:
     """n_steps proximal-gradient steps; the backtracking estimate never shrinks.
 
     ``fg_x`` is (f(x), grad f(x)) when the caller already has it; each
@@ -105,21 +135,26 @@ def run_smoothing(problem: CompositeProblem, tau, x: np.ndarray, L: float,
     """
     if n_steps < 1:
         raise ValueError("need at least one smoothing step")
+    if scratch is None:
+        scratch = StepScratch(x.shape[0])
     y_first = None
     L_first = L
+    f_first = None
     fg = fg_x
     for k in range(n_steps):
         if mode == "backtracking":
             L, x_next, fg = backtrack_L(problem, tau, x, L, eta=eta,
                                         max_doublings=max_doublings, L_cap=L_cap,
-                                        fg_x=fg)
+                                        fg_x=fg, scratch=scratch)
         elif mode == "fixed":
-            x_next = prox_grad_step(problem, tau, x, L, None if fg is None else fg[1])
+            x_next = prox_grad_step(problem, tau, x, L, None if fg is None else fg[1],
+                                    scratch)
             fg = None
         else:
             raise ValueError(f"unknown step mode {mode!r}")
         if k == 0:
             y_first = x_next
             L_first = L
+            f_first = None if fg is None else fg[0]
         x = x_next
-    return SmoothResult(x, L, y_first, L_first, n_steps, fg)
+    return SmoothResult(x, L, y_first, L_first, n_steps, fg, f_first)

@@ -27,7 +27,12 @@ def test_hierarchy_depth_error():
 
 def test_finest_tau_is_zero_and_lipschitz_per_level():
     stack = build_obstacle_hierarchy(15, 1e-6, 3)
-    assert np.all(stack.fine.tau == 0.0)
+    # the finest level is never tilted: its stage objectives are the plain F
+    problem = stack.fine.problem
+    x = np.random.Generator(np.random.PCG64(1)).uniform(0.0, 1.0, problem.dim)
+    x_next, ct = vcycle(stack, x)
+    assert ct.stage_objectives[0] == problem.objective(x)
+    assert ct.stage_objectives[-1] == problem.objective(x_next)
     for lev in stack.levels:
         assert lev.L_est == pytest.approx(lev.problem.smooth.lipschitz)
 

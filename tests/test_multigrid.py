@@ -6,8 +6,7 @@ from proxmg.certificates import (check_angle_condition, check_fixed_point,
                                  check_stage_monotonicity)
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import (CycleConfig, StoppingRule, cycle_work_units,
-                              mgprox_solve, naive_line_search, two_level_cycle,
-                              vcycle)
+                              mgprox_solve, naive_line_search, vcycle)
 from proxmg.nonsmooth import SeparableNonsmooth
 from proxmg.oracles import build_chain_hierarchy, reference_solution
 from proxmg.problems import CompositeProblem
@@ -39,21 +38,6 @@ def test_line_search_uphill_falls_back_to_zero():
     assert f_z == f(y)
 
 
-def test_two_level_cycle_equals_vcycle_bitwise():
-    rng = np.random.Generator(np.random.PCG64(0))
-    x0 = rng.uniform(0, 1, size=49)
-    a, _ = two_level_cycle(build_obstacle_hierarchy(7, 1e-6, 2), x0.copy())
-    b, _ = vcycle(build_obstacle_hierarchy(7, 1e-6, 2), x0.copy())
-    assert np.array_equal(a, b)
-
-
-def test_two_level_cycle_rejects_deeper_stacks():
-    with pytest.raises(ValueError):
-        two_level_cycle(build_obstacle_hierarchy(15, 1e-6, 3), np.zeros(225))
-    with pytest.raises(ValueError):
-        vcycle(build_obstacle_hierarchy(7, 1e-6, 1), np.zeros(49))
-
-
 def test_cycle_inherits_the_first_step_descent_guarantee():
     # F after a whole cycle is at least as good as the first smoothing step's bound
     from proxmg.smoothing import prox_grad_map
@@ -64,7 +48,7 @@ def test_cycle_inherits_the_first_step_descent_guarantee():
     for _ in range(5):
         x = rng.uniform(0, 1, size=49)
         G = np.linalg.norm(prox_grad_map(problem, None, x, L))
-        x_next, ct = two_level_cycle(stack, x)
+        x_next, ct = vcycle(stack, x)
         assert problem.objective(x_next) <= problem.objective(x) - G * G / (2 * L) + 1e-12
 
 
@@ -75,6 +59,8 @@ def test_cycle_config_validation():
         CycleConfig(alpha_init=0.0)
     with pytest.raises(ValueError):
         CycleConfig(alpha_tol=-1.0)
+    with pytest.raises(ValueError):
+        vcycle(build_obstacle_hierarchy(7, 1e-6, 1), np.zeros(49))
 
 
 def test_cycle_stage_monotonicity_and_angle_condition():

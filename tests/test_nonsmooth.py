@@ -131,3 +131,50 @@ def test_subgradient_inequality(kind):
         iv = g.subdiff(u)
         q = iv.lo + rng.uniform(size=6) * (iv.hi - iv.lo)
         assert g.value(y) >= g.value(u) + q @ (y - u) - 1e-12
+
+
+def _hinge_prox_by_cases(v, c, lam):
+    """The three-way case split the two-pass clamp replaced; the test oracle."""
+    shifted = v + lam
+    return np.where(shifted < c, shifted, np.where(v > c, v, c))
+
+
+@pytest.mark.parametrize("step", [1e-12, 1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.5, 100.0])
+def test_hinge_prox_equals_the_case_split_byte_for_byte(step, lam):
+    rng = np.random.Generator(np.random.PCG64(11))
+    size = 5000
+    picks = lambda frac: rng.uniform(size=size) < frac
+    v = rng.uniform(-2.0, 2.0, size) * rng.choice([1e-12, 1e-3, 1.0, 1e3], size)
+    c = rng.uniform(-1.0, 1.0, size)
+    c[picks(0.2)] = 0.0              # obstacle zeros, both signs
+    c[picks(0.1)] = -0.0
+    v[picks(0.1)] = 0.0
+    v[picks(0.1)] = -0.0
+    at_floor = picks(0.1)            # ties v == c
+    v[at_floor] = c[at_floor]
+    lands = picks(0.1)               # ties v + lam == c
+    c[lands] = v[lands] + step * lam
+    g = SeparableNonsmooth.hinge(lam, c)
+    want = _hinge_prox_by_cases(v, c, step * lam)
+    assert g.prox(v, step).tobytes() == want.tobytes()
+
+
+def test_hinge_prox_propagates_nan():
+    g = SeparableNonsmooth.hinge(1.0, np.array([0.0, 0.0, 5.0]))
+    out = g.prox(np.array([np.nan, -3.0, np.nan]), 1.0)
+    assert np.isnan(out[0]) and np.isnan(out[2])
+    assert out[1] == -2.0
+
+
+def test_l1_and_zero_prox_keep_their_closed_forms():
+    rng = np.random.Generator(np.random.PCG64(12))
+    v = rng.uniform(-2.0, 2.0, 1000)
+    v[rng.uniform(size=1000) < 0.1] = 0.0
+    v[rng.uniform(size=1000) < 0.1] = -0.0
+    for step in (1e-12, 1.0, 1e3):
+        lam = step * 0.7
+        want = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
+        assert SeparableNonsmooth.l1(0.7).prox(v, step).tobytes() == want.tobytes()
+        out = SeparableNonsmooth.zero().prox(v, step)
+        assert out.tobytes() == v.tobytes() and out is not v
