@@ -19,14 +19,13 @@ recorded every iteration and checked by the verification suite.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hierarchy import LevelStack, LevelWork, workspace
-from .multigrid import CycleConfig, SolverTrace, StoppingRule, _rel, vcycle
-from .smoothing import prox_grad_map, prox_grad_step
+from .multigrid import CycleConfig, SolverTrace, StoppingRule, iterate, vcycle
+from .smoothing import prox_grad_step
 
 
 def solve_alpha(L: float, gamma: float) -> float:
@@ -106,7 +105,6 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
         "F_y": F_y,
         "F_x_next": F_x_next,
         "g_norm_y": float(np.linalg.norm(G_y)),
-        "g_vec_norm": float(np.linalg.norm(g)),
         "cycle": ctrace,
     }
     state_next = FastState(z_next, gamma_next, diag["lam"], phi_bar_next)
@@ -114,48 +112,30 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
 
 
 def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
-                     config: CycleConfig | None = None,
-                     gamma0: float | None = None) -> tuple[np.ndarray, SolverTrace]:
-    """Accelerated multigrid solve; gamma0 defaults to the fine Lipschitz bound.
+                     config: CycleConfig | None = None) -> tuple[np.ndarray, SolverTrace]:
+    """Accelerated multigrid solve; gamma0 is the fine Lipschitz bound.
 
     The solve keeps its per-level state in a workspace of its own and only
     reads the stack.
     """
     config = config or CycleConfig()
     work = workspace(stack)
-    problem, scratch = work[0].problem, work[0].step
     L0 = stack.fine.L_est
-    gamma0 = L0 if gamma0 is None else gamma0
-    x = np.asarray(x0, dtype=np.float64)
     trace = SolverTrace(algorithm="fastmgprox")
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
-                      num_levels=len(stack), gamma0=gamma0, L0=L0)
-    f_x, grad_x = problem.smooth.value_and_grad(x)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, grad_x, scratch)))
-    trace.g_norm_initial = gn
-    trace.objective_initial = problem.objective(x, f_x)
-    state = FastState(z=x.copy(), gamma=gamma0, lam=1.0,
-                      phi_bar=trace.objective_initial)
-    for key in ("alpha", "lam", "gamma", "phi_bar", "F_y", "g_norm_y",
-                "alpha_residual"):
-        trace.extras[key] = []
-    t0 = time.perf_counter()
-    for _ in range(stop.max_iters):
-        if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
-            trace.converged = True
-            break
-        x, state, diag = fast_step(stack, state, x, config, work)
+                      num_levels=len(stack), gamma0=L0, L0=L0)
+    trace.extras = {key: [] for key in ("alpha", "lam", "gamma", "phi_bar", "F_y",
+                                        "g_norm_y", "alpha_residual")}
+    state = None
+
+    def step(x, fg):
+        nonlocal state
+        if state is None:  # z0 = x0 and phi_bar0 = F(x0)
+            state = FastState(z=x.copy(), gamma=L0, phi_bar=trace.objective_initial)
+        x_next, state, diag = fast_step(stack, state, x, config, work)
         ctrace = diag.pop("cycle")
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, ctrace.pop_exit()[1],
-                                                scratch)))
-        trace.cycles.append(ctrace)
-        trace.objectives.append(diag["F_x_next"])
-        trace.g_norms.append(gn)
-        trace.rel_g_norms.append(_rel(gn, trace.g_norm_initial))
-        trace.coarse_alphas.append(trace.cycles[-1].alphas[0])
-        trace.times.append(time.perf_counter() - t0)
-        for key in trace.extras:
-            trace.extras[key].append(diag[key])
-    else:
-        trace.converged = _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol
-    return x, trace
+        for key, series in trace.extras.items():
+            series.append(diag[key])
+        return x_next, ctrace.pop_exit(), diag["F_x_next"], ctrace
+
+    return iterate(trace, work[0], L0, x0, stop, step), trace

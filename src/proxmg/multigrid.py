@@ -29,6 +29,15 @@ from .smoothing import prox_grad_map, run_smoothing
 from .transfer import adaptive_mask, prolong_adaptive
 
 
+# the subgradient the tau correction and the angle witness select at
+# set-valued coordinates (see select_subgradient)
+SUBGRAD_POLICY = "zero"
+# the exact coarse solve stops at this fraction of its entry prox-gradient
+# norm, or after this many steps
+COARSE_REL_TOL = 1e-12
+COARSE_MAX_ITERS = 100000
+
+
 @dataclass
 class CycleConfig:
     """Knobs for one V-cycle; defaults match the benchmark protocol."""
@@ -36,11 +45,8 @@ class CycleConfig:
     alpha_init: float = 1.0
     alpha_tol: float = 1e-15
     variant: str = "mgprox"        # "mgprox" | "kocvara3"
-    subgrad_policy: str = "zero"
     step_mode: str = "fixed"       # "fixed" | "backtracking"
     coarse_mode: str = "smoothing"  # "smoothing" (budgeted steps) | "exact" (to tolerance)
-    coarse_rel_tol: float = 1e-12
-    coarse_max_iters: int = 100000
     tau_hook: Callable | None = None  # verification hook: (tau, level_index) -> tau
 
     def __post_init__(self):
@@ -109,10 +115,10 @@ def _coarse_solve(work: LevelWork, tau, x: np.ndarray, L: float,
                             L_cap=L_cap, fg_x=fg_x, scratch=scratch)
         return res.x, res.L, res.steps
     g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, L, fg_x[1], scratch))
-    target = config.coarse_rel_tol * g_entry
+    target = COARSE_REL_TOL * g_entry
     steps = 0
     fg = fg_x
-    for _ in range(config.coarse_max_iters):
+    for _ in range(COARSE_MAX_ITERS):
         res = run_smoothing(problem, tau, x, L, 1, mode=config.step_mode, L_cap=L_cap,
                             fg_x=fg, scratch=scratch)
         x, L = res.x, res.L
@@ -167,7 +173,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     g = problem.nonsmooth
     kocvara = config.variant == "kocvara3"
     # kocvara3: no masking, and the subdifferential terms of tau are zeroed out
-    policy = None if kocvara else config.subgrad_policy
+    policy = None if kocvara else SUBGRAD_POLICY
     mask = np.zeros(problem.dim, dtype=bool) if kocvara else adaptive_mask(g, y)
     trace.mask_counts[ell] = int(mask.sum())
 
@@ -187,7 +193,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
 
     p = prolong_adaptive(transfer, mask, w_coarse - x_coarse)
     # angle-condition witness: any valid subgradient works, so take the default
-    s = select_subgradient(g.subdiff(y), config.subgrad_policy)
+    s = select_subgradient(g.subdiff(y), SUBGRAD_POLICY)
     s_hat = fg_y[1] + s
     if tau is not None:
         s_hat = s_hat - tau
@@ -281,48 +287,70 @@ class SolverTrace:
         return min(min(vals), self.objective_initial)
 
 
-def _rel(gn: float, gn0: float) -> float:
-    if gn0 > 0.0:
-        return gn / gn0
-    return 0.0 if gn == 0.0 else float("inf")
+def iterate(trace: SolverTrace, work: LevelWork, L: float, x0: np.ndarray,
+            stop: StoppingRule, step: Callable) -> np.ndarray:
+    """Apply ``step`` from x0 until the stopping rule holds; returns the last x.
+
+    ``step(x, fg)`` maps an iterate and fg = (f(x), grad f(x)) of the fine
+    smooth part to ``(x_next, fg_next, F(x_next), cycle)``, where cycle is
+    the iteration's V-cycle trace, or None for a single-level solver.  The
+    driver fills the initial values and the per-iteration series of
+    ``trace`` and sets ``converged``.
+
+    The stopping metric is the norm of the prox-gradient map at x on
+    ``work``'s problem with the bound L, measured independently of how the
+    step chose its stepsizes, so iteration counts of different solvers are
+    comparable.  The rule holds once that norm falls to ``rel_tol`` times
+    its value at x0, or to ``abs_tol``; a run that spends its budget without
+    meeting it is reported on the trace, not raised.
+    """
+    problem, scratch = work.problem, work.step
+
+    def g_norm(x, fg):
+        return float(np.linalg.norm(prox_grad_map(problem, None, x, L, fg[1], scratch)))
+
+    x = np.asarray(x0, dtype=np.float64)
+    fg = problem.smooth.value_and_grad(x)
+    gn = gn0 = trace.g_norm_initial = g_norm(x, fg)
+    trace.objective_initial = problem.objective(x, fg[0])
+
+    def rel(gn):
+        if gn0 > 0.0:
+            return gn / gn0
+        return 0.0 if gn == 0.0 else float("inf")
+
+    t0 = time.perf_counter()
+    while True:
+        trace.converged = rel(gn) <= stop.rel_tol or gn <= stop.abs_tol
+        if trace.converged or trace.iterations == stop.max_iters:
+            return x
+        x, fg, F, cycle = step(x, fg)
+        gn = g_norm(x, fg)
+        trace.objectives.append(F)
+        trace.g_norms.append(gn)
+        trace.rel_g_norms.append(rel(gn))
+        trace.coarse_alphas.append(None if cycle is None else cycle.alphas[0])
+        trace.times.append(time.perf_counter() - t0)
+        if cycle is not None:
+            trace.cycles.append(cycle)
 
 
 def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
                  config: CycleConfig | None = None) -> tuple[np.ndarray, SolverTrace]:
     """Iterate V-cycles until the relative prox-gradient norm meets the rule.
 
-    The stopping metric is measured at the finest level with the canonical
-    Lipschitz bound of the fine problem, independently of the step mode, so
-    runs of different solvers are comparable.  Non-convergence within the
-    iteration budget is reported on the trace, not raised.  The solve keeps
-    its per-level state in a workspace of its own and only reads the stack.
+    The metric is measured at the finest level with the canonical Lipschitz
+    bound of the fine problem (see :func:`iterate`).  The solve keeps its
+    per-level state in a workspace of its own and only reads the stack.
     """
     config = config or CycleConfig()
     work = workspace(stack)
-    problem, scratch = work[0].problem, work[0].step
-    L0 = stack.fine.L_est
     trace = SolverTrace(algorithm=config.variant)
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
                       num_levels=len(stack), variant=config.variant)
-    x = np.asarray(x0, dtype=np.float64)
-    fg = problem.smooth.value_and_grad(x)
-    gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1], scratch)))
-    trace.g_norm_initial = gn
-    trace.objective_initial = problem.objective(x, fg[0])
-    t0 = time.perf_counter()
-    for _ in range(stop.max_iters):
-        if _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol:
-            trace.converged = True
-            break
-        x, ctrace = vcycle(stack, x, config, fg, work)
-        fg = ctrace.pop_exit()
-        gn = float(np.linalg.norm(prox_grad_map(problem, None, x, L0, fg[1], scratch)))
-        trace.cycles.append(ctrace)
-        trace.objectives.append(ctrace.stage_objectives[-1])
-        trace.g_norms.append(gn)
-        trace.rel_g_norms.append(_rel(gn, trace.g_norm_initial))
-        trace.coarse_alphas.append(ctrace.alphas[0])
-        trace.times.append(time.perf_counter() - t0)
-    else:
-        trace.converged = _rel(gn, trace.g_norm_initial) <= stop.rel_tol or gn <= stop.abs_tol
-    return x, trace
+
+    def step(x, fg):
+        x_next, ctrace = vcycle(stack, x, config, fg, work)
+        return x_next, ctrace.pop_exit(), ctrace.stage_objectives[-1], ctrace
+
+    return iterate(trace, work[0], stack.fine.L_est, x0, stop, step), trace

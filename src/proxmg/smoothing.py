@@ -124,8 +124,7 @@ class SmoothResult:
 
 
 def run_smoothing(problem: CompositeProblem, tau, x: np.ndarray, L: float,
-                  n_steps: int, mode: str = "fixed", eta: float = 2.0,
-                  max_doublings: int = 60, L_cap: float | None = None,
+                  n_steps: int, mode: str = "fixed", L_cap: float | None = None,
                   fg_x: tuple | None = None,
                   scratch: StepScratch | None = None) -> SmoothResult:
     """n_steps proximal-gradient steps; the backtracking estimate never shrinks.
@@ -143,9 +142,8 @@ def run_smoothing(problem: CompositeProblem, tau, x: np.ndarray, L: float,
     fg = fg_x
     for k in range(n_steps):
         if mode == "backtracking":
-            L, x_next, fg = backtrack_L(problem, tau, x, L, eta=eta,
-                                        max_doublings=max_doublings, L_cap=L_cap,
-                                        fg_x=fg, scratch=scratch)
+            L, x_next, fg = backtrack_L(problem, tau, x, L, L_cap=L_cap, fg_x=fg,
+                                        scratch=scratch)
         elif mode == "fixed":
             x_next = prox_grad_step(problem, tau, x, L, None if fg is None else fg[1],
                                     scratch)

@@ -1,0 +1,83 @@
+"""The stopping contract of the one iteration driver, through every solver.
+
+All five solvers run their steps through ``multigrid.iterate``; these tests
+pin down what it promises at the edges of the budget and the tolerances.
+"""
+
+import numpy as np
+import pytest
+
+from proxmg.accelerated import fastmgprox_solve
+from proxmg.baselines import fista_solve, proxgrad_solve
+from proxmg.hierarchy import build_obstacle_hierarchy
+from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
+
+SOLVERS = {
+    "mgprox": lambda stack, x0, stop: mgprox_solve(stack, x0, stop),
+    "kocvara3": lambda stack, x0, stop: mgprox_solve(
+        stack, x0, stop, CycleConfig(variant="kocvara3")),
+    "fastmgprox": lambda stack, x0, stop: fastmgprox_solve(stack, x0, stop),
+    "proxgrad": lambda stack, x0, stop: proxgrad_solve(stack.fine.problem, x0, stop),
+    "fista": lambda stack, x0, stop: fista_solve(stack.fine.problem, x0, stop),
+}
+MULTIGRID = {"mgprox", "kocvara3", "fastmgprox"}
+
+
+@pytest.fixture(scope="module")
+def stack():
+    return build_obstacle_hierarchy(15, 1e-6, 3)
+
+
+@pytest.fixture(scope="module")
+def x0():
+    return np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=225)
+
+
+def _assert_series_lengths(name, trace):
+    k = trace.iterations
+    for series in (trace.objectives, trace.g_norms, trace.rel_g_norms,
+                   trace.coarse_alphas, trace.times):
+        assert len(series) == k
+    assert len(trace.cycles) == (k if name in MULTIGRID else 0)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_zero_budget_returns_the_start(name, stack, x0):
+    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(0, 1e-10))
+    assert x.tobytes() == x0.tobytes()
+    assert trace.iterations == 0
+    assert not trace.converged
+    assert trace.g_norm_initial > 0.0
+    _assert_series_lengths(name, trace)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_a_start_within_abs_tol_is_converged_without_a_step(name, stack, x0):
+    _, probe = SOLVERS[name](stack, x0.copy(), StoppingRule(0, 0.0))
+    # the floor equals the start's norm: the test is <=, so it already holds
+    x, trace = SOLVERS[name](stack, x0.copy(),
+                             StoppingRule(50, 0.0, abs_tol=probe.g_norm_initial))
+    assert trace.converged
+    assert trace.iterations == 0
+    assert x.tobytes() == x0.tobytes()
+    _assert_series_lengths(name, trace)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_convergence_on_the_last_budgeted_iteration_is_reported(name, stack, x0):
+    rel_tol = 1e-2
+    x_free, free = SOLVERS[name](stack, x0.copy(), StoppingRule(10_000, rel_tol))
+    assert free.converged
+    k = free.iterations
+    assert k > 0 and free.rel_g_norms[-1] <= rel_tol < free.rel_g_norms[-2]
+    _assert_series_lengths(name, free)
+
+    x_tight, tight = SOLVERS[name](stack, x0.copy(), StoppingRule(k, rel_tol))
+    assert tight.converged and tight.iterations == k
+    assert x_tight.tobytes() == x_free.tobytes()
+    assert tight.rel_g_norms == free.rel_g_norms
+    _assert_series_lengths(name, tight)
+
+    _, short = SOLVERS[name](stack, x0.copy(), StoppingRule(k - 1, rel_tol))
+    assert not short.converged and short.iterations == k - 1
+    _assert_series_lengths(name, short)
