@@ -12,9 +12,9 @@ guarantees at runtime.
 from .accelerated import (FastState, fast_step, fastmgprox_solve,
                           lambda_rate_bound, phi_bar_update, solve_alpha)
 from .baselines import fista_solve, proxgrad_solve
-from .certificates import (CertificateReport, CertificateResult, certify_run,
-                           check_angle_condition, check_fast_certificates,
-                           check_fixed_point, check_linear_rate,
+from .certificates import (SCOPES, CertificateReport, CertificateResult,
+                           certify_run, check_angle_condition, check_converged,
+                           check_fast_certificates, check_fixed_point, check_linear_rate,
                            check_mgprox_sufficient_descent, check_one_over_k,
                            check_smoothing_descent, check_stage_monotonicity,
                            check_work_units)

@@ -5,17 +5,27 @@ reference point) and returns a pass/fail result with its worst-case margin,
 where positive margins mean the inequality held with room to spare.  The
 checks deliberately recompute everything from recorded quantities so a
 corrupted trace is caught rather than papered over.
+
+``SCOPES`` is the verification suite: each ``proxmg verify`` scope is a
+function of the seed that sets up its runs and returns their results.  The
+acceptance gate calls the same functions, so the command and the gate check
+the same things at the same settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accelerated import lambda_rate_bound
-from .hierarchy import LevelStack
-from .multigrid import CycleConfig, SolverTrace, cycle_work_units, vcycle
+from .accelerated import fastmgprox_solve, lambda_rate_bound
+from .hierarchy import LevelStack, build_obstacle_hierarchy
+from .membrane import make_obstacle_problem
+from .multigrid import (CycleConfig, SolverTrace, StoppingRule, cycle_work_units,
+                        mgprox_solve, vcycle)
+from .nonsmooth import SeparableNonsmooth
+from .oracles import (brute_force_prox, build_chain_hierarchy, chain_constants,
+                      fd_gradient, reference_solution)
 
 
 @dataclass
@@ -217,16 +227,20 @@ def check_fast_certificates(trace: SolverTrace, gamma0: float, L: float,
 
 
 def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
-                      config: CycleConfig | None = None,
-                      move_tol: float = 1e-8) -> list[CertificateResult]:
-    """One cycle from the reference point moves nothing, coarse solve included."""
+                      config: CycleConfig | None = None, move_tol: float = 1e-8,
+                      masked: bool = False) -> list[CertificateResult]:
+    """One cycle from the reference point moves nothing, coarse solve included.
+
+    With ``masked``, a fourth result requires a non-empty fine mask, so that
+    the adaptive transfers act in the cycle being certified.
+    """
     config = config or CycleConfig(coarse_mode="exact")
     x_next, ct = vcycle(stack, x_star, config)
     move = float(np.max(np.abs(x_next - x_star)))
     coarse = max(ct.coarse_moves) if ct.coarse_moves else 0.0
     F0, F1 = ct.stage_objectives[0], ct.stage_objectives[-1]
     rel_F = abs(F1 - F0) / max(1.0, abs(F0))
-    return [
+    results = [
         CertificateResult("fixed-point-fine", bool(move <= move_tol),
                           float(move_tol - move), f"inf-norm move {move:.3e}"),
         CertificateResult("fixed-point-coarse", bool(coarse <= move_tol),
@@ -234,6 +248,18 @@ def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
         CertificateResult("fixed-point-objective", bool(rel_F <= 1e-10),
                           float(1e-10 - rel_F), f"relative drift {rel_F:.3e}"),
     ]
+    if masked:
+        mask = ct.mask_counts[0]
+        results.append(CertificateResult("fixed-point-mask", mask > 0, float(mask),
+                                         f"fine mask {mask} of {x_star.size}"))
+    return results
+
+
+def check_converged(trace: SolverTrace, rel_tol: float, name: str) -> CertificateResult:
+    """The run met its relative prox-gradient tolerance within its budget."""
+    rel = trace.rel_g_norms[-1] if trace.rel_g_norms else 0.0
+    return CertificateResult(name, trace.converged, float(rel_tol - rel),
+                             f"relative |G| {rel:.3e} after {trace.iterations} iterations")
 
 
 def certify_run(trace: SolverTrace, stack: LevelStack, x_star: np.ndarray,
@@ -254,3 +280,131 @@ def certify_run(trace: SolverTrace, stack: LevelStack, x_star: np.ndarray,
         gamma0 = trace.meta.get("gamma0", L)
         report.extend(check_fast_certificates(trace, gamma0, L))
     return report
+
+
+# The verification suite: one function per ``proxmg verify`` scope.
+
+def _start(seed: int, dim: int) -> np.ndarray:
+    return np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 1.0, size=dim)
+
+
+def _obstacle_reference(n_side: int, lam: float, levels: int, seed: int):
+    stack = build_obstacle_hierarchy(n_side, lam, levels, 20)
+    return stack, reference_solution(stack, tol=1e-12, seed=seed)
+
+
+def verify_prox(seed: int) -> list[CertificateResult]:
+    """Hinge and l1 prox maps against golden section on 500 random draws each."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    worst = 0.0
+    for _ in range(500):
+        v, lam, c = rng.uniform(-3, 3), rng.uniform(0, 2), rng.uniform(-1, 1)
+        step = rng.uniform(0.05, 3)
+        bracket = (v - 10 * step * lam - 1, v + 10 * step * lam + 1)
+        for g, g_scalar in ((SeparableNonsmooth.hinge(lam, np.array([c])),
+                             lambda t: lam * max(c - t, 0.0)),
+                            (SeparableNonsmooth.l1(lam), lambda t: lam * abs(t))):
+            got = g.prox(np.array([v]), step)[0]
+            worst = max(worst, abs(got - brute_force_prox(g_scalar, v, step, bracket)))
+    return [CertificateResult("prox-oracle", worst <= 1e-8, 1e-8 - worst,
+                              f"1000 cases, max abs error {worst:.2e}")]
+
+
+def verify_gradient(seed: int) -> list[CertificateResult]:
+    """Membrane gradient against central differences, 5 draws per grid size."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    worst = 0.0
+    for n_side in (3, 7):
+        problem = make_obstacle_problem(n_side, 1e-6)
+        for _ in range(5):
+            u = rng.uniform(0.0, 1.0, size=problem.dim)
+            exact = problem.smooth.grad(u)
+            approx = fd_gradient(problem.smooth.value, u, 1e-6)
+            rel = np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-30)
+            worst = max(worst, rel)
+    return [CertificateResult("gradient-fidelity", worst <= 1e-6, 1e-6 - worst,
+                              f"max rel error {worst:.2e}")]
+
+
+def verify_fixed_point(seed: int) -> list[CertificateResult]:
+    """One exact-coarse cycle from a reference point moves nothing: at
+    lam = 1e-6, where nothing is masked, and at lam = 100 ("contact-"),
+    where the fine mask must be non-empty."""
+    results = []
+    for prefix, lam in (("", 1e-6), ("contact-", 100.0)):
+        stack, ref = _obstacle_reference(7, lam, 2, seed)
+        rel = ref.g_norm / ref.g_norm_initial
+        checks = [CertificateResult("reference-accuracy", rel <= 1e-12, 1e-12 - rel,
+                                    f"relative |G| {rel:.3e}")]
+        checks += check_fixed_point(stack, ref.x, masked=bool(prefix))
+        results += [replace(r, name=prefix + r.name) for r in checks]
+    return results
+
+
+def verify_mgprox(seed: int) -> list[CertificateResult]:
+    """Every cycle certificate of an n = 15 solve run to 1e-10, which must
+    take at least 40 cycles so that the certificates see a long run."""
+    stack, ref = _obstacle_reference(15, 1e-6, 3, seed)
+    _, trace = mgprox_solve(stack, _start(seed, stack.fine.problem.dim),
+                            StoppingRule(400, 1e-10))
+    spare = trace.iterations - 40
+    return [check_converged(trace, 1e-10, "mgprox-converged"),
+            CertificateResult("mgprox-cycles", spare >= 0, float(spare),
+                              f"{trace.iterations} cycles, 40 required"),
+            *certify_run(trace, stack, ref.x, ref.objective).results]
+
+
+def verify_linear_rate(seed: int) -> list[CertificateResult]:
+    """The (1 - mu/L)^k envelope over a chain solve run to 1e-12."""
+    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
+    mu, L = chain_constants(stack.fine.problem)
+    ref = reference_solution(stack, tol=1e-12, seed=seed)
+    _, trace = mgprox_solve(stack, _start(seed, 64), StoppingRule(3000, 1e-12))
+    return [check_converged(trace, 1e-12, "linear-rate-converged"),
+            check_linear_rate(trace, ref.objective, mu, L)]
+
+
+def verify_fast(seed: int) -> list[CertificateResult]:
+    """Estimate-sequence certificates over 200 accelerated iterations."""
+    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
+    _, trace = fastmgprox_solve(stack, _start(seed, 64), StoppingRule(200, 0.0))
+    return check_fast_certificates(trace, trace.meta["gamma0"], stack.fine.L_est)
+
+
+def _control(name: str, checks: list[CertificateResult], detail: str) -> CertificateResult:
+    """Passes when a check of a corrupted run fails; the margin is by how much."""
+    caught = not all(c.passed for c in checks)
+    return CertificateResult(name, caught, -min(c.margin for c in checks), detail)
+
+
+def verify_negative_controls(seed: int) -> list[CertificateResult]:
+    """The suite must detect corrupted runs: these pass when those fail."""
+    stack, ref = _obstacle_reference(7, 1e-6, 2, seed)
+    flipped = CycleConfig(coarse_mode="exact", tau_hook=lambda tau, level: -tau)
+    tau = check_fixed_point(stack, ref.x, flipped)
+
+    stack, ref = _obstacle_reference(7, 100.0, 2, seed)
+    kocvara = CycleConfig(coarse_mode="exact", variant="kocvara3")
+    coarse = check_fixed_point(stack, ref.x, kocvara)[1]
+
+    chain = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
+    _, trace = mgprox_solve(chain, _start(seed, 64), StoppingRule(10, 0.0))
+    trace.cycles[3].stage_objectives[2] = trace.cycles[3].stage_objectives[1] + 1.0
+    return [
+        _control("negative-control-tau", tau, "flipped tau breaks fixed point"),
+        _control("negative-control-trace", [check_stage_monotonicity(trace)],
+                 "tampered stage fails monotonicity"),
+        _control("negative-control-kocvara3", [coarse],
+                 "kocvara3 moves the coarse level at the contact x*"),
+    ]
+
+
+SCOPES = {
+    "prox": verify_prox,
+    "gradient": verify_gradient,
+    "fixed-point": verify_fixed_point,
+    "mgprox": verify_mgprox,
+    "linear-rate": verify_linear_rate,
+    "fast": verify_fast,
+    "negative-controls": verify_negative_controls,
+}

@@ -4,7 +4,7 @@ Subcommands
 -----------
 solve    run one solver on one problem, write a CSV trace, print a summary
 compare  run all five solvers from the same start, print a comparison table
-verify   run the certificate suite at desk scale; exit 0 iff everything holds
+verify   run the certificate suite (certificates.SCOPES); exit 0 iff everything holds
 
 CSV schema: ``iter,time_s,objective,rel_prox_grad_norm,coarse_alpha`` with a
 header row, scientific notation with 15 significant digits.  The time column
@@ -28,16 +28,10 @@ import numpy as np
 
 from .accelerated import fastmgprox_solve
 from .baselines import fista_solve, proxgrad_solve
-from .certificates import (CertificateReport, CertificateResult,
-                           check_fast_certificates, check_fixed_point,
-                           check_linear_rate, check_stage_monotonicity,
-                           certify_run)
+from .certificates import SCOPES, CertificateReport
 from .hierarchy import build_obstacle_hierarchy
-from .membrane import make_obstacle_problem
 from .multigrid import CycleConfig, StoppingRule, mgprox_solve
-from .nonsmooth import SeparableNonsmooth
-from .oracles import (brute_force_prox, build_chain_hierarchy, chain_constants,
-                      fd_gradient, reference_solution)
+from .oracles import build_chain_hierarchy
 ALGORITHMS = ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3")
 
 
@@ -128,9 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="per-solver CSVs are written to <prefix>_<algo>.csv")
 
     pv = sub.add_parser("verify", help="run the certificate suite")
-    pv.add_argument("--scope", default="all",
-                    choices=("all", "prox", "gradient", "fixed-point", "mgprox",
-                             "linear-rate", "fast", "negative-controls"))
+    pv.add_argument("--scope", default="all", choices=("all", *SCOPES))
     pv.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -243,109 +235,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _verify_prox(seed: int) -> list[CertificateResult]:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for _ in range(200):
-        v, lam, c, step = rng.uniform(-3, 3), rng.uniform(0, 2), rng.uniform(-1, 1), rng.uniform(0.1, 3)
-        hinge = SeparableNonsmooth.hinge(lam, np.array([c]))
-        got = hinge.prox(np.array([v]), step)[0]
-        want = brute_force_prox(lambda t: lam * max(c - t, 0.0), v, step,
-                                bracket=(v - 10 * step * lam - 1, v + 10 * step * lam + 1))
-        worst = max(worst, abs(got - want))
-        l1 = SeparableNonsmooth.l1(lam)
-        got = l1.prox(np.array([v]), step)[0]
-        want = brute_force_prox(lambda t: lam * abs(t), v, step,
-                                bracket=(v - 10 * step * lam - 1, v + 10 * step * lam + 1))
-        worst = max(worst, abs(got - want))
-    return [CertificateResult("prox-oracle", worst <= 1e-8, 1e-8 - worst,
-                              f"max abs error {worst:.2e}")]
-
-
-def _verify_gradient(seed: int) -> list[CertificateResult]:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for n_side in (3, 7):
-        problem = make_obstacle_problem(n_side, 1e-6)
-        for _ in range(3):
-            u = rng.uniform(0.0, 1.0, size=problem.dim)
-            exact = problem.smooth.grad(u)
-            approx = fd_gradient(problem.smooth.value, u, 1e-6)
-            rel = np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-30)
-            worst = max(worst, rel)
-    return [CertificateResult("gradient-fidelity", worst <= 1e-6, 1e-6 - worst,
-                              f"max rel error {worst:.2e}")]
-
-
-def _verify_fixed_point(seed: int, corrupt_tau: bool = False) -> list[CertificateResult]:
-    stack = build_obstacle_hierarchy(7, 1e-6, 2, 20)
-    ref = reference_solution(stack, tol=1e-12, seed=seed)
-    hook = (lambda tau, level: -tau) if corrupt_tau else None
-    cfg = CycleConfig(coarse_mode="exact", tau_hook=hook)
-    return check_fixed_point(stack, ref.x, cfg)
-
-
-def _verify_mgprox(seed: int) -> list[CertificateResult]:
-    stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
-    ref = reference_solution(stack, tol=1e-12, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = rng.uniform(0.0, 1.0, size=stack.fine.problem.dim)
-    _, trace = mgprox_solve(stack, x0, StoppingRule(45, 1e-16))
-    return certify_run(trace, stack, ref.x, ref.objective).results
-
-
-def _verify_linear_rate(seed: int) -> list[CertificateResult]:
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
-    mu, L = chain_constants(stack.fine.problem)
-    ref = reference_solution(stack, tol=1e-12, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = rng.uniform(0.0, 1.0, size=64)
-    _, trace = mgprox_solve(stack, x0, StoppingRule(2000, 1e-12))
-    return [check_linear_rate(trace, ref.objective, mu, L)]
-
-
-def _verify_fast(seed: int) -> list[CertificateResult]:
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = rng.uniform(0.0, 1.0, size=64)
-    _, trace = fastmgprox_solve(stack, x0, StoppingRule(200, 0.0))
-    return check_fast_certificates(trace, trace.meta["gamma0"], stack.fine.L_est)
-
-
-def _verify_negative_controls(seed: int) -> list[CertificateResult]:
-    """The suite must detect corrupted runs: these checks pass when those fail."""
-    fp = _verify_fixed_point(seed, corrupt_tau=True)
-    tau_caught = not all(r.passed for r in fp)
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = rng.uniform(0.0, 1.0, size=64)
-    _, trace = mgprox_solve(stack, x0, StoppingRule(10, 0.0))
-    trace.cycles[3].stage_objectives[2] = trace.cycles[3].stage_objectives[1] + 1.0
-    mono_caught = not check_stage_monotonicity(trace).passed
-    return [
-        CertificateResult("negative-control-tau", tau_caught,
-                          1.0 if tau_caught else -1.0, "flipped tau breaks fixed point"),
-        CertificateResult("negative-control-trace", mono_caught,
-                          1.0 if mono_caught else -1.0, "tampered stage fails monotonicity"),
-    ]
-
-
-_SCOPES = {
-    "prox": _verify_prox,
-    "gradient": _verify_gradient,
-    "fixed-point": _verify_fixed_point,
-    "mgprox": _verify_mgprox,
-    "linear-rate": _verify_linear_rate,
-    "fast": _verify_fast,
-    "negative-controls": _verify_negative_controls,
-}
-
-
 def cmd_verify(args) -> int:
     report = CertificateReport()
-    scopes = _SCOPES if args.scope == "all" else {args.scope: _SCOPES[args.scope]}
-    for name, runner in scopes.items():
-        report.extend(runner(args.seed))
+    for scope in SCOPES if args.scope == "all" else [args.scope]:
+        report.extend(SCOPES[scope](args.seed))
     for line in report.lines():
         print(line)
     failed = [r.name for r in report.results if not r.passed]

@@ -1,29 +1,24 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-PASS lines with their measured margins.
+Criteria 1-8, 12 and 13 run the scopes of ``proxmg verify`` (the table
+``proxmg.certificates.SCOPES``) at its default seed 0 and assert on the
+certificates they return, so the gate and the command check the same things
+at the same settings; each line prints those certificates' margins.  The
+wall-clock limits are the gate's own.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import functools
 import time
 
 import numpy as np
-import pytest
 
-from proxmg.accelerated import lambda_rate_bound
-from proxmg.certificates import (check_angle_condition, check_fixed_point,
-                                 check_linear_rate,
-                                 check_mgprox_sufficient_descent,
-                                 check_stage_monotonicity)
+from proxmg.baselines import fista_solve, proxgrad_solve
+from proxmg.certificates import SCOPES
 from proxmg.cli import main
 from proxmg.hierarchy import build_obstacle_hierarchy
-from proxmg.membrane import make_obstacle_problem
 from proxmg.multigrid import (CycleConfig, StoppingRule, cycle_work_units,
                               mgprox_solve, vcycle)
-from proxmg.accelerated import fastmgprox_solve
-from proxmg.baselines import fista_solve, proxgrad_solve
-from proxmg.nonsmooth import SeparableNonsmooth
-from proxmg.oracles import (brute_force_prox, build_chain_hierarchy,
-                            chain_constants, fd_gradient, reference_solution)
 
 
 def report(num, ok, text):
@@ -31,134 +26,75 @@ def report(num, ok, text):
     assert ok, f"criterion {num}: {text}"
 
 
-@pytest.fixture(scope="module")
-def eop15():
-    stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
-    rng = np.random.Generator(np.random.PCG64(0))
-    x0 = rng.uniform(0.0, 1.0, size=stack.fine.problem.dim)
-    x, trace = mgprox_solve(stack, x0.copy(), StoppingRule(400, 1e-10))
-    return {"stack": stack, "ref": ref, "x0": x0, "x": x, "trace": trace}
+@functools.cache
+def run_scope(scope):
+    """The scope's certificates by name and its wall time; each scope runs once."""
+    start = time.perf_counter()
+    results = SCOPES[scope](0)
+    return {r.name: r for r in results}, time.perf_counter() - start
 
 
-@pytest.fixture(scope="module")
-def eop7():
-    stack = build_obstacle_hierarchy(7, 1e-6, 2, 20)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
-    return {"stack": stack, "ref": ref}
+def describe(cert):
+    return f"{cert.name} margin {cert.margin:.2e} ({cert.detail})"
 
 
-@pytest.fixture(scope="module")
-def synthetic():
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    mu, L = chain_constants(stack.fine.problem)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
-    rng = np.random.Generator(np.random.PCG64(0))
-    x0 = rng.uniform(0.0, 1.0, size=64)
-    return {"stack": stack, "mu": mu, "L": L, "ref": ref, "x0": x0}
+def report_certificates(num, scope, names, ok=True, note=""):
+    certs, _ = run_scope(scope)
+    picked = [certs[name] for name in names]
+    report(num, ok and all(c.passed for c in picked),
+           "; ".join(map(describe, picked)) + note)
 
 
 def test_criterion_01_prox_oracle_equivalence():
-    start = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(1))
-    worst = 0.0
-    for _ in range(500):
-        v = rng.uniform(-3, 3)
-        lam = rng.uniform(0, 2)
-        c = rng.uniform(-1, 1)
-        step = rng.uniform(0.05, 3)
-        bracket = (v - 10 * step * lam - 1, v + 10 * step * lam + 1)
-        hinge = SeparableNonsmooth.hinge(lam, np.array([c]))
-        err_h = abs(hinge.prox(np.array([v]), step)[0]
-                    - brute_force_prox(lambda t: lam * max(c - t, 0.0), v, step, bracket))
-        l1 = SeparableNonsmooth.l1(lam)
-        err_l = abs(l1.prox(np.array([v]), step)[0]
-                    - brute_force_prox(lambda t: lam * abs(t), v, step, bracket))
-        worst = max(worst, err_h, err_l)
-    elapsed = time.perf_counter() - start
-    report(1, worst <= 1e-8 and elapsed < 10.0,
-           f"prox vs golden section on 1000 cases: max err {worst:.2e}, {elapsed:.1f}s")
+    elapsed = run_scope("prox")[1]
+    report_certificates(1, "prox", ["prox-oracle"], elapsed < 10.0, f", {elapsed:.1f}s")
 
 
 def test_criterion_02_gradient_fidelity():
-    worst = 0.0
-    for n_side in (3, 7):
-        problem = make_obstacle_problem(n_side, 1e-6)
-        rng = np.random.Generator(np.random.PCG64(n_side))
-        for _ in range(5):
-            u = rng.uniform(0, 1, size=problem.dim)
-            exact = problem.smooth.grad(u)
-            approx = fd_gradient(problem.smooth.value, u, 1e-6)
-            worst = max(worst, float(np.linalg.norm(exact - approx)
-                                     / np.linalg.norm(exact)))
-    report(2, worst <= 1e-6, f"gradient vs central differences: max rel {worst:.2e}")
+    report_certificates(2, "gradient", ["gradient-fidelity"])
 
 
-def test_criterion_03_fixed_point(eop7):
-    ref = eop7["ref"]
-    rel = ref.g_norm / ref.g_norm_initial
-    results = check_fixed_point(eop7["stack"], ref.x,
-                                CycleConfig(coarse_mode="exact"), move_tol=1e-8)
-    ok = rel <= 1e-12 and all(r.passed for r in results)
-    detail = "; ".join(r.detail for r in results)
-    report(3, ok, f"one cycle from x* (rel |G| {rel:.1e}): {detail}")
+def test_criterion_03_fixed_point():
+    report_certificates(3, "fixed-point", ["reference-accuracy", "fixed-point-fine",
+                                           "fixed-point-coarse", "fixed-point-objective"])
 
 
-def test_criterion_04_angle_condition(eop15):
-    trace = eop15["trace"]
-    res = check_angle_condition(trace, p_floor=1e-10)
-    ok = trace.iterations >= 40 and res.passed
-    report(4, ok, f"{trace.iterations} cycles, {res.detail}, worst product margin {res.margin:.2e}")
+def test_criterion_04_angle_condition():
+    report_certificates(4, "mgprox", ["mgprox-converged", "mgprox-cycles", "angle-condition"])
 
 
-def test_criterion_05_stage_monotonicity(eop15):
-    res = check_stage_monotonicity(eop15["trace"], rel_slack=1e-12)
-    report(5, res.passed, f"stage boundaries non-increasing, margin {res.margin:.2e}")
+def test_criterion_05_stage_monotonicity():
+    report_certificates(5, "mgprox", ["stage-monotonicity"])
 
 
-def test_criterion_06_sufficient_descent_certificate(eop15):
-    ref = eop15["ref"]
-    res = check_mgprox_sufficient_descent(eop15["trace"], ref.x, ref.objective,
-                                          slack=1e-8)
-    report(6, res.passed, f"distance-squared descent bound, margin {res.margin:.2e}")
+def test_criterion_06_sufficient_descent_certificate():
+    report_certificates(6, "mgprox", ["smoothing-sufficient-descent",
+                                      "mgprox-sufficient-descent", "one-over-k-envelope"])
 
 
-def test_criterion_07_linear_rate(synthetic):
+def test_criterion_07_linear_rate():
+    elapsed = run_scope("linear-rate")[1]
+    report_certificates(7, "linear-rate", ["linear-rate-converged", "linear-rate"],
+                        elapsed < 30.0, f", {elapsed:.1f}s")
+
+
+def test_criterion_08_accelerated_certificates():
+    certs, _ = run_scope("fast")
+    report_certificates(8, "fast", list(certs),
+                        certs["lambda-decay-bound"].detail == "200 iterations")
+
+
+def test_criterion_09_benchmark_ordering():
     start = time.perf_counter()
-    x, trace = mgprox_solve(synthetic["stack"], synthetic["x0"].copy(),
-                            StoppingRule(3000, 1e-12))
-    res = check_linear_rate(trace, synthetic["ref"].objective,
-                            synthetic["mu"], synthetic["L"], slack=1e-12)
-    elapsed = time.perf_counter() - start
-    ok = trace.converged and res.passed and elapsed < 30.0
-    report(7, ok, f"(1 - mu/L)^k envelope over {trace.iterations} cycles, "
-                  f"margin {res.margin:.2e}, {elapsed:.1f}s")
-
-
-def test_criterion_08_accelerated_certificates(synthetic):
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    _, trace = fastmgprox_solve(stack, synthetic["x0"].copy(), StoppingRule(200, 0.0))
-    gamma0 = trace.meta["gamma0"]
-    L = stack.fine.L_est
-    lam_ok = all(l < lambda_rate_bound(k, gamma0, L)
-                 for k, l in enumerate(trace.extras["lam"], start=1))
-    phi_ok = all(F <= p + 1e-9 * max(1.0, abs(p))
-                 for F, p in zip(trace.objectives, trace.extras["phi_bar"]))
-    report(8, lam_ok and phi_ok and trace.iterations == 200,
-           f"lambda under its decay bound and F <= phi_bar over {trace.iterations} iterations")
-
-
-def test_criterion_09_benchmark_ordering(eop15):
-    start = time.perf_counter()
-    trace = eop15["trace"]
+    stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
+    problem = stack.fine.problem
+    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=problem.dim)
+    _, trace = mgprox_solve(stack, x0.copy(), StoppingRule(400, 1e-10))
     mg_cycles = trace.iterations
-    problem = eop15["stack"].fine.problem
-    x0 = eop15["x0"]
     budget = 10 * mg_cycles + 1
     _, tr_f = fista_solve(problem, x0.copy(), StoppingRule(budget, 1e-10))
     _, tr_p = proxgrad_solve(problem, x0.copy(), StoppingRule(budget, 1e-10))
-    k_stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
-    _, tr_k = mgprox_solve(k_stack, x0.copy(), StoppingRule(3 * mg_cycles, 1e-10),
+    _, tr_k = mgprox_solve(stack, x0.copy(), StoppingRule(3 * mg_cycles, 1e-10),
                            CycleConfig(variant="kocvara3"))
     elapsed = time.perf_counter() - start
     ok = (trace.converged and mg_cycles <= 200
@@ -183,7 +119,9 @@ def test_criterion_10_work_accounting():
         budget = (8.0 / 3.0) * (1.0 - 0.25**levels) * stack.n_smooth
         ok = ok and work <= budget and work <= 2.67 * stack.n_smooth
         details.append(f"L={levels}: {work:.2f}<={budget:.2f}")
-    report(10, ok, "smoothing work within the geometric budget (" + ", ".join(details) + ")")
+    report_certificates(10, "mgprox", ["multilevel-work"], ok,
+                        "; smoothing work within the geometric budget ("
+                        + ", ".join(details) + ")")
 
 
 def test_criterion_11_compare_determinism(tmp_path):
@@ -197,17 +135,14 @@ def test_criterion_11_compare_determinism(tmp_path):
     report(11, same, "fixed-seed compare runs produce bit-identical CSVs")
 
 
-def test_criterion_12_negative_controls(eop7, eop15):
-    bad_tau = CycleConfig(coarse_mode="exact", tau_hook=lambda tau, level: -tau)
-    fp = check_fixed_point(eop7["stack"], eop7["ref"].x, bad_tau, move_tol=1e-8)
-    tau_caught = not all(r.passed for r in fp)
+def test_criterion_12_negative_controls():
+    report_certificates(12, "negative-controls",
+                        ["negative-control-tau", "negative-control-trace"])
 
-    trace = eop15["trace"]
-    saved = trace.cycles[5].stage_objectives[2]
-    trace.cycles[5].stage_objectives[2] = trace.cycles[5].stage_objectives[1] + 1.0
-    mono_caught = not check_stage_monotonicity(trace).passed
-    trace.cycles[5].stage_objectives[2] = saved
 
-    report(12, tau_caught and mono_caught,
-           "corrupted tau fails the fixed-point certificate; "
-           "corrupted trace fails stage monotonicity")
+def test_criterion_13_contact_fixed_point():
+    control = run_scope("negative-controls")[0]["negative-control-kocvara3"]
+    report_certificates(13, "fixed-point",
+                        ["contact-reference-accuracy", "contact-fixed-point-fine",
+                         "contact-fixed-point-coarse", "contact-fixed-point-objective",
+                         "contact-fixed-point-mask"], control.passed, "; " + describe(control))

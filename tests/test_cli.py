@@ -1,6 +1,9 @@
+import argparse
+
 import pytest
 
-from proxmg.cli import main
+from proxmg.certificates import SCOPES
+from proxmg.cli import _build_parser, main
 
 
 def read(path):
@@ -137,6 +140,27 @@ def test_verify_negative_controls(capsys):
     out = capsys.readouterr().out
     assert "negative-control-tau" in out
     assert "negative-control-trace" in out
+    assert "negative-control-kocvara3" in out
+
+
+def test_verify_scope_choices_are_the_suite_table():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    scope = next(a for a in sub.choices["verify"]._actions if a.dest == "scope")
+    assert set(scope.choices) == {"all", *SCOPES}
+
+
+def test_verify_fixed_point_certifies_a_masked_contact_cycle(capsys):
+    code = main(["verify", "--scope", "fixed-point"])
+    assert code == 0
+    contact = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("PASS  contact-")]
+    names = [line.split()[1] for line in contact]
+    assert names == ["contact-reference-accuracy", "contact-fixed-point-fine",
+                     "contact-fixed-point-coarse", "contact-fixed-point-objective",
+                     "contact-fixed-point-mask"]
+    assert all("margin=" in line for line in contact)
+    assert int(contact[-1].split("fine mask ")[1].split()[0]) > 0
 
 
 def test_compare_rows_match_standalone_solves(tmp_path):

@@ -78,6 +78,9 @@ def test_fixed_point_of_one_cycle():
     ref = reference_solution(stack, tol=1e-12, seed=0)
     results = check_fixed_point(stack, ref.x, CycleConfig(coarse_mode="exact"))
     assert all(r.passed for r in results)
+    # nothing is masked at lam = 1e-6, so a check that needs a mask fails
+    mask = check_fixed_point(stack, ref.x, masked=True)[-1]
+    assert (mask.name, mask.passed, mask.margin) == ("fixed-point-mask", False, 0.0)
 
 
 def test_corrupted_tau_breaks_the_fixed_point():
