@@ -341,17 +341,35 @@ def verify_fixed_point(seed: int) -> list[CertificateResult]:
     return results
 
 
+def _worst(name: str, results: list[CertificateResult]) -> CertificateResult:
+    """One certificate over several runs: passed by all, at the least margin."""
+    worst = min(results, key=lambda r: r.margin)
+    return CertificateResult(name, all(r.passed for r in results), worst.margin,
+                             f"worst of {len(results)} runs: {worst.detail}")
+
+
 def verify_mgprox(seed: int) -> list[CertificateResult]:
-    """Every cycle certificate of an n = 15 solve run to 1e-10, which must
-    take at least 40 cycles so that the certificates see a long run."""
+    """Every cycle certificate of the n = 15 solves to 1e-10 from the first
+    three start points of the seed's stream, each at its worst margin over
+    the three runs.  Together they must take at least 40 cycles, so that the
+    certificates see long runs."""
     stack, ref = _obstacle_reference(15, 1e-6, 3, seed)
-    _, trace = mgprox_solve(stack, _start(seed, stack.fine.problem.dim),
-                            StoppingRule(400, 1e-10))
-    spare = trace.iterations - 40
-    return [check_converged(trace, 1e-10, "mgprox-converged"),
-            CertificateResult("mgprox-cycles", spare >= 0, float(spare),
-                              f"{trace.iterations} cycles, 40 required"),
-            *certify_run(trace, stack, ref.x, ref.objective).results]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    per_run: dict[str, list[CertificateResult]] = {}
+    cycles = []
+    for _ in range(3):
+        x0 = rng.uniform(0.0, 1.0, size=stack.fine.problem.dim)
+        _, trace = mgprox_solve(stack, x0, StoppingRule(400, 1e-10))
+        cycles.append(trace.iterations)
+        for r in [check_converged(trace, 1e-10, "mgprox-converged"),
+                  *certify_run(trace, stack, ref.x, ref.objective).results]:
+            per_run.setdefault(r.name, []).append(r)
+    spare = sum(cycles) - 40
+    results = [_worst(name, runs) for name, runs in per_run.items()]
+    results.insert(1, CertificateResult(
+        "mgprox-cycles", spare >= 0, float(spare),
+        f"{' + '.join(map(str, cycles))} = {sum(cycles)} cycles, 40 required"))
+    return results
 
 
 def verify_linear_rate(seed: int) -> list[CertificateResult]:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .grid import GridLevel
 from .membrane import make_obstacle_problem
-from .nonsmooth import select_subgradient
 from .problems import CompositeProblem
 from .smoothing import StepScratch
 from .transfer import TransferPair, build_full_weighting, restrict_adaptive
@@ -96,7 +95,8 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
 
     tau = [grad f_c(y_c) + s_c] - R_adaptive [grad f_f(y_f) + s_f - upstream_tau]
 
-    where s are selected subgradients of the nonsmooth parts and the adaptive
+    where s are the least-magnitude subgradients of the nonsmooth parts
+    (``SeparableNonsmooth.subgradient``, policy ``"zero"``) and the adaptive
     restriction zeroes the masked (set-valued) fine coordinates.  The upstream
     tau makes the fine-side term the subgradient of the *tilted* objective the
     fine level is actually minimizing, so the fixed-point property chains
@@ -113,11 +113,11 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
     fine_side = fine_problem.smooth.grad(y_fine) if grad_fine is None else grad_fine
     coarse_side = (coarse_problem.smooth.grad(y_coarse) if grad_coarse is None
                    else grad_coarse)
+    if policy not in ("zero", None):
+        raise ValueError(f"unknown subgradient policy {policy!r}")
     if policy is not None:
-        fine_side = fine_side + select_subgradient(
-            fine_problem.nonsmooth.subdiff(y_fine), policy)
-        coarse_side = coarse_side + select_subgradient(
-            coarse_problem.nonsmooth.subdiff(y_coarse), policy)
+        fine_side = fine_side + fine_problem.nonsmooth.subgradient(y_fine)
+        coarse_side = coarse_side + coarse_problem.nonsmooth.subgradient(y_coarse)
     if upstream_tau is not None:
         fine_side = fine_side - upstream_tau
     return coarse_side - restrict_adaptive(transfer, mask, fine_side)

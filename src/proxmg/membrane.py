@@ -1,14 +1,17 @@
 """Discretized elastic membrane over an obstacle, penalty form.
 
-The smooth part is the surface-area energy of a clamped membrane sampled on
-the interior grid,
+The smooth part is the surface-area energy of a membrane sampled on the
+interior grid,
 
     f(u) = sum_{i,j} sqrt(1 + (Du)_{ij}^2 + (Eu)_{ij}^2),
 
-where D and E are first-order difference operators with entries +-1/h and a
-homogeneous Dirichlet closure (points beyond the last interior row/column are
-zero).  The constant h^2 area factor is dropped; it rescales the objective
-without moving the minimizer.
+where D and E are forward difference operators with entries +-1/h and a
+homogeneous Dirichlet closure past the last row and column only (points
+beyond them are zero).  No difference reaches back past i = 1 or j = 1, so
+the membrane is clamped at its high edges and free (natural boundary) at
+the edges i = 1 and j = 1; the grid transfers match that (see
+:mod:`proxmg.transfer`).  The constant h^2 area factor is dropped; it
+rescales the objective without moving the minimizer.
 
 The nonsmooth part charges lam per unit of dipping below the obstacle
 phi(x, y) = max(0, sin x) * max(0, sin y) sampled over a square physical
@@ -82,7 +85,8 @@ class MembraneScratch:
 
 
 class MembraneEnergy:
-    """Surface-area energy of the clamped membrane on one grid level.
+    """Surface-area energy of the membrane on one grid level, clamped past
+    the last row and column and free at i = 1 and j = 1.
 
     The differences are taken as a stencil on the flat vector, whose entry
     (j-1)*n + (i-1) is grid point (i, j).  Du is the difference of entries n

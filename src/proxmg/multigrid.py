@@ -23,15 +23,11 @@ from typing import Callable
 import numpy as np
 
 from .hierarchy import LevelStack, LevelWork, build_tau, workspace
-from .nonsmooth import select_subgradient
 from .problems import tilted_objective
 from .smoothing import prox_grad_map, run_smoothing
 from .transfer import adaptive_mask, prolong_adaptive
 
 
-# the subgradient the tau correction and the angle witness select at
-# set-valued coordinates (see select_subgradient)
-SUBGRAD_POLICY = "zero"
 # the exact coarse solve stops at this fraction of its entry prox-gradient
 # norm, or after this many steps
 COARSE_REL_TOL = 1e-12
@@ -173,7 +169,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     g = problem.nonsmooth
     kocvara = config.variant == "kocvara3"
     # kocvara3: no masking, and the subdifferential terms of tau are zeroed out
-    policy = None if kocvara else SUBGRAD_POLICY
+    policy = None if kocvara else "zero"
     mask = np.zeros(problem.dim, dtype=bool) if kocvara else adaptive_mask(g, y)
     trace.mask_counts[ell] = int(mask.sum())
 
@@ -192,9 +188,9 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     trace.coarse_moves[ell] = float(np.max(np.abs(w_coarse - x_coarse)))
 
     p = prolong_adaptive(transfer, mask, w_coarse - x_coarse)
-    # angle-condition witness: any valid subgradient works, so take the default
-    s = select_subgradient(g.subdiff(y), SUBGRAD_POLICY)
-    s_hat = fg_y[1] + s
+    # angle-condition witness: any valid subgradient works, so take the one
+    # the tau correction uses
+    s_hat = fg_y[1] + g.subgradient(y)
     if tau is not None:
         s_hat = s_hat - tau
     trace.angle_products[ell] = float(s_hat @ p)

@@ -139,6 +139,35 @@ class SeparableNonsmooth:
         zeros = np.zeros_like(u)
         return IntervalVec(zeros, zeros.copy())
 
+    def mask(self, u: np.ndarray) -> np.ndarray:
+        """True where the subdifferential at ``u`` is set-valued.
+
+        The closed form of ``subdiff(u).set_valued()``: the kink is hit by
+        exact equality (``u_i == c_i``, ``u_i == 0``) and has width lam, so
+        nothing is set-valued at lam = 0.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        self._check_dim(u)
+        if self.kind == "zero" or self.lam == 0.0:
+            return np.zeros(u.shape, dtype=bool)
+        return u == (self.obstacle if self.kind == "hinge" else 0.0)
+
+    def subgradient(self, u: np.ndarray) -> np.ndarray:
+        """The subgradient of least magnitude at ``u``.
+
+        The closed form of ``select_subgradient(subdiff(u), "zero")``, to the
+        byte: -lam below the hinge's floor and 0 on and above it, and
+        lam * sign(u) for l1.  At lam = 0 the interval clip returns the
+        -0.0 of a degenerate [-0.0, -0.0] interval, and so do these.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        self._check_dim(u)
+        if self.kind == "hinge":
+            return np.where(u < self.obstacle, -self.lam, 0.0)
+        if self.kind == "l1":
+            return self.lam * np.sign(u)
+        return np.zeros_like(u)
+
 
 def select_subgradient(intervals: IntervalVec, policy: str = "zero") -> np.ndarray:
     """Pick one subgradient from per-coordinate intervals.

@@ -3,8 +3,19 @@
 Restriction R maps a fine-grid vector to the next coarser grid; the coarse
 point (I, J) sits over the fine point (2I, 2J) and averages its 3x3 fine
 neighborhood with the kernel scale * [[1, 2, 1], [2, 4, 2], [1, 2, 1]]
-(scale = 1/8 by default, so interior row sums are 2).  Prolongation is
-P = c * R^T with c = 2 by default.
+(scale = 1/8 by default).  Prolongation is P = c * R^T with c = 2 by default.
+
+The full weighting matches the membrane's boundary (see
+:mod:`proxmg.membrane`): clamped past the last row and column, free at
+i = 1 and j = 1.  Its 1-D factor is the [1, 2, 1] leg set centered at fine
+index 2I, with the leg that would reach past the clamped high end dropped,
+and with the leg of the (absent) coarse point I = 0 folded into fine index 1,
+which therefore carries weight 2 in the row I = 1 instead of 1.  P then
+extrapolates the first coarse value as a constant onto the free edges
+instead of halving it toward a zero that is not there: P @ 1 is 1 everywhere
+except on the clamped high edges (1/2) and at their corner (1/4).  The row
+sums of R are 2 away from the free edges, 5/2 on the rows with I = 1 or
+J = 1 alone, and 25/8 at I = J = 1.
 
 The adaptive variants zero out fine coordinates where the nonsmooth term's
 subdifferential is set-valued: columns of R when restricting subgradients (so
@@ -41,8 +52,12 @@ class TransferPair:
         return self.restrict.shape[1]
 
 
-def _weighting_1d(n_fine: int, n_coarse: int) -> sp.csr_array:
-    """Rows [1, 2, 1] centered at fine index 2I, clipped at the boundary."""
+def _weighting_1d(n_fine: int, n_coarse: int, free_low: bool = False) -> sp.csr_array:
+    """Rows [1, 2, 1] centered at fine index 2I, clipped at the boundary.
+
+    With ``free_low`` the low end is a free edge: fine index 1 also takes the
+    leg of the absent coarse point I = 0, so its weight in row I = 1 is 2.
+    """
     rows, cols, vals = [], [], []
     for I in range(1, n_coarse + 1):
         center = 2 * I  # 1-based fine index
@@ -51,17 +66,18 @@ def _weighting_1d(n_fine: int, n_coarse: int) -> sp.csr_array:
             if 1 <= col <= n_fine:
                 rows.append(I - 1)
                 cols.append(col - 1)
-                vals.append(w)
+                vals.append(2.0 if free_low and col == 1 else w)
     return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n_coarse, n_fine)))
 
 
 def build_full_weighting(fine: GridLevel, kernel_scale: float = 0.125,
                          c: float = 2.0) -> TransferPair:
-    """Full weighting for a square grid with n_side = 2**m - 1, m >= 2."""
+    """Full weighting for a square grid with n_side = 2**m - 1, m >= 2, free
+    at i = 1 and j = 1 and clamped past the last row and column."""
     if fine.n_side < 3:
         raise ValueError("fine grid too small to coarsen")
     n_c = (fine.n_side - 1) // 2
-    R1 = _weighting_1d(fine.n_side, n_c)
+    R1 = _weighting_1d(fine.n_side, n_c, free_low=True)
     R = sp.csr_array(kernel_scale * sp.kron(R1, R1, format="csr"))
     P = sp.csr_array(c * R.T)
     return TransferPair(R, P, c)
@@ -84,7 +100,7 @@ def build_line_weighting(n_fine: int, kernel_scale: float = 0.25,
 
 def adaptive_mask(g: SeparableNonsmooth, x: np.ndarray) -> np.ndarray:
     """True at fine coordinates where the subdifferential of g is set-valued."""
-    return g.subdiff(x).set_valued()
+    return g.mask(x)
 
 
 def restrict_adaptive(t: TransferPair, mask: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Ordering of the solvers at a larger grid, mirroring the benchmark table."""
+"""Ordering of the solvers at a larger grid, mirroring the benchmark table, and
+the V-cycle's cycle count under mesh refinement."""
 
 import numpy as np
 
@@ -22,3 +23,23 @@ def test_multigrid_is_fastest_in_iterations_on_the_63_grid():
     _, tr_p = proxgrad_solve(problem, x0.copy(), StoppingRule(budget, 1e-10))
     assert not tr_f.converged
     assert not tr_p.converged
+
+
+def _backtracking_cycles(n_side, num_levels):
+    stack = build_obstacle_hierarchy(n_side, 1e-6, num_levels, 20)
+    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0, 1, size=stack.fine.problem.dim)
+    _, tr = mgprox_solve(stack, x0, StoppingRule(600, 1e-10),
+                         CycleConfig(step_mode="backtracking"))
+    assert tr.converged
+    return tr.iterations
+
+
+def test_cycle_count_is_mesh_independent():
+    """Refining 15 -> 127 (3 -> 6 levels) at most doubles the cycles to 1e-10.
+
+    This holds only while the transfers match the membrane's boundary: with
+    the free edges at i = 1 and j = 1 treated as clamped, the count grows
+    from 30 at n = 15 to beyond 600 at n = 127.
+    """
+    coarse, fine = _backtracking_cycles(15, 3), _backtracking_cycles(127, 6)
+    assert fine <= 2 * coarse, (coarse, fine)

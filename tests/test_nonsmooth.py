@@ -178,3 +178,29 @@ def test_l1_and_zero_prox_keep_their_closed_forms():
         assert SeparableNonsmooth.l1(0.7).prox(v, step).tobytes() == want.tobytes()
         out = SeparableNonsmooth.zero().prox(v, step)
         assert out.tobytes() == v.tobytes() and out is not v
+
+
+def _kink_inputs(rng, size=4000):
+    """Random points with exact kink hits, obstacle ties and both signed zeros."""
+    picks = lambda frac: rng.uniform(size=size) < frac
+    u = rng.uniform(-2.0, 2.0, size) * rng.choice([1e-12, 1.0, 1e3], size)
+    c = rng.uniform(-1.0, 1.0, size)
+    c[picks(0.2)] = 0.0
+    c[picks(0.1)] = -0.0
+    u[picks(0.1)] = 0.0
+    u[picks(0.1)] = -0.0
+    ties = picks(0.2)                # u == c, including +0.0 against -0.0
+    u[ties] = c[ties]
+    return u, c
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.5, 100.0])
+@pytest.mark.parametrize("kind", ["hinge", "l1", "zero"])
+def test_mask_and_subgradient_equal_the_interval_oracle_byte_for_byte(kind, lam):
+    u, c = _kink_inputs(np.random.Generator(np.random.PCG64(13)))
+    g = {"hinge": SeparableNonsmooth.hinge(lam, c), "l1": SeparableNonsmooth.l1(lam),
+         "zero": SeparableNonsmooth.zero()}[kind]
+    iv = g.subdiff(u)
+    assert g.mask(u).dtype == bool
+    assert g.mask(u).tobytes() == iv.set_valued().tobytes()
+    assert g.subgradient(u).tobytes() == select_subgradient(iv, "zero").tobytes()

@@ -10,17 +10,24 @@ from proxmg.transfer import (adaptive_mask, build_full_weighting,
 
 
 def dense_weighting_oracle(n_fine):
-    """Direct stencil-loop construction, independent of the kron build."""
+    """Direct stencil-loop construction, independent of the kron build.
+
+    The edges at i = 1 and j = 1 are free, so coarse points continue past
+    them: the virtual points I = 0 and J = 0 take the values of I = 1 and
+    J = 1.  Their stencil legs that land on the grid (fine index 1) are
+    therefore added to the row of the first coarse point instead of dropped.
+    """
     n_c = (n_fine - 1) // 2
     R = np.zeros((n_c * n_c, n_fine * n_fine))
     stencil = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 8.0
-    for I in range(1, n_c + 1):
-        for J in range(1, n_c + 1):
-            row = ij_to_k(I, J, n_c)
+    for I in range(0, n_c + 1):
+        for J in range(0, n_c + 1):
+            row = ij_to_k(max(I, 1), max(J, 1), n_c)
             for di in (-1, 0, 1):
                 for dj in (-1, 0, 1):
                     fi, fj = 2 * I + di, 2 * J + dj
-                    R[row, ij_to_k(fi, fj, n_fine)] = stencil[di + 1, dj + 1]
+                    if 1 <= fi <= n_fine and 1 <= fj <= n_fine:
+                        R[row, ij_to_k(fi, fj, n_fine)] += stencil[di + 1, dj + 1]
     return R
 
 
@@ -33,10 +40,28 @@ def test_full_weighting_matches_stencil_oracle():
 
 def test_restriction_of_ones_and_row_sums():
     t = build_full_weighting(GridLevel(0, 15))
-    ones = np.ones(t.n_fine)
-    np.testing.assert_allclose(t.restrict @ ones, 2.0 * np.ones(t.n_coarse), rtol=1e-15)
+    n_c = 7
+    # the 1-D factor sums to 4 on every row but I = 1, which sums to 5; times 1/8
+    expect = np.full((n_c, n_c), 2.0)
+    expect[0, :] = expect[:, 0] = 2.5
+    expect[0, 0] = 3.125
+    expect = expect.flatten(order="F")
+    assert np.array_equal(t.restrict @ np.ones(t.n_fine), expect)
     sums = np.asarray(t.restrict.sum(axis=1)).ravel()
-    np.testing.assert_allclose(sums, 2.0, rtol=1e-15)
+    assert np.array_equal(sums, expect)
+
+
+@pytest.mark.parametrize("n_side", [3, 7, 15, 63])
+def test_prolongation_of_ones_is_one_up_to_the_clamped_edges(n_side):
+    """P extrapolates a constant onto the free edges i = 1 and j = 1; it is
+    halved only on the clamped edges i = n and j = n, and quartered at their
+    corner, where the zero boundary value is one fine step away."""
+    t = build_full_weighting(GridLevel(0, n_side))
+    got = (t.prolong @ np.ones(t.n_coarse)).reshape(n_side, n_side)
+    expect = np.ones((n_side, n_side))
+    expect[-1, :] *= 0.5
+    expect[:, -1] *= 0.5
+    assert np.array_equal(got, expect)
 
 
 def test_restriction_of_delta_reads_the_stencil():
