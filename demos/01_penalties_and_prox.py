@@ -32,10 +32,7 @@ for u in (-1.0, 0.0, 5.0):
     tag = "set-valued" if iv.set_valued()[0] else "singleton"
     print(f"  at u = {u:+.1f}: [{iv.lo[0]:+.1f}, {iv.hi[0]:+.1f}]  ({tag})")
 iv = hinge.subdiff(np.array([0.0]))
-print(f"  selected subgradient at the kink (zero policy): "
-      f"{select_subgradient(iv, 'zero')[0]:+.1f}")
-print(f"  selected subgradient at the kink (midpoint):    "
-      f"{select_subgradient(iv, 'midpoint')[0]:+.1f}")
+print(f"  least-magnitude subgradient at the kink: {select_subgradient(iv)[0]:+.1f}")
 
 print("\n== l1 penalty: soft threshold and sign intervals ==")
 l1 = SeparableNonsmooth.l1(2.0)

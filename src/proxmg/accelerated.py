@@ -80,7 +80,7 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     """
     config = config or CycleConfig()
     if work is None:
-        work = workspace(stack)
+        work = workspace(stack, config.step_mode)
     problem = work[0].problem
     L = stack.fine.L_est
     alpha = solve_alpha(L, state.gamma)
@@ -119,7 +119,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     reads the stack.
     """
     config = config or CycleConfig()
-    work = workspace(stack)
+    work = workspace(stack, config.step_mode)
     L0 = stack.fine.L_est
     trace = SolverTrace(algorithm="fastmgprox")
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,

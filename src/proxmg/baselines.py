@@ -1,10 +1,11 @@
 """Single-level first-order baselines: proximal gradient and its FISTA variant.
 
 Both backtrack the Lipschitz estimate upward from the problem's canonical
-bound and never shrink it between iterations.  They stop on the same
-prox-gradient metric as the multigrid solvers (see ``multigrid.iterate``),
-so iteration counts are comparable across methods.  Each solve evaluates on
-a one-level workspace of its own (``LevelWork``).
+bound, up to the cap ``hierarchy.step_cap`` of it, and never shrink it
+between iterations.  They stop on the same prox-gradient metric as the
+multigrid solvers (see ``multigrid.iterate``), so iteration counts are
+comparable across methods.  Each solve evaluates on a one-level workspace
+of its own (``LevelWork``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from .hierarchy import LevelWork
+from .hierarchy import LevelWork, step_cap
 from .multigrid import SolverTrace, StoppingRule, iterate
 from .problems import CompositeProblem
 from .smoothing import backtrack_L
@@ -23,20 +24,17 @@ def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray,
                    stop: StoppingRule) -> tuple[np.ndarray, SolverTrace]:
     """Plain proximal gradient with a backtracked, monotone stepsize estimate."""
     L_metric = problem.lipschitz
-    L_cap = 4.0 * L_metric
-    L = L_metric
-    work = LevelWork(problem)
+    work = LevelWork(problem, L_metric, step_cap(L_metric))
     problem, scratch = work.problem, work.step
     trace = SolverTrace(algorithm="proxgrad")
     trace.meta.update(L0=L_metric)
     L_hat = trace.extras["L_hat"] = []
 
     def step(x, fg):
-        nonlocal L
-        L, x, fg = backtrack_L(problem, None, x, L, L_cap=L_cap, fg_x=fg, scratch=scratch)
+        work.L, x, fg = backtrack_L(problem, None, x, work.L, work.L_cap, fg, scratch)
         if fg is None:
             fg = problem.smooth.value_and_grad(x)
-        L_hat.append(L)
+        L_hat.append(work.L)
         return x, fg, problem.objective(x, fg[0]), None
 
     return iterate(trace, work, L_metric, x0, stop, step), trace
@@ -51,9 +49,7 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
     may be nonmonotone; that is expected, not a failure.
     """
     L_metric = problem.lipschitz
-    L_cap = 4.0 * L_metric
-    L = L_metric
-    work = LevelWork(problem)
+    work = LevelWork(problem, L_metric, step_cap(L_metric))
     problem, scratch = work.problem, work.step
     y = None
     t = 1.0
@@ -63,10 +59,11 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
     betas = trace.extras["beta"] = []
 
     def step(x, fg):
-        nonlocal L, y, t
+        nonlocal y, t
         if y is None:  # y_1 = x_0
             y = x
-        L, x_next, fg = backtrack_L(problem, None, y, L, L_cap=L_cap, scratch=scratch)
+        work.L, x_next, fg = backtrack_L(problem, None, y, work.L, work.L_cap,
+                                         scratch=scratch)
         if fg is None:
             fg = problem.smooth.value_and_grad(x_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -75,7 +72,7 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
         y *= beta
         y += x_next
         t = t_next
-        L_hat.append(L)
+        L_hat.append(work.L)
         betas.append(beta)
         return x_next, fg, problem.objective(x_next, fg[0]), None
 

@@ -1,15 +1,16 @@
 """Level stacks for the coarse-correction solvers, and the tau correction.
 
 Each level holds a re-discretized copy of the problem (same functional form,
-coarser grid), the transfer pair down to the next level, and a
-gradient-Lipschitz estimate.  Coarse objectives are always used in tilted form
-F(xi) - <tau, xi>; tau is rebuilt every cycle so that the stack has a fixed
-point at the fine minimizer.
+coarser grid), whose gradient-Lipschitz bound is the level's, and the
+transfer pair down to the next level.  Coarse objectives are always used in
+tilted form F(xi) - <tau, xi>; tau is rebuilt every cycle so that the stack
+has a fixed point at the fine minimizer.
 
-No solve writes to a stack.  What belongs to one solve, the backtracking
-estimate and the scratch arrays of each level, lives in a workspace
-(:func:`workspace`) that the solver builds at entry and drops on return, so a
-solve's output does not depend on what ran on the stack before it.
+No solve writes to a stack, and its levels are frozen.  What belongs to one
+solve, the step estimate with its cap and the scratch arrays of each level,
+lives in a workspace (:func:`workspace`) that the solver builds at entry and
+drops on return, so a solve's output does not depend on what ran on the
+stack before it.
 
 Re-discretization (rather than composing the fine functions with R) keeps the
 nonsmooth term separable with a closed-form prox on every level; the tau
@@ -29,14 +30,17 @@ from .smoothing import StepScratch
 from .transfer import TransferPair, build_full_weighting, restrict_adaptive
 
 
-@dataclass
+@dataclass(frozen=True)
 class Level:
-    """One level of the stack."""
+    """One level of the stack; ``L_est`` is its problem's certified bound."""
 
     problem: CompositeProblem
-    L_est: float
     transfer_down: TransferPair | None = None
     grid: GridLevel | None = None
+
+    @property
+    def L_est(self) -> float:
+        return self.problem.lipschitz
 
 
 class LevelStack:
@@ -64,24 +68,41 @@ class LevelStack:
         return self.levels[0]
 
 
+def step_cap(L_bound: float) -> float:
+    """The backtracking cap for a level whose certified bound is ``L_bound``.
+
+    Beyond a small multiple of the bound the descent test carries no
+    information (see ``backtrack_L``), so the estimate stops growing there.
+    """
+    return 4.0 * L_bound
+
+
 class LevelWork:
     """One level's share of a solve's workspace.
 
     ``problem`` is the level's problem with a smooth part that evaluates into
     scratch of its own (see ``CompositeProblem.with_scratch``), ``step`` the
-    prox-gradient step's scratch, and ``L_smooth`` the working backtracking
-    estimate, which grows monotonically over the solve.
+    prox-gradient step's scratch, ``L`` the working step estimate, which
+    grows monotonically over the solve, and ``L_cap`` its cap.  A fixed step
+    is the one case L = L_cap.
     """
 
-    def __init__(self, problem: CompositeProblem):
+    def __init__(self, problem: CompositeProblem, L: float, L_cap: float):
         self.problem = problem.with_scratch()
         self.step = StepScratch(problem.dim)
-        self.L_smooth: float | None = None
+        self.L = L
+        self.L_cap = L_cap
 
 
-def workspace(stack: LevelStack) -> list[LevelWork]:
-    """A fresh workspace for one solve on the stack, finest level first."""
-    return [LevelWork(level.problem) for level in stack.levels]
+def workspace(stack: LevelStack, step_mode: str) -> list[LevelWork]:
+    """A fresh workspace for one solve on the stack, finest level first.
+
+    Backtracking starts each level's estimate at 1 and caps it at
+    ``step_cap(L_est)``; fixed steps start at the cap, L = L_cap = L_est.
+    """
+    if step_mode == "backtracking":
+        return [LevelWork(lev.problem, 1.0, step_cap(lev.L_est)) for lev in stack.levels]
+    return [LevelWork(lev.problem, lev.L_est, lev.L_est) for lev in stack.levels]
 
 
 def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
@@ -143,6 +164,6 @@ def build_obstacle_hierarchy(n_side: int, lam: float = 1e-6, num_levels: int = 2
         problem = make_obstacle_problem(side, lam, level=l)
         grid = problem.smooth.grid
         transfer = build_full_weighting(grid) if l < num_levels - 1 else None
-        levels.append(Level(problem, problem.lipschitz, transfer, grid))
+        levels.append(Level(problem, transfer, grid))
         side = (side - 1) // 2
     return LevelStack(levels, n_smooth=n_smooth)

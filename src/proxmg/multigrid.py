@@ -8,6 +8,12 @@ accept it through a halving line search on the tilted objective, and smooth
 again.  The ``kocvara3`` variant runs the same cycle with no masking and with
 the subdifferential terms dropped from the correction.
 
+Every smoothing step on a level is a backtracking step from the level's
+working estimate L up to its cap L_cap, both kept in the solve's workspace
+(``hierarchy.workspace``).  Backtracking starts L at 1 below a cap of a few
+times the certified bound; a fixed step is the backtracking step started at
+its cap, L = L_cap = the certified bound.
+
 Every cycle returns a trace carrying the descent certificates: objective
 values at the stage boundaries, the inner product of the fine subgradient
 with the correction direction, line-search steps, mask sizes, and the first
@@ -39,17 +45,19 @@ class CycleConfig:
     """Knobs for one V-cycle; defaults match the benchmark protocol."""
 
     alpha_init: float = 1.0
-    alpha_tol: float = 1e-15
     variant: str = "mgprox"        # "mgprox" | "kocvara3"
     step_mode: str = "fixed"       # "fixed" | "backtracking"
     coarse_mode: str = "smoothing"  # "smoothing" (budgeted steps) | "exact" (to tolerance)
     tau_hook: Callable | None = None  # verification hook: (tau, level_index) -> tau
 
     def __post_init__(self):
-        if self.variant not in ("mgprox", "kocvara3"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.alpha_init <= 0 or self.alpha_tol <= 0:
-            raise ValueError("line-search parameters must be positive")
+        for name, allowed in (("variant", ("mgprox", "kocvara3")),
+                              ("step_mode", ("fixed", "backtracking")),
+                              ("coarse_mode", ("smoothing", "exact"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        if self.alpha_init <= 0:
+            raise ValueError("the initial line-search step must be positive")
 
 
 @dataclass
@@ -101,53 +109,41 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
             return y, 0.0, f_y
 
 
-def _coarse_solve(work: LevelWork, tau, x: np.ndarray, L: float,
-                  n_smooth: int, config: CycleConfig, L_cap: float,
-                  fg_x: tuple) -> tuple[np.ndarray, float, int]:
+def _coarse_solve(work: LevelWork, tau, x: np.ndarray, n_smooth: int,
+                  config: CycleConfig, fg_x: tuple) -> tuple[np.ndarray, int]:
     """Coarsest-level solve: budgeted smoothing, or iterate to tolerance."""
     problem, scratch = work.problem, work.step
     if config.coarse_mode == "smoothing":
-        res = run_smoothing(problem, tau, x, L, n_smooth, mode=config.step_mode,
-                            L_cap=L_cap, fg_x=fg_x, scratch=scratch)
-        return res.x, res.L, res.steps
-    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, L, fg_x[1], scratch))
+        res = run_smoothing(problem, tau, x, work.L, n_smooth, work.L_cap, fg_x, scratch)
+        work.L = res.L
+        return res.x, res.steps
+    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg_x[1], scratch))
     target = COARSE_REL_TOL * g_entry
     steps = 0
     fg = fg_x
     for _ in range(COARSE_MAX_ITERS):
-        res = run_smoothing(problem, tau, x, L, 1, mode=config.step_mode, L_cap=L_cap,
-                            fg_x=fg, scratch=scratch)
-        x, L = res.x, res.L
+        res = run_smoothing(problem, tau, x, work.L, 1, work.L_cap, fg, scratch)
+        x, work.L = res.x, res.L
         fg = res.fg if res.fg is not None else problem.smooth.value_and_grad(x)
         steps += 1
-        if np.linalg.norm(prox_grad_map(problem, tau, x, L, fg[1], scratch)) <= target:
+        if np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg[1], scratch)) <= target:
             break
-    return x, L, steps
+    return x, steps
 
 
 def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
                 tau, config: CycleConfig, trace: CycleTrace, fg_x: tuple):
     """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
     level's smooth part.  Returns the level's output and, at the finest
-    level, the pair there (None below, where nothing reads it)."""
+    level, the pair there (None below, where nothing reads it).  The level's
+    step estimate lives in its workspace and grows there (see ``workspace``)."""
     level, lw = stack[ell], work[ell]
     problem = lw.problem
     smooth = problem.smooth
-    # backtracking grows a cheap working estimate and never shrinks it; it is
-    # capped at a small multiple of the certified bound because beyond that
-    # the descent test carries no information (see backtrack_L)
-    L_cap = 4.0 * level.L_est
-    if config.step_mode == "backtracking":
-        L = lw.L_smooth if lw.L_smooth is not None else 1.0
-    else:
-        L = level.L_est
 
     if ell == len(stack) - 1:
-        x_out, L, steps = _coarse_solve(lw, tau, x, L, stack.n_smooth, config, L_cap,
-                                        fg_x)
+        x_out, steps = _coarse_solve(lw, tau, x, stack.n_smooth, config, fg_x)
         trace.smoothing_steps[ell] += steps
-        if config.step_mode == "backtracking":
-            lw.L_smooth = L
         return x_out, None
 
     at_finest = ell == 0
@@ -155,9 +151,8 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
         trace.x_entry = x
         trace.stage_objectives.append(tilted_objective(problem, tau, x, fg_x[0]))
 
-    pre = run_smoothing(problem, tau, x, L, stack.n_smooth, mode=config.step_mode,
-                        L_cap=L_cap, fg_x=fg_x, scratch=lw.step)
-    y, L = pre.x, pre.L
+    pre = run_smoothing(problem, tau, x, lw.L, stack.n_smooth, lw.L_cap, fg_x, lw.step)
+    y, lw.L = pre.x, pre.L
     fg_y = pre.fg if pre.fg is not None else smooth.value_and_grad(y)
     trace.smoothing_steps[ell] += pre.steps
     if at_finest:
@@ -199,16 +194,15 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     f_y = trace.stage_objectives[1] if at_finest else tilted_objective(problem, tau, y,
                                                                         fg_y[0])
     z, alpha, f_z = naive_line_search(lambda v: tilted_objective(problem, tau, v),
-                                      y, p, f_y, config.alpha_init, config.alpha_tol)
+                                      y, p, f_y, config.alpha_init)
     trace.alphas[ell] = alpha
     if at_finest:
         trace.stage_objectives.append(f_z)
 
-    post = run_smoothing(problem, tau, z, L, stack.n_smooth, mode=config.step_mode,
-                         L_cap=L_cap, scratch=lw.step)
+    post = run_smoothing(problem, tau, z, lw.L, stack.n_smooth, lw.L_cap,
+                         scratch=lw.step)
+    lw.L = post.L
     trace.smoothing_steps[ell] += post.steps
-    if config.step_mode == "backtracking":
-        lw.L_smooth = post.L
     if not at_finest:
         return post.x, None
     fg_out = post.fg if post.fg is not None else smooth.value_and_grad(post.x)
@@ -231,7 +225,7 @@ def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
         raise ValueError("a V-cycle needs at least two levels")
     config = config or CycleConfig()
     if work is None:
-        work = workspace(stack)
+        work = workspace(stack, config.step_mode)
     trace = CycleTrace.empty(len(stack))
     if fg_x is None:
         fg_x = work[0].problem.smooth.value_and_grad(x)
@@ -340,7 +334,7 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     per-level state in a workspace of its own and only reads the stack.
     """
     config = config or CycleConfig()
-    work = workspace(stack)
+    work = workspace(stack, config.step_mode)
     trace = SolverTrace(algorithm=config.variant)
     trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
                       num_levels=len(stack), variant=config.variant)

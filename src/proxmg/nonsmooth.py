@@ -155,7 +155,7 @@ class SeparableNonsmooth:
     def subgradient(self, u: np.ndarray) -> np.ndarray:
         """The subgradient of least magnitude at ``u``.
 
-        The closed form of ``select_subgradient(subdiff(u), "zero")``, to the
+        The closed form of ``select_subgradient(subdiff(u))``, to the
         byte: -lam below the hinge's floor and 0 on and above it, and
         lam * sign(u) for l1.  At lam = 0 the interval clip returns the
         -0.0 of a degenerate [-0.0, -0.0] interval, and so do these.
@@ -169,19 +169,10 @@ class SeparableNonsmooth:
         return np.zeros_like(u)
 
 
-def select_subgradient(intervals: IntervalVec, policy: str = "zero") -> np.ndarray:
-    """Pick one subgradient from per-coordinate intervals.
+def select_subgradient(intervals: IntervalVec) -> np.ndarray:
+    """The least-magnitude subgradient in per-coordinate intervals.
 
-    Singleton coordinates always return their unique value.  For set-valued
-    coordinates, policy ``"zero"`` returns 0 when the interval contains it and
-    the endpoint nearest 0 otherwise; ``"midpoint"`` returns the interval
-    midpoint.  Any choice is clamped into the interval.
+    Singleton coordinates return their unique value; set-valued ones return
+    0 when the interval contains it and the endpoint nearest 0 otherwise.
     """
-    lo, hi = intervals.lo, intervals.hi
-    if policy == "zero":
-        choice = np.zeros_like(lo)
-    elif policy == "midpoint":
-        choice = 0.5 * (lo + hi)
-    else:
-        raise ValueError(f"unknown subgradient policy {policy!r}")
-    return np.clip(choice, lo, hi)
+    return np.clip(np.zeros_like(intervals.lo), intervals.lo, intervals.hi)

@@ -117,21 +117,19 @@ def build_chain_hierarchy(n: int, lam: float = 0.01, num_levels: int = 2,
     """
     if num_levels < 1:
         raise ValueError("need at least one level")
-    fine = make_chain_problem(n, lam, seed)
-    levels = [Level(fine, fine.lipschitz)]
-    problem = fine
+    problems = [make_chain_problem(n, lam, seed)]
+    transfers = []
     size = n
     for _ in range(num_levels - 1):
         transfer = build_line_weighting(size)
         size = transfer.n_coarse
         A_c = laplacian_1d(size)
-        b_c = transfer.restrict @ problem.smooth.b
+        b_c = transfer.restrict @ problems[-1].smooth.b
         _, L_c = extreme_eigenvalues(A_c)
-        coarse = CompositeProblem(QuadraticForm(A_c, b_c, L_c),
-                                  SeparableNonsmooth.l1(lam))
-        levels[-1].transfer_down = transfer
-        levels.append(Level(coarse, L_c))
-        problem = coarse
+        problems.append(CompositeProblem(QuadraticForm(A_c, b_c, L_c),
+                                         SeparableNonsmooth.l1(lam)))
+        transfers.append(transfer)
+    levels = [Level(p, t) for p, t in zip(problems, transfers + [None])]
     return LevelStack(levels, n_smooth=n_smooth)
 
 

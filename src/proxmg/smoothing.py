@@ -6,6 +6,11 @@ The smoothing update on a level with tilt tau is
 
 and the associated prox-gradient map G(x) = L * (x - x+) vanishes exactly at
 minimizers of the tilted objective; its norm is the solvers' stopping metric.
+
+Every smoothing step is a backtracking step bounded by a cap L_cap: the
+estimate doubles until the descent model holds or the cap is reached.  A
+fixed step 1/L is the backtracking step started at its cap (L = L_cap), the
+constant-step special case of backtracking in Beck and Teboulle's FISTA.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import CompositeProblem
+
+# backtracking doubles its estimate, at most this many times per step
+MAX_DOUBLINGS = 60
 
 
 class StepScratch:
@@ -63,11 +71,9 @@ def prox_grad_map(problem: CompositeProblem, tau, x: np.ndarray, L: float,
 
 
 def backtrack_L(problem: CompositeProblem, tau, x: np.ndarray, L0: float,
-                eta: float = 2.0, max_doublings: int = 60,
-                L_cap: float | None = None,
-                fg_x: tuple | None = None,
+                L_cap: float, fg_x: tuple | None = None,
                 scratch: StepScratch | None = None) -> tuple[float, np.ndarray, tuple | None]:
-    """Smallest L in {L0 * eta^t} whose prox-grad step satisfies the descent model.
+    """Smallest L in {L0 * 2^t} whose prox-grad step satisfies the descent model.
 
     Accepts L once f(y) <= f(x) + <grad f(x), y - x> + (L/2) ||y - x||^2 for
     y = prox_grad_step(x, L).  The tilt drops out of the inequality (it is
@@ -79,29 +85,31 @@ def backtrack_L(problem: CompositeProblem, tau, x: np.ndarray, L0: float,
     floor the descent test degenerates to rounding noise while the inequality
     is certified analytically for any L above the true curvature, so callers
     pass a small multiple of their Lipschitz estimate to stop the estimate
-    from ratcheting without bound.  A step accepted there never evaluates
-    f(y), and fg_y is None.
+    from ratcheting without bound (``math.inf`` leaves it uncapped).  A step
+    accepted there never evaluates f(y), and fg_y is None.  A step started at
+    its cap is therefore the fixed step 1/L_cap, and costs one gradient.
     """
     if L0 <= 0:
         raise ValueError(f"L0 must be positive, got {L0}")
-    if eta <= 1:
-        raise ValueError(f"growth factor must exceed 1, got {eta}")
     if scratch is None:
         scratch = StepScratch(x.shape[0])
+    if L0 >= L_cap:
+        return L_cap, prox_grad_step(problem, tau, x, L_cap,
+                                     None if fg_x is None else fg_x[1], scratch), None
     d = scratch.diff
     f = problem.smooth
     fx, gx = f.value_and_grad(x) if fg_x is None else fg_x
-    L = L0 if L_cap is None else min(L0, L_cap)
-    for _ in range(max_doublings + 1):
+    L = L0
+    for _ in range(MAX_DOUBLINGS + 1):
         y = prox_grad_step(problem, tau, x, L, gx, scratch)
-        if L_cap is not None and L >= L_cap:
+        if L >= L_cap:
             return L, y, None
         np.subtract(y, x, out=d)
         fg_y = f.value_and_grad(y)
         if fg_y[0] <= fx + float(gx @ d) + 0.5 * L * float(d @ d) + 1e-15 * abs(fx):
             return L, y, fg_y
-        L = L * eta if L_cap is None else min(L * eta, L_cap)
-    raise RuntimeError(f"backtracking exceeded {max_doublings} doublings; last L = {L / eta}")
+        L = min(2.0 * L, L_cap)
+    raise RuntimeError(f"backtracking exceeded {MAX_DOUBLINGS} doublings; last L = {L / 2.0}")
 
 
 def check_sufficient_descent(F_before: float, F_after: float, G_norm: float,
@@ -124,13 +132,13 @@ class SmoothResult:
 
 
 def run_smoothing(problem: CompositeProblem, tau, x: np.ndarray, L: float,
-                  n_steps: int, mode: str = "fixed", L_cap: float | None = None,
-                  fg_x: tuple | None = None,
+                  n_steps: int, L_cap: float, fg_x: tuple | None = None,
                   scratch: StepScratch | None = None) -> SmoothResult:
-    """n_steps proximal-gradient steps; the backtracking estimate never shrinks.
+    """n_steps backtracking steps from the estimate L; it never shrinks.
 
-    ``fg_x`` is (f(x), grad f(x)) when the caller already has it; each
-    backtracking step hands the pair at its output to the next.
+    A fixed step 1/L is the step started at its cap, L = L_cap (see
+    :func:`backtrack_L`).  ``fg_x`` is (f(x), grad f(x)) when the caller
+    already has it; each step hands the pair at its output to the next.
     """
     if n_steps < 1:
         raise ValueError("need at least one smoothing step")
@@ -141,18 +149,9 @@ def run_smoothing(problem: CompositeProblem, tau, x: np.ndarray, L: float,
     f_first = None
     fg = fg_x
     for k in range(n_steps):
-        if mode == "backtracking":
-            L, x_next, fg = backtrack_L(problem, tau, x, L, L_cap=L_cap, fg_x=fg,
-                                        scratch=scratch)
-        elif mode == "fixed":
-            x_next = prox_grad_step(problem, tau, x, L, None if fg is None else fg[1],
-                                    scratch)
-            fg = None
-        else:
-            raise ValueError(f"unknown step mode {mode!r}")
+        L, x, fg = backtrack_L(problem, tau, x, L, L_cap, fg, scratch)
         if k == 0:
-            y_first = x_next
+            y_first = x
             L_first = L
             f_first = None if fg is None else fg[0]
-        x = x_next
     return SmoothResult(x, L, y_first, L_first, n_steps, fg, f_first)

@@ -2,8 +2,8 @@
 
 Restriction R maps a fine-grid vector to the next coarser grid; the coarse
 point (I, J) sits over the fine point (2I, 2J) and averages its 3x3 fine
-neighborhood with the kernel scale * [[1, 2, 1], [2, 4, 2], [1, 2, 1]]
-(scale = 1/8 by default).  Prolongation is P = c * R^T with c = 2 by default.
+neighborhood with the kernel (1/8) * [[1, 2, 1], [2, 4, 2], [1, 2, 1]].
+Prolongation is P = c * R^T with c = 2.
 
 The full weighting matches the membrane's boundary (see
 :mod:`proxmg.membrane`): clamped past the last row and column, free at
@@ -33,6 +33,9 @@ import scipy.sparse as sp
 
 from .grid import GridLevel
 from .nonsmooth import SeparableNonsmooth
+
+# the scale c of every prolongation P = c R^T
+PROLONG_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -70,22 +73,20 @@ def _weighting_1d(n_fine: int, n_coarse: int, free_low: bool = False) -> sp.csr_
     return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n_coarse, n_fine)))
 
 
-def build_full_weighting(fine: GridLevel, kernel_scale: float = 0.125,
-                         c: float = 2.0) -> TransferPair:
+def build_full_weighting(fine: GridLevel) -> TransferPair:
     """Full weighting for a square grid with n_side = 2**m - 1, m >= 2, free
     at i = 1 and j = 1 and clamped past the last row and column."""
     if fine.n_side < 3:
         raise ValueError("fine grid too small to coarsen")
     n_c = (fine.n_side - 1) // 2
     R1 = _weighting_1d(fine.n_side, n_c, free_low=True)
-    R = sp.csr_array(kernel_scale * sp.kron(R1, R1, format="csr"))
-    P = sp.csr_array(c * R.T)
-    return TransferPair(R, P, c)
+    R = sp.csr_array(0.125 * sp.kron(R1, R1, format="csr"))
+    P = sp.csr_array(PROLONG_SCALE * R.T)
+    return TransferPair(R, P, PROLONG_SCALE)
 
 
-def build_line_weighting(n_fine: int, kernel_scale: float = 0.25,
-                         c: float = 2.0) -> TransferPair:
-    """1-D weighting for chain problems; coarse size is n_fine // 2.
+def build_line_weighting(n_fine: int) -> TransferPair:
+    """1-D weighting (1/4) * [1, 2, 1] for chain problems; coarse size is n_fine // 2.
 
     Used by the synthetic rate-verification hierarchy.  Out-of-range stencil
     legs are dropped (Dirichlet ends).
@@ -93,9 +94,9 @@ def build_line_weighting(n_fine: int, kernel_scale: float = 0.25,
     n_c = n_fine // 2
     if n_c < 1:
         raise ValueError("chain too short to coarsen")
-    R = sp.csr_array(kernel_scale * _weighting_1d(n_fine, n_c))
-    P = sp.csr_array(c * R.T)
-    return TransferPair(R, P, c)
+    R = sp.csr_array(0.25 * _weighting_1d(n_fine, n_c))
+    P = sp.csr_array(PROLONG_SCALE * R.T)
+    return TransferPair(R, P, PROLONG_SCALE)
 
 
 def adaptive_mask(g: SeparableNonsmooth, x: np.ndarray) -> np.ndarray:

@@ -5,13 +5,16 @@ stencil must reproduce their products byte for byte, signed zeros included,
 and the solvers must return the same bytes on an energy built from them.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from proxmg.baselines import fista_solve, proxgrad_solve
 from proxmg.grid import GridLevel
-from proxmg.hierarchy import build_obstacle_hierarchy
+from proxmg.hierarchy import LevelStack, build_obstacle_hierarchy
 from proxmg.membrane import (MembraneEnergy, build_difference_operators,
                              lipschitz_upper_bound, make_obstacle_problem)
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
@@ -89,9 +92,10 @@ def test_quadratic_value_and_grad_equals_the_separate_calls():
         assert grad.tobytes() == f.grad(x).tobytes()
 
 
-@pytest.mark.parametrize("L0, L_cap", [(1.0, None), (1.0, 1e6), (1.0, 64.0)])
+@pytest.mark.parametrize("L0, L_cap", [(1.0, None), (1.0, 1e6), (1.0, 64.0)])  # None: uncapped
 @pytest.mark.parametrize("tilted", [False, True])
 def test_backtracking_is_the_same_with_or_without_the_pair(L0, L_cap, tilted):
+    L_cap = math.inf if L_cap is None else L_cap
     p = make_obstacle_problem(15, 100.0)
     rng = np.random.Generator(np.random.PCG64(4))
     x = rng.uniform(0.0, 1.0, p.dim)
@@ -100,7 +104,7 @@ def test_backtracking_is_the_same_with_or_without_the_pair(L0, L_cap, tilted):
     L2, y2, fg_y2 = backtrack_L(p, tau, x, L0, L_cap=L_cap,
                                 fg_x=p.smooth.value_and_grad(x))
     assert L == L2 and y.tobytes() == y2.tobytes()
-    if L_cap is not None and L >= L_cap:
+    if L >= L_cap:
         assert fg_y is None and fg_y2 is None  # accepted at the cap, f(y) never taken
     else:
         value, grad = p.smooth.value_and_grad(y)
@@ -111,9 +115,9 @@ def test_backtracking_is_the_same_with_or_without_the_pair(L0, L_cap, tilted):
 def _solve_all(lam, x0, sparse):
     stack = build_obstacle_hierarchy(15, lam, 3, 20)
     if sparse:
-        for level in stack.levels:
-            level.problem = CompositeProblem(SparseMembrane(level.grid),
-                                             level.problem.nonsmooth)
+        stack = LevelStack([dataclasses.replace(level, problem=CompositeProblem(
+            SparseMembrane(level.grid), level.problem.nonsmooth)) for level in stack.levels],
+            stack.n_smooth)
     fine = stack.fine.problem
     runs = [mgprox_solve(stack, x0, StoppingRule(200, 1e-10),
                          CycleConfig(step_mode="backtracking")),

@@ -98,7 +98,7 @@ def test_fixed_point_certificate_of_tau():
     mask = g.subdiff(y).set_valued()
     y_c = t.restrict @ y
     tau = build_tau(fine.problem, coarse.problem, t, mask, y, y_c)
-    s_c = select_subgradient(coarse.problem.nonsmooth.subdiff(y_c), "zero")
+    s_c = select_subgradient(coarse.problem.nonsmooth.subdiff(y_c))
     residual = coarse.problem.smooth.grad(y_c) + s_c - tau
     assert np.linalg.norm(residual) <= 1e-6 * coarse.L_est
 

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from proxmg.certificates import (check_angle_condition, check_fixed_point,
                                  check_smoothing_descent,
                                  check_stage_monotonicity)
-from proxmg.hierarchy import build_obstacle_hierarchy
+from proxmg.hierarchy import LevelStack, build_obstacle_hierarchy
 from proxmg.multigrid import (CycleConfig, StoppingRule, cycle_work_units,
                               mgprox_solve, naive_line_search, vcycle)
 from proxmg.nonsmooth import SeparableNonsmooth
@@ -57,8 +59,10 @@ def test_cycle_config_validation():
         CycleConfig(variant="wcycle")
     with pytest.raises(ValueError):
         CycleConfig(alpha_init=0.0)
-    with pytest.raises(ValueError):
-        CycleConfig(alpha_tol=-1.0)
+    with pytest.raises(ValueError, match="step_mode"):
+        CycleConfig(step_mode="wild")
+    with pytest.raises(ValueError, match="coarse_mode"):
+        CycleConfig(coarse_mode="exactt")
     with pytest.raises(ValueError):
         vcycle(build_obstacle_hierarchy(7, 1e-6, 1), np.zeros(49))
 
@@ -143,9 +147,9 @@ def test_nonconvergence_is_reported_not_raised():
 def test_kocvara3_equals_mgprox_on_a_smooth_problem():
     def smooth_stack():
         stack = build_obstacle_hierarchy(7, 1e-6, 2)
-        for lev in stack.levels:
-            lev.problem = CompositeProblem(lev.problem.smooth, SeparableNonsmooth.zero())
-        return stack
+        return LevelStack([dataclasses.replace(lev, problem=CompositeProblem(
+            lev.problem.smooth, SeparableNonsmooth.zero())) for lev in stack.levels],
+            stack.n_smooth)
 
     rng = np.random.Generator(np.random.PCG64(4))
     x0 = rng.uniform(0, 1, size=49)

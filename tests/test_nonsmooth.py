@@ -63,12 +63,8 @@ def test_zero_penalty():
 
 def test_select_subgradient_policies():
     iv = IntervalVec(np.array([-1.0, -1.0, 2.0]), np.array([0.0, -1.0, 3.0]))
-    zero = select_subgradient(iv, "zero")
+    zero = select_subgradient(iv)
     np.testing.assert_allclose(zero, [0.0, -1.0, 2.0])  # in-range 0 / singleton / clamped
-    mid = select_subgradient(iv, "midpoint")
-    np.testing.assert_allclose(mid, [-0.5, -1.0, 2.5])
-    with pytest.raises(ValueError):
-        select_subgradient(iv, "nope")
 
 
 def test_errors():
@@ -203,4 +199,4 @@ def test_mask_and_subgradient_equal_the_interval_oracle_byte_for_byte(kind, lam)
     iv = g.subdiff(u)
     assert g.mask(u).dtype == bool
     assert g.mask(u).tobytes() == iv.set_valued().tobytes()
-    assert g.subgradient(u).tobytes() == select_subgradient(iv, "zero").tobytes()
+    assert g.subgradient(u).tobytes() == select_subgradient(iv).tobytes()

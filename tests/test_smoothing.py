@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -51,7 +53,7 @@ def test_prox_grad_map_examples():
 
 def test_backtracking_returns_initial_L_when_sufficient():
     p = quadratic_problem(a=1.0)
-    L, y, _ = backtrack_L(p, None, np.array([3.0]), 2.0)
+    L, y, _ = backtrack_L(p, None, np.array([3.0]), 2.0, math.inf)
     assert L == 2.0
     assert y[0] == pytest.approx(1.5)
 
@@ -59,7 +61,7 @@ def test_backtracking_returns_initial_L_when_sufficient():
 def test_backtracking_grows_to_the_curvature():
     a = 8.0
     p = quadratic_problem(a=a)
-    L, y, _ = backtrack_L(p, None, np.array([2.0]), a / 4.0, eta=2.0)
+    L, y, _ = backtrack_L(p, None, np.array([2.0]), a / 4.0, math.inf)
     assert L in (a / 2.0, a)
     # whichever was accepted satisfies the descent model
     f = p.smooth
@@ -72,7 +74,7 @@ def test_backtracking_doubling_cap():
     a = 1e9
     p = quadratic_problem(a=a)
     with pytest.raises(RuntimeError, match="last L"):
-        backtrack_L(p, None, np.array([1.0]), 1e-6, max_doublings=3)
+        backtrack_L(p, None, np.array([1.0]), 1e-20, math.inf)
 
 
 def test_check_sufficient_descent_arithmetic():
@@ -87,10 +89,11 @@ def test_smoothing_block_is_monotone_and_strictly_descends(mode):
     p = make_obstacle_problem(7, 1e-6)
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.uniform(0, 1, size=p.dim)
-    L = p.lipschitz if mode == "fixed" else 1.0
+    # a fixed step is the backtracking step started at its cap
+    L, L_cap = (p.lipschitz, p.lipschitz) if mode == "fixed" else (1.0, math.inf)
     prev = p.objective(x)
     for _ in range(5):
-        res = run_smoothing(p, None, x, L, 4, mode=mode)
+        res = run_smoothing(p, None, x, L, 4, L_cap)
         x, L = res.x, res.L
         cur = p.objective(x)
         G = np.linalg.norm(prox_grad_map(p, None, x, p.lipschitz))
@@ -105,7 +108,7 @@ def test_first_step_sufficient_descent_certificate():
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.uniform(0, 1, size=p.dim)
     L = p.lipschitz
-    res = run_smoothing(p, None, x, L, 1, mode="fixed")
+    res = run_smoothing(p, None, x, L, 1, L)
     G = np.linalg.norm(prox_grad_map(p, None, x, L))
     assert check_sufficient_descent(p.objective(x), p.objective(res.x), G, L)
 
@@ -113,13 +116,22 @@ def test_first_step_sufficient_descent_certificate():
 def test_run_smoothing_validation():
     p = quadratic_problem()
     with pytest.raises(ValueError):
-        run_smoothing(p, None, np.array([1.0]), 1.0, 0)
+        run_smoothing(p, None, np.array([1.0]), 1.0, 0, math.inf)
     with pytest.raises(ValueError):
-        run_smoothing(p, None, np.array([1.0]), 1.0, 1, mode="wild")
-    with pytest.raises(ValueError):
-        backtrack_L(p, None, np.array([1.0]), -1.0)
-    with pytest.raises(ValueError):
-        backtrack_L(p, None, np.array([1.0]), 1.0, eta=1.0)
+        backtrack_L(p, None, np.array([1.0]), -1.0, math.inf)
+
+
+def test_a_step_started_at_or_above_its_cap_is_the_fixed_step():
+    p = make_obstacle_problem(15, 1.0)
+    rng = np.random.Generator(np.random.PCG64(3))
+    x, tau = rng.uniform(0, 1, size=p.dim), rng.uniform(-1, 1, size=p.dim)
+    L = p.lipschitz
+    fg = p.smooth.value_and_grad(x)
+    for start in (L, 2.0 * L):
+        for pair in (None, fg):
+            got_L, y, fg_y = backtrack_L(p, tau, x, start, L, pair)
+            assert got_L == L and fg_y is None
+            assert y.tobytes() == prox_grad_step(p, tau, x, L).tobytes()
 
 
 def test_quadratic_underestimator_certificate():

@@ -5,6 +5,8 @@ the scratch a workspace reuses must never show through the arrays a step
 returns.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,19 +59,20 @@ def test_solve_is_the_same_on_a_fresh_and_on_a_used_stack(name, n_side, lam):
 
 
 @pytest.mark.parametrize("tilted", [False, True])
-@pytest.mark.parametrize("L_cap", [None, 1e9])
+@pytest.mark.parametrize("L_cap", [None, 1e9])  # None: uncapped
 def test_backtracking_returns_arrays_the_workspace_does_not_reuse(tilted, L_cap):
     # at lam = 1 the step lands partly on, above and below the obstacle, so y
     # depends on x; at lam = 100 it maps both starts onto the obstacle itself
+    L_cap = math.inf if L_cap is None else L_cap
     p = make_obstacle_problem(15, 1.0)
     rng = np.random.Generator(np.random.PCG64(9))
     x1, x2 = rng.uniform(0.0, 1.0, p.dim), rng.uniform(0.0, 1.0, p.dim)
     tau = rng.uniform(-1.0, 1.0, p.dim) if tilted else None
-    work = LevelWork(p)
-    L, y, fg = backtrack_L(work.problem, tau, x1, 1.0, L_cap=L_cap, scratch=work.step)
+    work = LevelWork(p, 1.0, L_cap)
+    L, y, fg = backtrack_L(work.problem, tau, x1, work.L, work.L_cap, scratch=work.step)
     kept = y.tobytes(), fg[0], fg[1].tobytes()
-    backtrack_L(work.problem, tau, x2, 1.0, L_cap=L_cap, scratch=work.step)
-    run_smoothing(work.problem, tau, x2, 1.0, 3, mode="backtracking", scratch=work.step)
+    backtrack_L(work.problem, tau, x2, work.L, work.L_cap, scratch=work.step)
+    run_smoothing(work.problem, tau, x2, work.L, 3, work.L_cap, scratch=work.step)
     assert (y.tobytes(), fg[0], fg[1].tobytes()) == kept
     # and the workspace path gives the bytes of the throwaway one
     L0, y0, fg0 = backtrack_L(p, tau, x1, 1.0, L_cap=L_cap)
