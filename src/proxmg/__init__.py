@@ -33,9 +33,8 @@ from .oracles import (Reference, brute_force_prox, build_chain_hierarchy,
                       make_chain_problem, reference_solution)
 from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues,
                        laplacian_1d, power_iteration, tilted_objective)
-from .smoothing import (SmoothResult, StepScratch, backtrack_L,
-                        check_sufficient_descent, prox_grad_map, prox_grad_step,
-                        run_smoothing)
+from .smoothing import (SmoothResult, StepScratch, backtrack_L, prox_grad_map,
+                        prox_grad_step, run_smoothing)
 from .transfer import (TransferPair, adaptive_mask, build_full_weighting,
                        build_line_weighting, prolong_adaptive,
                        restrict_adaptive)

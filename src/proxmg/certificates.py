@@ -27,6 +27,18 @@ from .nonsmooth import SeparableNonsmooth
 from .oracles import (brute_force_prox, build_chain_hierarchy, chain_constants,
                       fd_gradient, reference_solution)
 
+# Tolerances of the checks.  A slack is added to the side of an inequality
+# that must be the larger; a relative one is scaled by max(1, |F|).
+STAGE_REL_SLACK = 1e-12       # check_stage_monotonicity
+ANGLE_P_FLOOR = 1e-10         # check_angle_condition: smaller corrections count as zero
+SMOOTHING_REL_SLACK = 1e-12   # check_smoothing_descent
+MGPROX_DESCENT_SLACK = 1e-8   # check_mgprox_sufficient_descent
+ONE_OVER_K_SLACK = 1e-9       # check_one_over_k
+LINEAR_RATE_SLACK = 1e-12     # check_linear_rate
+WORK_RATIO = 0.25             # check_work_units: coarse/fine size ratio r
+FAST_REL_SLACK = 1e-9         # check_fast_certificates, estimate-sequence bound
+FIXED_POINT_MOVE_TOL = 1e-8   # check_fixed_point
+
 
 @dataclass
 class CertificateResult:
@@ -56,25 +68,25 @@ class CertificateReport:
         return [r.line() for r in self.results]
 
 
-def check_stage_monotonicity(trace: SolverTrace, rel_slack: float = 1e-12) -> CertificateResult:
+def check_stage_monotonicity(trace: SolverTrace) -> CertificateResult:
     """Fine-level objective never increases across any stage boundary."""
     worst = np.inf
     for ct in trace.cycles:
         vals = ct.stage_objectives
         scale = max(1.0, abs(vals[0]))
         for a, b in zip(vals, vals[1:]):
-            worst = min(worst, (a - b) / scale + rel_slack)
+            worst = min(worst, (a - b) / scale + STAGE_REL_SLACK)
     passed = worst >= 0.0
     return CertificateResult("stage-monotonicity", bool(passed), float(worst),
                              f"{len(trace.cycles)} cycles")
 
 
-def check_angle_condition(trace: SolverTrace, p_floor: float = 1e-10) -> CertificateResult:
+def check_angle_condition(trace: SolverTrace) -> CertificateResult:
     """<subgradient, correction> < 0 whenever the correction is nonzero."""
     worst = -np.inf
     counted = 0
     for ct in trace.cycles:
-        if ct.correction_norms and ct.correction_norms[0] > p_floor:
+        if ct.correction_norms and ct.correction_norms[0] > ANGLE_P_FLOOR:
             counted += 1
             worst = max(worst, ct.angle_products[0])
     if counted == 0:
@@ -83,7 +95,7 @@ def check_angle_condition(trace: SolverTrace, p_floor: float = 1e-10) -> Certifi
                              f"{counted} corrections checked")
 
 
-def check_smoothing_descent(trace: SolverTrace, slack: float = 1e-12) -> CertificateResult:
+def check_smoothing_descent(trace: SolverTrace) -> CertificateResult:
     """First smoothing step of each cycle obeys F(y) <= F(x) - ||G(x)||^2/(2L).
 
     G(x) is reconstructed from the stored step endpoints, G = L (x - y), so
@@ -95,15 +107,15 @@ def check_smoothing_descent(trace: SolverTrace, slack: float = 1e-12) -> Certifi
         G = ct.L_first * (ct.x_entry - ct.y_first)
         bound = F_x - float(G @ G) / (2.0 * ct.L_first)
         scale = max(1.0, abs(F_x))
-        worst = min(worst, (bound - ct.F_y_first) / scale + slack)
+        worst = min(worst, (bound - ct.F_y_first) / scale + SMOOTHING_REL_SLACK)
     if worst is np.inf:
-        worst = slack
+        worst = SMOOTHING_REL_SLACK
     return CertificateResult("smoothing-sufficient-descent", bool(worst >= 0.0),
                              float(worst), f"{len(trace.cycles)} cycles")
 
 
 def check_mgprox_sufficient_descent(trace: SolverTrace, x_star: np.ndarray,
-                                    F_star: float, slack: float = 1e-8) -> CertificateResult:
+                                    F_star: float) -> CertificateResult:
     """Per cycle: F(x+) - F* <= (L/2)(||x - x*||^2 - ||y1 - x*||^2) + slack."""
     worst = np.inf
     for ct, F_next in zip(trace.cycles, trace.objectives):
@@ -111,13 +123,13 @@ def check_mgprox_sufficient_descent(trace: SolverTrace, x_star: np.ndarray,
         dx = float(np.linalg.norm(ct.x_entry - x_star)) ** 2
         dy = float(np.linalg.norm(ct.y_first - x_star)) ** 2
         rhs = 0.5 * ct.L_first * (dx - dy)
-        worst = min(worst, rhs - lhs + slack)
+        worst = min(worst, rhs - lhs + MGPROX_DESCENT_SLACK)
     return CertificateResult("mgprox-sufficient-descent", bool(worst >= 0.0),
-                             float(worst), f"slack={slack:g}")
+                             float(worst), f"slack={MGPROX_DESCENT_SLACK:g}")
 
 
 def check_one_over_k(trace: SolverTrace, x_star: np.ndarray, F_star: float,
-                     L: float, slack: float = 1e-9) -> CertificateResult:
+                     L: float) -> CertificateResult:
     """k * (F(x^k) - F*) stays under the max(8 delta^2 L, initial gap) envelope.
 
     delta is the largest recorded distance of any iterate (or first smoothing
@@ -133,13 +145,13 @@ def check_one_over_k(trace: SolverTrace, x_star: np.ndarray, F_star: float,
     envelope = max(8.0 * delta * delta * L, gap1)
     worst = np.inf
     for k, F in enumerate(trace.objectives, start=1):
-        worst = min(worst, envelope / k - (F - F_star) + slack)
+        worst = min(worst, envelope / k - (F - F_star) + ONE_OVER_K_SLACK)
     return CertificateResult("one-over-k-envelope", bool(worst >= 0.0), float(worst),
                              f"delta={delta:.3e}")
 
 
-def check_linear_rate(trace: SolverTrace, F_star: float, mu: float, L: float,
-                      slack: float = 1e-12) -> CertificateResult:
+def check_linear_rate(trace: SolverTrace, F_star: float, mu: float,
+                      L: float) -> CertificateResult:
     """F(x^{k+1}) - F* <= (1 - mu/L)^k (F(x^1) - F*) for every k.
 
     x^1 is the starting point, so the k-th recorded objective (the iterate
@@ -151,27 +163,26 @@ def check_linear_rate(trace: SolverTrace, F_star: float, mu: float, L: float,
     rho = 1.0 - mu / L
     worst = np.inf
     for k, F in enumerate(trace.objectives, start=1):
-        bound = rho**k * gap1 + slack
+        bound = rho**k * gap1 + LINEAR_RATE_SLACK
         worst = min(worst, bound - (F - F_star))
     return CertificateResult("linear-rate", bool(worst >= 0.0), float(worst),
                              f"rho={rho:.6f}")
 
 
-def check_work_units(trace: SolverTrace, num_levels: int, n_smooth: int,
-                     r: float = 0.25) -> CertificateResult:
+def check_work_units(trace: SolverTrace, num_levels: int, n_smooth: int) -> CertificateResult:
     """Per-cycle smoothing work <= (8/3)(1 - r^L) fine smoothing blocks."""
-    budget = (8.0 / 3.0) * (1.0 - r**num_levels) * n_smooth
+    budget = (8.0 / 3.0) * (1.0 - WORK_RATIO**num_levels) * n_smooth
     worst = np.inf
     for ct in trace.cycles:
-        worst = min(worst, budget - cycle_work_units(ct, r) + 1e-9)
+        worst = min(worst, budget - cycle_work_units(ct, WORK_RATIO) + 1e-9)
     if worst is np.inf:
         worst = budget
     return CertificateResult("multilevel-work", bool(worst >= 0.0), float(worst),
                              f"budget={budget:.2f} fine steps")
 
 
-def check_fast_certificates(trace: SolverTrace, gamma0: float, L: float,
-                            rel_slack: float = 1e-9) -> list[CertificateResult]:
+def check_fast_certificates(trace: SolverTrace, gamma0: float,
+                            L: float) -> list[CertificateResult]:
     """Estimate-sequence certificates of an accelerated run."""
     lam = trace.extras.get("lam", [])
     phi = trace.extras.get("phi_bar", [])
@@ -192,9 +203,9 @@ def check_fast_certificates(trace: SolverTrace, gamma0: float, L: float,
     worst = np.inf
     for F, p in zip(trace.objectives, phi):
         scale = max(1.0, abs(p))
-        worst = min(worst, (p - F) / scale + rel_slack)
+        worst = min(worst, (p - F) / scale + FAST_REL_SLACK)
     if worst is np.inf:
-        worst = rel_slack
+        worst = FAST_REL_SLACK
     results.append(CertificateResult("estimate-sequence-bound", bool(worst >= 0.0),
                                      float(worst), "F(x^k) <= phi_bar^k"))
 
@@ -227,7 +238,7 @@ def check_fast_certificates(trace: SolverTrace, gamma0: float, L: float,
 
 
 def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
-                      config: CycleConfig | None = None, move_tol: float = 1e-8,
+                      config: CycleConfig | None = None,
                       masked: bool = False) -> list[CertificateResult]:
     """One cycle from the reference point moves nothing, coarse solve included.
 
@@ -241,10 +252,10 @@ def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
     F0, F1 = ct.stage_objectives[0], ct.stage_objectives[-1]
     rel_F = abs(F1 - F0) / max(1.0, abs(F0))
     results = [
-        CertificateResult("fixed-point-fine", bool(move <= move_tol),
-                          float(move_tol - move), f"inf-norm move {move:.3e}"),
-        CertificateResult("fixed-point-coarse", bool(coarse <= move_tol),
-                          float(move_tol - coarse), f"coarse move {coarse:.3e}"),
+        CertificateResult("fixed-point-fine", bool(move <= FIXED_POINT_MOVE_TOL),
+                          float(FIXED_POINT_MOVE_TOL - move), f"inf-norm move {move:.3e}"),
+        CertificateResult("fixed-point-coarse", bool(coarse <= FIXED_POINT_MOVE_TOL),
+                          float(FIXED_POINT_MOVE_TOL - coarse), f"coarse move {coarse:.3e}"),
         CertificateResult("fixed-point-objective", bool(rel_F <= 1e-10),
                           float(1e-10 - rel_F), f"relative drift {rel_F:.3e}"),
     ]

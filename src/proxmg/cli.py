@@ -14,6 +14,12 @@ bit-identical; ``coarse_alpha`` is empty for single-level solvers.
 Starting points are drawn uniformly from [0, 1]^n with numpy's PCG64
 generator seeded by ``--seed``, so runs are reproducible and portable.
 
+``--config`` reads a flat ``key = value`` file whose keys are the
+subcommand's long flags without the leading dashes (``n-exp`` or ``n_exp``).
+Each entry is parsed as the flag it names, ahead of the command line, so file
+values get the flags' checks and an explicit flag wins.  ``--wall-time`` is a
+switch and cannot be set from a file.
+
 Exit codes: 0 success, 1 solve/certificate failure, 2 usage error.
 """
 
@@ -22,7 +28,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +37,8 @@ from .certificates import SCOPES, CertificateReport
 from .hierarchy import build_obstacle_hierarchy
 from .multigrid import CycleConfig, StoppingRule, mgprox_solve
 from .oracles import build_chain_hierarchy
+
 ALGORITHMS = ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3")
-
-
-@dataclass
-class RunConfig:
-    problem: str = "eop"
-    n_exp: int = 4
-    lam: float = 1e-6
-    levels: int = 3
-    smoothing: int = 20
-    algorithm: str = "mgprox"
-    tol: float = 1e-10
-    max_iters: int = 100000
-    seed: int = 0
-    step_mode: str = "fixed"
-    out: str | None = None
-
-    def fine_size(self) -> int:
-        return (2**self.n_exp - 1) ** 2 if self.problem == "eop" else 2**self.n_exp
 
 
 def _positive_int(text: str) -> int:
@@ -67,9 +55,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored."""
-    out = {}
+def _config_flags(path: str, keys) -> list[str]:
+    """The flags a flat key=value file names: ``n-exp = 3`` (or ``n_exp = 3``)
+    gives ``--n-exp=3``.  Blank lines and #-comments are ignored; a key must
+    be one of ``keys``, the subcommand's flags with underscores."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -78,8 +68,10 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
+            if key.replace("-", "_") not in keys:
+                raise ValueError(f"unknown config key {key!r}")
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,23 +83,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_algo: bool):
         p.add_argument("--config", help="key=value file; explicit flags override it")
-        p.add_argument("--problem", choices=("eop", "synthetic"), default=None,
+        p.add_argument("--problem", choices=("eop", "synthetic"), default="eop",
                        help="obstacle benchmark or quadratic+l1 test problem")
-        p.add_argument("--n-exp", type=_positive_int, default=None, metavar="M",
+        p.add_argument("--n-exp", type=_positive_int, default=4, metavar="M",
                        help="size exponent: grid side 2^M - 1 (eop) or n = 2^M (synthetic)")
-        p.add_argument("--lam", type=_positive_float, default=None,
-                       help="nonsmooth penalty weight (default 1e-6 for eop)")
-        p.add_argument("--levels", type=_positive_int, default=None,
+        p.add_argument("--lam", type=_positive_float, default=1e-6,
+                       help="nonsmooth penalty weight (default 1e-6)")
+        p.add_argument("--levels", type=_positive_int, default=3,
                        help="number of levels in the hierarchy (default 3)")
-        p.add_argument("--smoothing", type=_positive_int, default=None, metavar="N",
+        p.add_argument("--smoothing", type=_positive_int, default=20, metavar="N",
                        help="pre/post smoothing steps per level (default 20)")
         if with_algo:
-            p.add_argument("--algo", choices=ALGORITHMS, default=None)
-        p.add_argument("--tol", type=_positive_float, default=None,
+            p.add_argument("--algo", choices=ALGORITHMS, default="mgprox")
+        p.add_argument("--tol", type=_positive_float, default=1e-10,
                        help="relative prox-gradient-map tolerance (default 1e-10)")
-        p.add_argument("--max-iters", type=_positive_int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--step-mode", choices=("fixed", "backtracking"), default=None)
+        p.add_argument("--max-iters", type=_positive_int, default=100000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--step-mode", choices=("fixed", "backtracking"), default="fixed")
         p.add_argument("--wall-time", action="store_true",
                        help="write wall-clock seconds into the CSV time column "
                             "(sacrifices bit-identical output)")
@@ -118,6 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compare", help="run all five solvers from one start")
     add_common(pc, with_algo=False)
+    pc.set_defaults(step_mode="backtracking")
     pc.add_argument("--out-prefix", default="compare",
                     help="per-solver CSVs are written to <prefix>_<algo>.csv")
 
@@ -127,52 +120,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args, defaults: RunConfig, keys) -> RunConfig:
-    cfg = RunConfig(**vars(defaults))
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    casts = {"n_exp": int, "levels": int, "smoothing": int, "max_iters": int,
-             "seed": int, "lam": float, "tol": float}
-    for key, value in file_values.items():
-        if key == "algo":
-            key = "algorithm"
-        if key not in keys:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, casts.get(key, str)(value))
-    for key in keys:
-        flag = getattr(args, "algo" if key == "algorithm" else key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    return cfg
-
-
-def _draw_start(cfg: RunConfig, dim: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+def _draw_start(seed: int, dim: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(seed))
     return rng.uniform(0.0, 1.0, size=dim)
 
 
-def _setup(cfg: RunConfig):
-    """Returns (problem, stack); the stack is None when levels cannot be built."""
-    if cfg.problem == "eop":
-        n_side = 2**cfg.n_exp - 1
-        stack = build_obstacle_hierarchy(n_side, cfg.lam, cfg.levels, cfg.smoothing)
-        return stack.fine.problem, stack
-    stack = build_chain_hierarchy(2**cfg.n_exp, cfg.lam, cfg.levels, cfg.smoothing,
-                                  seed=cfg.seed)
-    return stack.fine.problem, stack
+def _setup(args):
+    """The level stack of the requested problem."""
+    if args.problem == "eop":
+        return build_obstacle_hierarchy(2**args.n_exp - 1, args.lam, args.levels,
+                                        args.smoothing)
+    return build_chain_hierarchy(2**args.n_exp, args.lam, args.levels, args.smoothing,
+                                 seed=args.seed)
 
 
-def _run_algorithm(algo: str, problem, stack, x0, cfg: RunConfig):
-    stop = StoppingRule(cfg.max_iters, cfg.tol)
+def _run_algorithm(algo: str, stack, x0, args):
+    stop = StoppingRule(args.max_iters, args.tol)
     if algo in ("mgprox", "kocvara3", "fastmgprox"):
         cycle_cfg = CycleConfig(variant="kocvara3" if algo == "kocvara3" else "mgprox",
-                                step_mode=cfg.step_mode)
+                                step_mode=args.step_mode)
         if algo == "fastmgprox":
             return fastmgprox_solve(stack, x0, stop, cycle_cfg)
         return mgprox_solve(stack, x0, stop, cycle_cfg)
     if algo == "proxgrad":
-        return proxgrad_solve(problem, x0, stop)
+        return proxgrad_solve(stack.fine.problem, x0, stop)
     if algo == "fista":
-        return fista_solve(problem, x0, stop)
+        return fista_solve(stack.fine.problem, x0, stop)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -187,46 +160,38 @@ def _write_csv(path: str, trace, wall_time: bool):
                      f"{trace.rel_g_norms[k]:.15e},{a}\n")
 
 
-_SOLVE_KEYS = ("problem", "n_exp", "lam", "levels", "smoothing", "algorithm",
-               "tol", "max_iters", "seed", "step_mode")
-
-
 def cmd_solve(args) -> int:
-    cfg = _merge_config(args, RunConfig(), _SOLVE_KEYS)
-    if args.out is not None:
-        cfg.out = args.out
-    problem, stack = _setup(cfg)
-    x0 = _draw_start(cfg, problem.dim)
-    x, trace = _run_algorithm(cfg.algorithm, problem, stack, x0, cfg)
-    if cfg.out:
-        _write_csv(cfg.out, trace, args.wall_time)
+    stack = _setup(args)
+    problem = stack.fine.problem
+    x, trace = _run_algorithm(args.algo, stack, _draw_start(args.seed, problem.dim), args)
+    if args.out:
+        _write_csv(args.out, trace, args.wall_time)
     final_rel = trace.rel_g_norms[-1] if trace.rel_g_norms else 0.0
     gap = (problem.objective(x) - trace.best_objective()) / abs(trace.objective_initial)
     mode_note = f" step_mode={trace.meta['step_mode']}" if "step_mode" in trace.meta else ""
-    print(f"{cfg.algorithm}: iterations={trace.iterations} rel_norm={final_rel:.3e} "
+    print(f"{args.algo}: iterations={trace.iterations} rel_norm={final_rel:.3e} "
           f"rel_gap={gap:.3e} converged={trace.converged}{mode_note}")
     return 0 if trace.converged else 1
 
 
 def cmd_compare(args) -> int:
-    cfg = _merge_config(args, RunConfig(step_mode="backtracking"),
-                        tuple(k for k in _SOLVE_KEYS if k != "algorithm"))
-    x0 = _draw_start(cfg, cfg.fine_size())
     # solvers keep their per-solve state in workspaces of their own, so they
     # share one stack and no row depends on the run order
-    problem, stack = _setup(cfg)
+    stack = _setup(args)
+    problem = stack.fine.problem
+    x0 = _draw_start(args.seed, problem.dim)
     results = {}
     for algo in ALGORITHMS:
         start = time.perf_counter()
-        x, trace = _run_algorithm(algo, problem, stack, x0.copy(), cfg)
+        x, trace = _run_algorithm(algo, stack, x0.copy(), args)
         elapsed = time.perf_counter() - start
         results[algo] = (x, trace, elapsed)
         _write_csv(f"{args.out_prefix}_{algo}.csv", trace, args.wall_time)
     f_min = min(res[1].best_objective() for res in results.values())
     f_ini = abs(next(iter(results.values()))[1].objective_initial)
-    print(f"problem={cfg.problem} n={problem.dim} lam={cfg.lam:g} levels={cfg.levels} "
-          f"smoothing={cfg.smoothing} tol={cfg.tol:g} seed={cfg.seed} "
-          f"step_mode={cfg.step_mode}")
+    print(f"problem={args.problem} n={problem.dim} lam={args.lam:g} levels={args.levels} "
+          f"smoothing={args.smoothing} tol={args.tol:g} seed={args.seed} "
+          f"step_mode={args.step_mode}")
     print(f"{'algorithm':<12} {'iterations':>10} {'time_s':>10} {'(F - F_min)/F_ini':>18}")
     for algo, (x, trace, elapsed) in results.items():
         gap = (problem.objective(x) - f_min) / f_ini
@@ -250,9 +215,16 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's entries are parsed as the flags they name, ahead of
+            # the command line, so that an explicit flag (parsed last) wins
+            keys = set(vars(args)) - {"command", "config"}
+            args = parser.parse_args([argv[0], *_config_flags(args.config, keys),
+                                      *argv[1:]])
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "compare":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -38,13 +38,16 @@ from .transfer import adaptive_mask, prolong_adaptive
 # norm, or after this many steps
 COARSE_REL_TOL = 1e-12
 COARSE_MAX_ITERS = 100000
+# the coarse-correction line search gives up, with a zero step, once its step
+# has halved down to this
+LINE_SEARCH_MIN_STEP = 1e-15
 
 
 @dataclass
 class CycleConfig:
     """Knobs for one V-cycle; defaults match the benchmark protocol."""
 
-    alpha_init: float = 1.0
+    alpha_init: ClassVar[float] = 1.0  # first step of the line search
     variant: str = "mgprox"        # "mgprox" | "kocvara3"
     step_mode: str = "fixed"       # "fixed" | "backtracking"
     coarse_mode: str = "smoothing"  # "smoothing" (budgeted steps) | "exact" (to tolerance)
@@ -56,8 +59,6 @@ class CycleConfig:
                               ("coarse_mode", ("smoothing", "exact"))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-        if self.alpha_init <= 0:
-            raise ValueError("the initial line-search step must be positive")
 
 
 @dataclass
@@ -90,20 +91,20 @@ class CycleTrace:
 
 
 def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
-                      p: np.ndarray, f_y: float, alpha_init: float = 1.0,
-                      tol: float = 1e-15) -> tuple[np.ndarray, float, float]:
-    """First alpha in {a0, a0/2, ...} with objective(y + alpha p) <= objective(y).
+                      p: np.ndarray, f_y: float) -> tuple[np.ndarray, float, float]:
+    """First alpha in {a0, a0/2, ...} with objective(y + alpha p) <= objective(y),
+    where a0 = ``CycleConfig.alpha_init``.
 
-    Falls back to (y, 0) once alpha drops to the tolerance; a zero step is the
-    defined behavior, not an error.  Returns (z, alpha, objective(z)).
+    Falls back to (y, 0) once alpha drops to ``LINE_SEARCH_MIN_STEP``; a zero
+    step is the defined behavior, not an error.  Returns (z, alpha, objective(z)).
     """
-    alpha = alpha_init
+    alpha = CycleConfig.alpha_init
     while True:
         z = y + alpha * p
         f_z = objective(z)
         if f_z <= f_y:
             return z, alpha, f_z
-        if alpha > tol:
+        if alpha > LINE_SEARCH_MIN_STEP:
             alpha *= 0.5
         else:
             return y, 0.0, f_y
@@ -194,7 +195,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     f_y = trace.stage_objectives[1] if at_finest else tilted_objective(problem, tau, y,
                                                                         fg_y[0])
     z, alpha, f_z = naive_line_search(lambda v: tilted_objective(problem, tau, v),
-                                      y, p, f_y, config.alpha_init)
+                                      y, p, f_y)
     trace.alphas[ell] = alpha
     if at_finest:
         trace.stage_objectives.append(f_z)

@@ -60,7 +60,7 @@ def golden_section(h, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def brute_force_prox(g_scalar, v: float, step: float, bracket=None,
+def brute_force_prox(g_scalar, v: float, step: float, bracket: tuple[float, float],
                      tol: float = 1e-10) -> float:
     """Minimizer of step * g(t) + 0.5 (t - v)^2 by golden-section search.
 
@@ -70,8 +70,6 @@ def brute_force_prox(g_scalar, v: float, step: float, bracket=None,
     the input dtype.  The bracket must contain the minimizer; convexity of g
     guarantees unimodality.
     """
-    if bracket is None:
-        raise ValueError("bracket required")
     lo, hi = bracket
     if not lo <= hi:
         raise ValueError("empty bracket")

@@ -112,12 +112,6 @@ def backtrack_L(problem: CompositeProblem, tau, x: np.ndarray, L0: float,
     raise RuntimeError(f"backtracking exceeded {MAX_DOUBLINGS} doublings; last L = {L / 2.0}")
 
 
-def check_sufficient_descent(F_before: float, F_after: float, G_norm: float,
-                             L: float, slack: float = 1e-12) -> bool:
-    """Whether F_after <= F_before - ||G||^2 / (2L) up to the given slack."""
-    return F_after <= F_before - G_norm * G_norm / (2.0 * L) + slack
-
-
 @dataclass
 class SmoothResult:
     """Outcome of a block of smoothing steps."""

@@ -119,6 +119,44 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(read(out).splitlines()) - 1 == 5   # file value still applies
 
 
+@pytest.mark.parametrize("key, value, extra", [
+    ("problem", "EOP", []),
+    ("tol", "-1", []),
+    ("max-iters", "0", []),
+    ("n-exp", "0", []),
+    ("algo", "sgd", []),
+    ("step-mode", "wild", ["--algo", "proxgrad"]),
+])
+def test_config_file_values_get_the_flag_checks(tmp_path, capsys, key, value, extra):
+    # a file entry is parsed as the flag it names: same exit status, same message
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", f"--{key}", value, *extra])
+    assert exc.value.code == 2
+    flag_err = capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg), *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--{key}" in err
+    assert err == flag_err
+
+
+def test_compare_config_file_with_flag_override(tmp_path, capsys):
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text("n_exp = 3\nlevels = 2\nmax-iters = 5\nstep-mode = fixed\nseed = 9\n",
+                   encoding="utf-8")
+    main(["compare", "--config", str(cfg), "--seed", "4", "--out-prefix", str(tmp_path / "f")])
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == ("problem=eop n=49 lam=1e-06 levels=2 smoothing=20 tol=1e-10 "
+                      "seed=4 step_mode=fixed")  # the flag's seed, the file's step mode
+    main(["compare", "--n-exp", "3", "--levels", "2", "--max-iters", "5",
+          "--step-mode", "fixed", "--seed", "4", "--out-prefix", str(tmp_path / "a")])
+    for algo in ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3"):
+        assert (tmp_path / f"f_{algo}.csv").read_bytes() == (tmp_path / f"a_{algo}.csv").read_bytes()
+
+
 def test_bad_config_key_is_reported(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("niter = 5\n", encoding="utf-8")

@@ -24,8 +24,8 @@ def test_brute_force_prox_reproduces_hinge_cases():
     for v, expected in cases:
         got = brute_force_prox(lambda t: max(-t, 0.0), v, 1.0, bracket=(v - 11, v + 11))
         assert abs(got - expected) <= 1e-8
-    with pytest.raises(ValueError):
-        brute_force_prox(lambda t: abs(t), 0.0, 1.0)
+    with pytest.raises(ValueError, match="empty bracket"):
+        brute_force_prox(lambda t: abs(t), 0.0, 1.0, bracket=(1.0, -1.0))
 
 
 def test_power_iteration_against_dense_eigenvalues():
