@@ -14,7 +14,8 @@ from .accelerated import (FastState, fast_step, fastmgprox_solve,
 from .baselines import fista_solve, proxgrad_solve
 from .certificates import (SCOPES, CertificateReport, CertificateResult,
                            certify_run, check_angle_condition, check_converged,
-                           check_fast_certificates, check_fixed_point, check_linear_rate,
+                           check_fast_certificates, check_fixed_point,
+                           check_linear_rate, check_lipschitz_bound,
                            check_mgprox_sufficient_descent, check_one_over_k,
                            check_smoothing_descent, check_stage_monotonicity,
                            check_work_units)
@@ -32,7 +33,8 @@ from .oracles import (Reference, brute_force_prox, build_chain_hierarchy,
                       chain_constants, fd_gradient, golden_section,
                       make_chain_problem, reference_solution)
 from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues,
-                       laplacian_1d, power_iteration, tilted_objective)
+                       laplacian_1d, power_iteration, start_points,
+                       tilted_objective)
 from .smoothing import (SmoothResult, StepScratch, backtrack_L, prox_grad_map,
                         prox_grad_step, run_smoothing)
 from .transfer import (TransferPair, adaptive_mask, build_full_weighting,

@@ -15,17 +15,19 @@ the same things at the same settings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .accelerated import fastmgprox_solve, lambda_rate_bound
 from .hierarchy import LevelStack, build_obstacle_hierarchy
-from .membrane import make_obstacle_problem
+from .membrane import build_difference_operators, make_obstacle_problem
 from .multigrid import (CycleConfig, SolverTrace, StoppingRule, cycle_work_units,
                         mgprox_solve, vcycle)
 from .nonsmooth import SeparableNonsmooth
 from .oracles import (brute_force_prox, build_chain_hierarchy, chain_constants,
                       fd_gradient, reference_solution)
+from .problems import power_iteration, start_points
 
 # Tolerances of the checks.  A slack is added to the side of an inequality
 # that must be the larger; a relative one is scaled by max(1, |F|).
@@ -266,6 +268,28 @@ def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
     return results
 
 
+def check_lipschitz_bound(stack: LevelStack) -> CertificateResult:
+    """Each level's step bound L_est is at least lambda_max(D^T D + E^T E).
+
+    That operator is the membrane energy's Hessian at u = 0 and bounds it
+    everywhere (see ``lipschitz_upper_bound``), so a fixed 1/L_est step
+    obeys the descent lemma only when this holds.  lambda_max comes from
+    power iteration on the sparse difference operators, not the stencil;
+    its Rayleigh quotient approaches lambda_max from below, so the check is
+    numerical and the proof is the bound's derivation.  The margin is the
+    least L_est - lambda_max over the levels, and the detail lists each.
+    """
+    margins = []
+    for lev in stack.levels:
+        D, E = build_difference_operators(lev.grid)
+        margins.append(lev.L_est - power_iteration(D.T @ D + E.T @ E))
+    sides = "/".join(str(lev.grid.n_side) for lev in stack.levels)
+    worst = min(margins)
+    return CertificateResult("lipschitz-bound", bool(worst >= 0.0), float(worst),
+                             f"margins at n = {sides}: "
+                             + " / ".join(f"{m:.3e}" for m in margins))
+
+
 def check_converged(trace: SolverTrace, rel_tol: float, name: str) -> CertificateResult:
     """The run met its relative prox-gradient tolerance within its budget."""
     rel = trace.rel_g_norms[-1] if trace.rel_g_norms else 0.0
@@ -294,10 +318,6 @@ def certify_run(trace: SolverTrace, stack: LevelStack, x_star: np.ndarray,
 
 
 # The verification suite: one function per ``proxmg verify`` scope.
-
-def _start(seed: int, dim: int) -> np.ndarray:
-    return np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 1.0, size=dim)
-
 
 def _obstacle_reference(n_side: int, lam: float, levels: int, seed: int):
     stack = build_obstacle_hierarchy(n_side, lam, levels, 20)
@@ -363,13 +383,12 @@ def verify_mgprox(seed: int) -> list[CertificateResult]:
     """Every cycle certificate of the n = 15 solves to 1e-10 from the first
     three start points of the seed's stream, each at its worst margin over
     the three runs.  Together they must take at least 40 cycles, so that the
-    certificates see long runs."""
+    certificates see long runs.  Last, the stack's step bounds against the
+    curvature, level by level."""
     stack, ref = _obstacle_reference(15, 1e-6, 3, seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
     per_run: dict[str, list[CertificateResult]] = {}
     cycles = []
-    for _ in range(3):
-        x0 = rng.uniform(0.0, 1.0, size=stack.fine.problem.dim)
+    for x0 in islice(start_points(seed, stack.fine.problem.dim), 3):
         _, trace = mgprox_solve(stack, x0, StoppingRule(400, 1e-10))
         cycles.append(trace.iterations)
         for r in [check_converged(trace, 1e-10, "mgprox-converged"),
@@ -380,7 +399,7 @@ def verify_mgprox(seed: int) -> list[CertificateResult]:
     results.insert(1, CertificateResult(
         "mgprox-cycles", spare >= 0, float(spare),
         f"{' + '.join(map(str, cycles))} = {sum(cycles)} cycles, 40 required"))
-    return results
+    return results + [check_lipschitz_bound(stack)]
 
 
 def verify_linear_rate(seed: int) -> list[CertificateResult]:
@@ -388,7 +407,7 @@ def verify_linear_rate(seed: int) -> list[CertificateResult]:
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
     mu, L = chain_constants(stack.fine.problem)
     ref = reference_solution(stack, tol=1e-12, seed=seed)
-    _, trace = mgprox_solve(stack, _start(seed, 64), StoppingRule(3000, 1e-12))
+    _, trace = mgprox_solve(stack, next(start_points(seed, 64)), StoppingRule(3000, 1e-12))
     return [check_converged(trace, 1e-12, "linear-rate-converged"),
             check_linear_rate(trace, ref.objective, mu, L)]
 
@@ -396,7 +415,7 @@ def verify_linear_rate(seed: int) -> list[CertificateResult]:
 def verify_fast(seed: int) -> list[CertificateResult]:
     """Estimate-sequence certificates over 200 accelerated iterations."""
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
-    _, trace = fastmgprox_solve(stack, _start(seed, 64), StoppingRule(200, 0.0))
+    _, trace = fastmgprox_solve(stack, next(start_points(seed, 64)), StoppingRule(200, 0.0))
     return check_fast_certificates(trace, trace.meta["gamma0"], stack.fine.L_est)
 
 
@@ -417,7 +436,7 @@ def verify_negative_controls(seed: int) -> list[CertificateResult]:
     coarse = check_fixed_point(stack, ref.x, kocvara)[1]
 
     chain = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
-    _, trace = mgprox_solve(chain, _start(seed, 64), StoppingRule(10, 0.0))
+    _, trace = mgprox_solve(chain, next(start_points(seed, 64)), StoppingRule(10, 0.0))
     trace.cycles[3].stage_objectives[2] = trace.cycles[3].stage_objectives[1] + 1.0
     return [
         _control("negative-control-tau", tau, "flipped tau breaks fixed point"),

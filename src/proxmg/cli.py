@@ -12,7 +12,8 @@ is left empty unless ``--wall-time`` is passed, so that fixed-seed runs are
 bit-identical; ``coarse_alpha`` is empty for single-level solvers.
 
 Starting points are drawn uniformly from [0, 1]^n with numpy's PCG64
-generator seeded by ``--seed``, so runs are reproducible and portable.
+generator seeded by ``--seed`` (``problems.start_points``, the draw ``verify``
+starts from too), so runs are reproducible and portable.
 
 ``--config`` reads a flat ``key = value`` file whose keys are the
 subcommand's long flags without the leading dashes (``n-exp`` or ``n_exp``).
@@ -29,14 +30,13 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from .accelerated import fastmgprox_solve
 from .baselines import fista_solve, proxgrad_solve
 from .certificates import SCOPES, CertificateReport
 from .hierarchy import build_obstacle_hierarchy
 from .multigrid import CycleConfig, StoppingRule, mgprox_solve
 from .oracles import build_chain_hierarchy
+from .problems import start_points
 
 ALGORITHMS = ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3")
 
@@ -120,11 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _draw_start(seed: int, dim: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.uniform(0.0, 1.0, size=dim)
-
-
 def _setup(args):
     """The level stack of the requested problem."""
     if args.problem == "eop":
@@ -163,7 +158,8 @@ def _write_csv(path: str, trace, wall_time: bool):
 def cmd_solve(args) -> int:
     stack = _setup(args)
     problem = stack.fine.problem
-    x, trace = _run_algorithm(args.algo, stack, _draw_start(args.seed, problem.dim), args)
+    x0 = next(start_points(args.seed, problem.dim))
+    x, trace = _run_algorithm(args.algo, stack, x0, args)
     if args.out:
         _write_csv(args.out, trace, args.wall_time)
     final_rel = trace.rel_g_norms[-1] if trace.rel_g_norms else 0.0
@@ -179,7 +175,7 @@ def cmd_compare(args) -> int:
     # share one stack and no row depends on the run order
     stack = _setup(args)
     problem = stack.fine.problem
-    x0 = _draw_start(args.seed, problem.dim)
+    x0 = next(start_points(args.seed, problem.dim))
     results = {}
     for algo in ALGORITHMS:
         start = time.perf_counter()

@@ -16,7 +16,8 @@ from .baselines import fista_solve
 from .hierarchy import Level, LevelStack
 from .multigrid import CycleConfig, StoppingRule, mgprox_solve
 from .nonsmooth import SeparableNonsmooth
-from .problems import CompositeProblem, QuadraticForm, extreme_eigenvalues, laplacian_1d
+from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues, laplacian_1d,
+                       start_points)
 from .smoothing import prox_grad_map
 from .transfer import build_line_weighting
 
@@ -156,8 +157,7 @@ def reference_solution(stack: LevelStack, tol: float = 1e-12, seed: int = 0,
     problem = stack.fine.problem
     L0 = stack.fine.L_est
     if x0 is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        x0 = rng.uniform(0.0, 1.0, size=problem.dim)
+        x0 = next(start_points(seed, problem.dim))
     gn0 = float(np.linalg.norm(prox_grad_map(problem, None, x0, L0)))
     abs_tol = tol * gn0
 

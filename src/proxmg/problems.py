@@ -81,6 +81,16 @@ class QuadraticForm:
         return float(0.5 * np.dot(x, Ax) - np.dot(self.b, x)), Ax - self.b
 
 
+def start_points(seed: int, dim: int):
+    """Start points uniform on [0, 1]^dim, one after another from one PCG64
+    stream seeded with ``seed``.  The first is the start of ``proxmg solve
+    --seed``, of ``compare`` and of the verify runs, so all of them begin at
+    the same array for the same seed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    while True:
+        yield rng.uniform(0.0, 1.0, size=dim)
+
+
 def laplacian_1d(n: int) -> sp.csr_array:
     """The n x n tridiagonal (-1, 2, -1) matrix (unscaled 1-D Dirichlet Laplacian)."""
     main = 2.0 * np.ones(n)

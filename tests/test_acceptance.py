@@ -1,6 +1,6 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-Criteria 1-8, 12 and 13 run the scopes of ``proxmg verify`` (the table
+Criteria 1-8 and 12-14 run the scopes of ``proxmg verify`` (the table
 ``proxmg.certificates.SCOPES``) at its default seed 0 and assert on the
 certificates they return, so the gate and the command check the same things
 at the same settings; each line prints those certificates' margins.  The
@@ -146,3 +146,7 @@ def test_criterion_13_contact_fixed_point():
                         ["contact-reference-accuracy", "contact-fixed-point-fine",
                          "contact-fixed-point-coarse", "contact-fixed-point-objective",
                          "contact-fixed-point-mask"], control.passed, "; " + describe(control))
+
+
+def test_criterion_14_lipschitz_bound():
+    report_certificates(14, "mgprox", ["lipschitz-bound"])

@@ -12,8 +12,6 @@ def test_multigrid_is_fastest_in_iterations_on_the_63_grid():
     stack = build_obstacle_hierarchy(63, 1e-6, 5, 20)
     rng = np.random.Generator(np.random.PCG64(0))
     x0 = rng.uniform(0, 1, size=stack.fine.problem.dim)
-    # backtracking steps: the declared curvature bound is far too conservative
-    # at this scale for fixed 1/L smoothing to be competitive
     x, tr = mgprox_solve(stack, x0.copy(), StoppingRule(600, 1e-10),
                          CycleConfig(step_mode="backtracking"))
     assert tr.converged
@@ -25,11 +23,10 @@ def test_multigrid_is_fastest_in_iterations_on_the_63_grid():
     assert not tr_p.converged
 
 
-def _backtracking_cycles(n_side, num_levels):
+def _cycles(n_side, num_levels, step_mode):
     stack = build_obstacle_hierarchy(n_side, 1e-6, num_levels, 20)
     x0 = np.random.Generator(np.random.PCG64(0)).uniform(0, 1, size=stack.fine.problem.dim)
-    _, tr = mgprox_solve(stack, x0, StoppingRule(600, 1e-10),
-                         CycleConfig(step_mode="backtracking"))
+    _, tr = mgprox_solve(stack, x0, StoppingRule(600, 1e-10), CycleConfig(step_mode=step_mode))
     assert tr.converged
     return tr.iterations
 
@@ -41,5 +38,13 @@ def test_cycle_count_is_mesh_independent():
     the free edges at i = 1 and j = 1 treated as clamped, the count grows
     from 30 at n = 15 to beyond 600 at n = 127.
     """
-    coarse, fine = _backtracking_cycles(15, 3), _backtracking_cycles(127, 6)
+    coarse, fine = _cycles(15, 3, "backtracking"), _cycles(127, 6, "backtracking")
+    assert fine <= 2 * coarse, (coarse, fine)
+
+
+def test_fixed_step_cycle_count_is_mesh_independent():
+    """The same with fixed 1/L steps, which holds only while each level's L
+    tracks its curvature: with sqrt(3) n^2 / h, about 27 times the curvature
+    at n = 127, the count grows from 18 at n = 15 to 280 at n = 127."""
+    coarse, fine = _cycles(15, 3, "fixed"), _cycles(127, 6, "fixed")
     assert fine <= 2 * coarse, (coarse, fine)

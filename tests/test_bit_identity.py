@@ -6,6 +6,7 @@ and the solvers must return the same bytes on an energy built from them.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -130,3 +131,15 @@ def _solve_all(lam, x0, sparse):
 def test_solvers_return_the_same_bytes_on_the_sparse_oracle_energy(lam):
     x0 = np.random.Generator(np.random.PCG64(42)).uniform(0.0, 1.0, 225)
     assert _solve_all(lam, x0, sparse=False) == _solve_all(lam, x0, sparse=True)
+
+
+def test_backtracking_mgprox_iterate_does_not_depend_on_the_step_bound():
+    """Backtracking never reaches its cap 4 L_est, so the tighter bound
+    8 / h^2 (replacing sqrt(3) n^2 / h) left these bytes where they were."""
+    stack = build_obstacle_hierarchy(63, 1e-6, 5, 20)
+    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=63 * 63)
+    x, tr = mgprox_solve(stack, x0, StoppingRule(600, 1e-10),
+                         CycleConfig(step_mode="backtracking"))
+    assert tr.converged and tr.iterations == 18
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "7240b07576c289654c3ed8f1c3e4fbe658416f9f268253c157666ceceb473717")

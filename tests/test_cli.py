@@ -1,7 +1,9 @@
 import argparse
 
+import numpy as np
 import pytest
 
+from proxmg import certificates, cli
 from proxmg.certificates import SCOPES
 from proxmg.cli import _build_parser, main
 
@@ -199,6 +201,28 @@ def test_verify_fixed_point_certifies_a_masked_contact_cycle(capsys):
                      "contact-fixed-point-mask"]
     assert all("margin=" in line for line in contact)
     assert int(contact[-1].split("fine mask ")[1].split()[0]) > 0
+
+
+class Started(Exception):
+    """Raised by a stand-in solver once it has seen its start point."""
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_solve_and_verify_start_from_the_same_array(seed, monkeypatch):
+    starts = []
+
+    def record(stack, x0, *args, **kwargs):
+        starts.append(x0.copy())
+        raise Started
+
+    monkeypatch.setattr(cli, "mgprox_solve", record)
+    monkeypatch.setattr(certificates, "mgprox_solve", record)
+    with pytest.raises(Started):
+        main(["solve", "--n-exp", "4", "--levels", "3", "--seed", str(seed)])
+    with pytest.raises(Started):
+        SCOPES["mgprox"](seed)
+    assert starts[0].shape == (225,)
+    np.testing.assert_array_equal(starts[0], starts[1])
 
 
 def test_compare_rows_match_standalone_solves(tmp_path):

@@ -18,32 +18,32 @@ ARGS = ["compare", "--n-exp", "4", "--levels", "3", "--max-iters", "60", "--seed
 
 DIGESTS = {
     ("fixed", "1e-6"): {
-        "mgprox": "4ff1b8ecefcc1dc71b54e7b1ef42da40a7f8cfc0cd67f966ceb81e6694b1651a",
-        "fastmgprox": "40e65a4d8969533fb46f89ef8b12d0c1b91a1e125f7e8a55c77b211919e9eb28",
-        "proxgrad": "a4cd1372b40dbbcd6fdfc8ef95c003ec51d63a275a924844dd4c390bfad99853",
-        "fista": "7d58d0590e4d905bb2f2d9d48ef7819f38267e567b3a33aea1ef867320ba481f",
-        "kocvara3": "16c59ad715cee4978cb03e18e4ad9e4158f190ea35859650c0faf8ebcc4ae381",
+        "mgprox": "761da5935f75e2ef51e85ef3c4d0bbc0a30858c580b20227ba76d2794cd74236",
+        "fastmgprox": "3b857ea6a1c2b7b6c031a2d226bf14239160a85cd5ac083eb30b5554f5275e5e",
+        "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
+        "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
+        "kocvara3": "f1ea6ded027e84711814f36721a1ed0a1269ebea25a9eeccc40765e055484556",
     },
     ("fixed", "100"): {
-        "mgprox": "743c37bd08c097d598841cd60d7bebe2d3e09d022de5f581e99980fb3d8aed67",
-        "fastmgprox": "c8971ced13dadc21bb09832eba1d1585a0481d054f1eae667d0e7637b38b2662",
-        "proxgrad": "96f42e2a8e756b308eb809b46922ff5f424d47701dc5e50f03e1f3af777dad44",
-        "fista": "21baad1aba801420571d9cfd12c14f8cb4ce71eda7e46059f3279251277e2655",
-        "kocvara3": "ae459f530942045f0685b4267e8b15a131c20455fce3152f6d932151522d4694",
+        "mgprox": "dd5df73e9a142d182f9a25f2b8aa9609873894f9a8d095357eff88829301a4d8",
+        "fastmgprox": "82e95a484188a4d829bf3c63f8e50e846d8d058d838d4c0f46a85c464b7cdd4b",
+        "proxgrad": "db2556ed518e6c89a91f856031041cb6f4eabaaac888bf8bf7c0c0c9aee4733f",
+        "fista": "07335055a6f79233c27671922964aed0d6f73b4da30760a870dbc4d02d4ef825",
+        "kocvara3": "f8f09b92a981be6f4d992105628d493738fc3ac4169589c6996422196c05f6b1",
     },
     ("backtracking", "1e-6"): {
-        "mgprox": "47f68925c27ae45dc28ce371982d41f401d0850e73ba42dce66b1c3cef74085f",
-        "fastmgprox": "f0de75a9c8b0132f3ea09ab1ba6926b749c045e5f8335b3093da8f986daad167",
-        "proxgrad": "a4cd1372b40dbbcd6fdfc8ef95c003ec51d63a275a924844dd4c390bfad99853",
-        "fista": "7d58d0590e4d905bb2f2d9d48ef7819f38267e567b3a33aea1ef867320ba481f",
-        "kocvara3": "f6aaa794d1b17b865fff2aa20e47ede9c101bdf25db42865b1ea64f80bee21a3",
+        "mgprox": "1b1cb22a30507b12d335989bfa072476a79cad305c3a15dd7bb67563f56fdabc",
+        "fastmgprox": "3f4a69c8ce5011c86e831d0d85f6e8cb5e0e64cbd2ef5665bd3d38e8853f3a1d",
+        "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
+        "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
+        "kocvara3": "0ebdffdeb7cbbfb364189fd928ec2419650fe2ff18676f1f631db41b5978c717",
     },
     ("backtracking", "100"): {
-        "mgprox": "824f5fedce2721ad3c5d16810992890506f4e4bdbee7a57ae468cab7ef67e076",
-        "fastmgprox": "afb2561aaa9c85a358c2add493cdaf26850a54e5595a5de0f942542e9eee68cc",
-        "proxgrad": "96f42e2a8e756b308eb809b46922ff5f424d47701dc5e50f03e1f3af777dad44",
-        "fista": "21baad1aba801420571d9cfd12c14f8cb4ce71eda7e46059f3279251277e2655",
-        "kocvara3": "f85581af8d56222ce54eaf00290253d33dc861a3c7a08b7ce6b4fc3571e0ea30",
+        "mgprox": "f59191c0af5773b62395c18fce1088d76b0f74d149c9e3d9bb6e555022791ade",
+        "fastmgprox": "3ba8309545bbddc210628d9555dfc43f083e5fceda0a524cc429a7c721d2b267",
+        "proxgrad": "db2556ed518e6c89a91f856031041cb6f4eabaaac888bf8bf7c0c0c9aee4733f",
+        "fista": "07335055a6f79233c27671922964aed0d6f73b4da30760a870dbc4d02d4ef825",
+        "kocvara3": "12b5f7abf8ec9c3e29133f572ad2a910b1cac43bc0742b8325ba2bddfd303f0c",
     },
 }
 

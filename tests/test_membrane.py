@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from proxmg import membrane
+from proxmg.certificates import check_lipschitz_bound
 from proxmg.grid import GridLevel, ij_to_k
+from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.membrane import (build_difference_operators, lipschitz_upper_bound,
                              make_obstacle_problem, obstacle_values)
 from proxmg.oracles import fd_gradient
+from proxmg.problems import power_iteration
 
 
 def test_difference_operator_entries_follow_the_index_rule():
@@ -101,11 +105,48 @@ def test_gradient_matches_finite_differences(n_side):
         assert rel <= 1e-6
 
 
-def test_lipschitz_bound_values():
-    assert lipschitz_upper_bound(GridLevel(0, 3)) == pytest.approx(math.sqrt(3) * 9 / 0.25)
-    assert lipschitz_upper_bound(GridLevel(0, 3)) == pytest.approx(62.3538, abs=1e-4)
-    assert lipschitz_upper_bound(GridLevel(0, 1)) == pytest.approx(3.4641, abs=1e-4)
-    assert lipschitz_upper_bound(GridLevel(0, 7)) > lipschitz_upper_bound(GridLevel(0, 3))
+def _curvature_operator(n_side):
+    """D^T D + E^T E, the membrane Hessian's upper bound in the Loewner order."""
+    D, E = build_difference_operators(GridLevel(0, n_side))
+    return D.T @ D + E.T @ E
+
+
+@pytest.mark.parametrize("n_side", [1, 3, 7, 15, 31, 63])
+def test_lipschitz_bound_covers_the_curvature_operator(n_side):
+    bound = lipschitz_upper_bound(GridLevel(0, n_side))
+    lam_max = power_iteration(_curvature_operator(n_side))
+    assert bound >= lam_max
+    if n_side >= 7:
+        assert bound <= 1.05 * lam_max, (bound, lam_max)
+
+
+def test_lipschitz_bound_is_exact_at_small_sizes():
+    # 8 / h^2 with 1/h = n_side + 1, a power of two
+    assert lipschitz_upper_bound(GridLevel(0, 1)) == 32.0
+    assert lipschitz_upper_bound(GridLevel(0, 3)) == 128.0
+    assert lipschitz_upper_bound(GridLevel(0, 7)) == 512.0
+
+
+def test_fixed_step_descends_along_the_top_curvature_direction():
+    """Near u = 0 the Hessian is D^T D + E^T E, so a 1/L step along its top
+    eigenvector obeys the descent lemma only if L is at least its top
+    eigenvalue (103.9 at n = 3)."""
+    p = make_obstacle_problem(3)
+    L = p.smooth.lipschitz
+    x = 1e-2 * np.linalg.eigh(_curvature_operator(3).toarray())[1][:, -1]
+    fx, gx = p.smooth.value_and_grad(x)
+    y = x - gx / L
+    rhs = fx + gx @ (y - x) + 0.5 * L * np.sum((y - x) ** 2)
+    assert p.smooth.value(y) <= rhs
+
+
+def test_lipschitz_bound_certificate_fails_a_bound_below_the_curvature(monkeypatch):
+    # sqrt(3) n^2 / h is 62.35 at n = 3, where lambda_max is 103.90
+    monkeypatch.setattr(membrane, "lipschitz_upper_bound",
+                        lambda grid: math.sqrt(3.0) * grid.n_side**2 / grid.h)
+    cert = check_lipschitz_bound(build_obstacle_hierarchy(15, 1e-6, 3))
+    assert not cert.passed and cert.detail.startswith("margins at n = 15/7/3")
+    assert cert.margin == pytest.approx(62.3538 - 103.9033, abs=1e-3)
 
 
 def test_obstacle_samples():
