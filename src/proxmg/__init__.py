@@ -35,8 +35,8 @@ from .oracles import (Reference, brute_force_prox, build_chain_hierarchy,
 from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues,
                        laplacian_1d, power_iteration, start_points,
                        tilted_objective)
-from .smoothing import (SmoothResult, StepScratch, backtrack_L, prox_grad_map,
-                        prox_grad_step, run_smoothing)
+from .smoothing import (SmoothResult, backtrack_L, prox_grad_map, prox_grad_step,
+                        run_smoothing)
 from .transfer import (TransferPair, adaptive_mask, build_full_weighting,
                        build_line_weighting, prolong_adaptive,
                        restrict_adaptive)

@@ -87,7 +87,7 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     gamma_next = (1.0 - alpha) * state.gamma
     y = alpha * state.z + (1.0 - alpha) * x
     f_y, grad_y = problem.smooth.value_and_grad(y)
-    w = prox_grad_step(problem, None, y, L, grad_y, work[0].step)
+    w = prox_grad_step(problem, None, y, L, grad_y, work[0])
     G_y = L * (y - w)
     F_y = problem.objective(y, f_y)
     x_next, ctrace = vcycle(stack, w, config, work=work)
@@ -122,8 +122,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     work = workspace(stack, config.step_mode)
     L0 = stack.fine.L_est
     trace = SolverTrace(algorithm="fastmgprox")
-    trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
-                      num_levels=len(stack), gamma0=L0, L0=L0)
+    trace.meta.update(step_mode=config.step_mode, gamma0=L0)
     trace.extras = {key: [] for key in ("alpha", "lam", "gamma", "phi_bar", "F_y",
                                         "g_norm_y", "alpha_residual")}
     state = None
@@ -138,4 +137,4 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
             series.append(diag[key])
         return x_next, ctrace.pop_exit(), diag["F_x_next"], ctrace
 
-    return iterate(trace, work[0], L0, x0, stop, step), trace
+    return iterate(trace, work[0], x0, stop, step), trace

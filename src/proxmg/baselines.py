@@ -5,7 +5,7 @@ bound, up to the cap ``hierarchy.step_cap`` of it, and never shrink it
 between iterations.  They stop on the same prox-gradient metric as the
 multigrid solvers (see ``multigrid.iterate``), so iteration counts are
 comparable across methods.  Each solve evaluates on a one-level workspace
-of its own (``LevelWork``).
+of its own (``LevelWork``), whose estimate the steps grow themselves.
 """
 
 from __future__ import annotations
@@ -23,21 +23,19 @@ from .smoothing import backtrack_L
 def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray,
                    stop: StoppingRule) -> tuple[np.ndarray, SolverTrace]:
     """Plain proximal gradient with a backtracked, monotone stepsize estimate."""
-    L_metric = problem.lipschitz
-    work = LevelWork(problem, L_metric, step_cap(L_metric))
-    problem, scratch = work.problem, work.step
+    work = LevelWork(problem, problem.lipschitz, step_cap(problem.lipschitz))
+    problem = work.problem
     trace = SolverTrace(algorithm="proxgrad")
-    trace.meta.update(L0=L_metric)
     L_hat = trace.extras["L_hat"] = []
 
     def step(x, fg):
-        work.L, x, fg = backtrack_L(problem, None, x, work.L, work.L_cap, fg, scratch)
+        x, fg = backtrack_L(work, None, x, fg)
         if fg is None:
             fg = problem.smooth.value_and_grad(x)
         L_hat.append(work.L)
         return x, fg, problem.objective(x, fg[0]), None
 
-    return iterate(trace, work, L_metric, x0, stop, step), trace
+    return iterate(trace, work, x0, stop, step), trace
 
 
 def fista_solve(problem: CompositeProblem, x0: np.ndarray,
@@ -48,13 +46,11 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
     the prox step is taken at the extrapolated point.  The objective sequence
     may be nonmonotone; that is expected, not a failure.
     """
-    L_metric = problem.lipschitz
-    work = LevelWork(problem, L_metric, step_cap(L_metric))
-    problem, scratch = work.problem, work.step
+    work = LevelWork(problem, problem.lipschitz, step_cap(problem.lipschitz))
+    problem = work.problem
     y = None
     t = 1.0
     trace = SolverTrace(algorithm="fista")
-    trace.meta.update(L0=L_metric)
     L_hat = trace.extras["L_hat"] = []
     betas = trace.extras["beta"] = []
 
@@ -62,8 +58,7 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
         nonlocal y, t
         if y is None:  # y_1 = x_0
             y = x
-        work.L, x_next, fg = backtrack_L(problem, None, y, work.L, work.L_cap,
-                                         scratch=scratch)
+        x_next, fg = backtrack_L(work, None, y)
         if fg is None:
             fg = problem.smooth.value_and_grad(x_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -76,4 +71,4 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
         betas.append(beta)
         return x_next, fg, problem.objective(x_next, fg[0]), None
 
-    return iterate(trace, work, L_metric, x0, stop, step), trace
+    return iterate(trace, work, x0, stop, step), trace

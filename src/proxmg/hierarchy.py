@@ -10,7 +10,8 @@ No solve writes to a stack, and its levels are frozen.  What belongs to one
 solve, the step estimate with its cap and the scratch arrays of each level,
 lives in a workspace (:func:`workspace`) that the solver builds at entry and
 drops on return, so a solve's output does not depend on what ran on the
-stack before it.
+stack before it.  A level's share (:class:`LevelWork`) is the one handle the
+smoothing steps take, and they alone grow its estimate.
 
 Re-discretization (rather than composing the fine functions with R) keeps the
 nonsmooth term separable with a closed-form prox on every level; the tau
@@ -26,7 +27,6 @@ import numpy as np
 from .grid import GridLevel
 from .membrane import make_obstacle_problem
 from .problems import CompositeProblem
-from .smoothing import StepScratch
 from .transfer import TransferPair, build_full_weighting, restrict_adaptive
 
 
@@ -81,17 +81,25 @@ class LevelWork:
     """One level's share of a solve's workspace.
 
     ``problem`` is the level's problem with a smooth part that evaluates into
-    scratch of its own (see ``CompositeProblem.with_scratch``), ``step`` the
-    prox-gradient step's scratch, ``L`` the working step estimate, which
-    grows monotonically over the solve, and ``L_cap`` its cap.  A fixed step
-    is the one case L = L_cap.
+    scratch of its own (see ``CompositeProblem.with_scratch``), ``L`` the
+    working step estimate and ``L_cap`` its cap.  The smoothing steps
+    (``smoothing.backtrack_L``) write the estimate they accept back to ``L``,
+    so it grows monotonically over the solve and nothing else assigns it; a
+    fixed step is the one case L = L_cap.  ``point`` and ``diff`` are the
+    steps' scratch arrays, which never show through the arrays a step
+    returns.
     """
 
     def __init__(self, problem: CompositeProblem, L: float, L_cap: float):
         self.problem = problem.with_scratch()
-        self.step = StepScratch(problem.dim)
         self.L = L
         self.L_cap = L_cap
+        self.point = np.empty(problem.dim)
+        self.diff = np.empty(problem.dim)
+
+    @property
+    def dim(self) -> int:
+        return self.problem.dim
 
 
 def workspace(stack: LevelStack, step_mode: str) -> list[LevelWork]:

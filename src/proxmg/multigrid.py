@@ -10,9 +10,10 @@ the subdifferential terms dropped from the correction.
 
 Every smoothing step on a level is a backtracking step from the level's
 working estimate L up to its cap L_cap, both kept in the solve's workspace
-(``hierarchy.workspace``).  Backtracking starts L at 1 below a cap of a few
-times the certified bound; a fixed step is the backtracking step started at
-its cap, L = L_cap = the certified bound.
+(``hierarchy.workspace``).  The cycle hands each level's ``LevelWork`` to
+the smoothing steps, which grow its estimate themselves.  Backtracking
+starts L at 1 below a cap of a few times the certified bound; a fixed step
+is the backtracking step started at its cap, L = L_cap = the certified bound.
 
 Every cycle returns a trace carrying the descent certificates: objective
 values at the stage boundaries, the inner product of the fine subgradient
@@ -113,21 +114,20 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
 def _coarse_solve(work: LevelWork, tau, x: np.ndarray, n_smooth: int,
                   config: CycleConfig, fg_x: tuple) -> tuple[np.ndarray, int]:
     """Coarsest-level solve: budgeted smoothing, or iterate to tolerance."""
-    problem, scratch = work.problem, work.step
+    problem = work.problem
     if config.coarse_mode == "smoothing":
-        res = run_smoothing(problem, tau, x, work.L, n_smooth, work.L_cap, fg_x, scratch)
-        work.L = res.L
+        res = run_smoothing(work, tau, x, n_smooth, fg_x)
         return res.x, res.steps
-    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg_x[1], scratch))
+    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg_x[1], work))
     target = COARSE_REL_TOL * g_entry
     steps = 0
     fg = fg_x
     for _ in range(COARSE_MAX_ITERS):
-        res = run_smoothing(problem, tau, x, work.L, 1, work.L_cap, fg, scratch)
-        x, work.L = res.x, res.L
+        res = run_smoothing(work, tau, x, 1, fg)
+        x = res.x
         fg = res.fg if res.fg is not None else problem.smooth.value_and_grad(x)
         steps += 1
-        if np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg[1], scratch)) <= target:
+        if np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg[1], work)) <= target:
             break
     return x, steps
 
@@ -137,7 +137,8 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
     level's smooth part.  Returns the level's output and, at the finest
     level, the pair there (None below, where nothing reads it).  The level's
-    step estimate lives in its workspace and grows there (see ``workspace``)."""
+    step estimate lives in its workspace, and the smoothing steps grow it
+    there (see ``smoothing.backtrack_L``)."""
     level, lw = stack[ell], work[ell]
     problem = lw.problem
     smooth = problem.smooth
@@ -152,8 +153,8 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
         trace.x_entry = x
         trace.stage_objectives.append(tilted_objective(problem, tau, x, fg_x[0]))
 
-    pre = run_smoothing(problem, tau, x, lw.L, stack.n_smooth, lw.L_cap, fg_x, lw.step)
-    y, lw.L = pre.x, pre.L
+    pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x)
+    y = pre.x
     fg_y = pre.fg if pre.fg is not None else smooth.value_and_grad(y)
     trace.smoothing_steps[ell] += pre.steps
     if at_finest:
@@ -200,9 +201,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     if at_finest:
         trace.stage_objectives.append(f_z)
 
-    post = run_smoothing(problem, tau, z, lw.L, stack.n_smooth, lw.L_cap,
-                         scratch=lw.step)
-    lw.L = post.L
+    post = run_smoothing(lw, tau, z, stack.n_smooth)
     trace.smoothing_steps[ell] += post.steps
     if not at_finest:
         return post.x, None
@@ -278,7 +277,7 @@ class SolverTrace:
         return min(min(vals), self.objective_initial)
 
 
-def iterate(trace: SolverTrace, work: LevelWork, L: float, x0: np.ndarray,
+def iterate(trace: SolverTrace, work: LevelWork, x0: np.ndarray,
             stop: StoppingRule, step: Callable) -> np.ndarray:
     """Apply ``step`` from x0 until the stopping rule holds; returns the last x.
 
@@ -289,16 +288,18 @@ def iterate(trace: SolverTrace, work: LevelWork, L: float, x0: np.ndarray,
     ``trace`` and sets ``converged``.
 
     The stopping metric is the norm of the prox-gradient map at x on
-    ``work``'s problem with the bound L, measured independently of how the
-    step chose its stepsizes, so iteration counts of different solvers are
-    comparable.  The rule holds once that norm falls to ``rel_tol`` times
-    its value at x0, or to ``abs_tol``; a run that spends its budget without
-    meeting it is reported on the trace, not raised.
+    ``work``'s problem with that problem's certified bound ``lipschitz``,
+    measured independently of how the step chose its stepsizes, so
+    iteration counts of different solvers are comparable.  The rule holds
+    once that norm falls to ``rel_tol`` times its value at x0, or to
+    ``abs_tol``; a run that spends its budget without meeting it is
+    reported on the trace, not raised.
     """
-    problem, scratch = work.problem, work.step
+    problem = work.problem
+    L = problem.lipschitz
 
     def g_norm(x, fg):
-        return float(np.linalg.norm(prox_grad_map(problem, None, x, L, fg[1], scratch)))
+        return float(np.linalg.norm(prox_grad_map(problem, None, x, L, fg[1], work)))
 
     x = np.asarray(x0, dtype=np.float64)
     fg = problem.smooth.value_and_grad(x)
@@ -337,11 +338,10 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     config = config or CycleConfig()
     work = workspace(stack, config.step_mode)
     trace = SolverTrace(algorithm=config.variant)
-    trace.meta.update(step_mode=config.step_mode, n_smooth=stack.n_smooth,
-                      num_levels=len(stack), variant=config.variant)
+    trace.meta.update(step_mode=config.step_mode)
 
     def step(x, fg):
         x_next, ctrace = vcycle(stack, x, config, fg, work)
         return x_next, ctrace.pop_exit(), ctrace.stage_objectives[-1], ctrace
 
-    return iterate(trace, work[0], stack.fine.L_est, x0, stop, step), trace
+    return iterate(trace, work[0], x0, stop, step), trace

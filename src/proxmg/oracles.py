@@ -1,8 +1,10 @@
 """Independent oracles for tests and verification, plus the synthetic problem.
 
-Nothing here shares code paths with the operations it checks: gradients are
-re-derived by central differences, prox outputs by golden-section search, and
-the synthetic problem's curvature constants by power iteration.
+The oracles re-derive what they check by other means: gradients by central
+differences, prox outputs by golden-section search, and the synthetic
+problem's curvature constants by power iteration.  The reference solution
+is the exception; it cross-checks two of the library's solvers, FISTA and
+the V-cycle solver, against each other.
 """
 
 from __future__ import annotations
@@ -148,10 +150,13 @@ def reference_solution(stack: LevelStack, tol: float = 1e-12, seed: int = 0,
                        order: str = "fista-first") -> Reference:
     """Solve the fine problem two ways and keep the better iterate.
 
-    Runs FISTA and the V-cycle solver (in the requested order, each warm
-    starting the next) down to the relative prox-gradient tolerance; the
-    returned objective is the smaller of the two final values.
+    Runs FISTA and the V-cycle solver (in the requested order,
+    ``"fista-first"`` or ``"mg-first"``, each warm starting the next) down to
+    the relative prox-gradient tolerance; the returned objective is the
+    smaller of the two final values.
     """
+    if order not in ("fista-first", "mg-first"):
+        raise ValueError(f"unknown order {order!r}")
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision here")
     problem = stack.fine.problem

@@ -1,0 +1,49 @@
+"""The benchmark's span tracer (benches/tracer.py) keeps working on the library.
+
+The tracer patches library functions by name and attributes the smoothing
+spans to a level through the dimension of their first argument, so a rename
+or a signature change in ``proxmg`` would break ``benches/run.py --trace 1``.
+These tests import the tracer and change nothing under ``benches``; no
+benchmark is run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from proxmg.baselines import proxgrad_solve
+from proxmg.hierarchy import build_obstacle_hierarchy
+from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benches"))
+import tracer  # noqa: E402
+
+LEVELLED_SMOOTHING = ("smoothing.run_smoothing", "smoothing.backtrack_L")
+
+
+@pytest.mark.parametrize("target", tracer.TARGETS, ids=[t[2] for t in tracer.TARGETS])
+def test_every_tracer_target_resolves_in_its_module(target):
+    mod_name, attr, _, _ = target
+    home = importlib.import_module(f"proxmg.{mod_name}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert callable(getattr(home, cls_name).__dict__[meth])
+    else:
+        assert callable(getattr(home, attr))
+
+
+def test_smoothing_spans_are_attributed_to_levels():
+    stack = build_obstacle_hierarchy(15, 1e-6, 3)
+    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, stack.fine.problem.dim)
+    tr = tracer.Tracer({225: 0, 49: 1, 9: 2})
+    with tr.patched():
+        mgprox_solve(stack, x0, StoppingRule(2, 0.0), CycleConfig(step_mode="backtracking"))
+        proxgrad_solve(stack.fine.problem, x0, StoppingRule(2, 0.0))
+    stats = tr.collect()[0]
+    for name in LEVELLED_SMOOTHING:
+        levels = {lev for (nm, lev), calls in stats.calls.items() if nm == name and calls}
+        assert levels == {0, 1, 2}, name
+        assert stats.total(stats.calls, name, tracer.NO_LEVEL) == 0, name

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from proxmg.baselines import fista_solve, proxgrad_solve
 from proxmg.grid import GridLevel
-from proxmg.hierarchy import LevelStack, build_obstacle_hierarchy
+from proxmg.hierarchy import LevelStack, LevelWork, build_obstacle_hierarchy
 from proxmg.membrane import (MembraneEnergy, build_difference_operators,
                              lipschitz_upper_bound, make_obstacle_problem)
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
@@ -101,10 +101,11 @@ def test_backtracking_is_the_same_with_or_without_the_pair(L0, L_cap, tilted):
     rng = np.random.Generator(np.random.PCG64(4))
     x = rng.uniform(0.0, 1.0, p.dim)
     tau = rng.uniform(-1.0, 1.0, p.dim) if tilted else None
-    L, y, fg_y = backtrack_L(p, tau, x, L0, L_cap=L_cap)
-    L2, y2, fg_y2 = backtrack_L(p, tau, x, L0, L_cap=L_cap,
-                                fg_x=p.smooth.value_and_grad(x))
-    assert L == L2 and y.tobytes() == y2.tobytes()
+    work, work2 = LevelWork(p, L0, L_cap), LevelWork(p, L0, L_cap)
+    y, fg_y = backtrack_L(work, tau, x)
+    y2, fg_y2 = backtrack_L(work2, tau, x, fg_x=p.smooth.value_and_grad(x))
+    L = work.L
+    assert L == work2.L and y.tobytes() == y2.tobytes()
     if L >= L_cap:
         assert fg_y is None and fg_y2 is None  # accepted at the cap, f(y) never taken
     else:

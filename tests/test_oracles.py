@@ -69,6 +69,13 @@ def test_reference_is_stable_across_solver_orderings():
     assert abs(ref_a.objective - ref_b.objective) <= 1e-12 * max(1, abs(ref_a.objective))
 
 
+@pytest.mark.parametrize("order", ["mg_first", "fista", ""])
+def test_reference_rejects_an_unknown_order(order):
+    stack = build_chain_hierarchy(16, 0.05, 2, seed=2)
+    with pytest.raises(ValueError, match="order"):
+        reference_solution(stack, order=order)
+
+
 def test_reference_is_idempotent():
     stack = build_chain_hierarchy(16, 0.05, 2, seed=2)
     ref = reference_solution(stack, tol=1e-12, seed=2)

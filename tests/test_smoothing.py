@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from proxmg.hierarchy import LevelWork, step_cap
 from proxmg.membrane import make_obstacle_problem
 from proxmg.nonsmooth import SeparableNonsmooth
 from proxmg.oracles import reference_solution
@@ -52,15 +53,18 @@ def test_prox_grad_map_examples():
 
 def test_backtracking_returns_initial_L_when_sufficient():
     p = quadratic_problem(a=1.0)
-    L, y, _ = backtrack_L(p, None, np.array([3.0]), 2.0, math.inf)
-    assert L == 2.0
+    work = LevelWork(p, 2.0, math.inf)
+    y, _ = backtrack_L(work, None, np.array([3.0]))
+    assert work.L == 2.0
     assert y[0] == pytest.approx(1.5)
 
 
 def test_backtracking_grows_to_the_curvature():
     a = 8.0
     p = quadratic_problem(a=a)
-    L, y, _ = backtrack_L(p, None, np.array([2.0]), a / 4.0, math.inf)
+    work = LevelWork(p, a / 4.0, math.inf)
+    y, _ = backtrack_L(work, None, np.array([2.0]))
+    L = work.L
     assert L in (a / 2.0, a)
     # whichever was accepted satisfies the descent model
     f = p.smooth
@@ -73,7 +77,7 @@ def test_backtracking_doubling_cap():
     a = 1e9
     p = quadratic_problem(a=a)
     with pytest.raises(RuntimeError, match="last L"):
-        backtrack_L(p, None, np.array([1.0]), 1e-20, math.inf)
+        backtrack_L(LevelWork(p, 1e-20, math.inf), None, np.array([1.0]))
 
 
 @pytest.mark.parametrize("mode", ["fixed", "backtracking"])
@@ -82,11 +86,11 @@ def test_smoothing_block_is_monotone_and_strictly_descends(mode):
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.uniform(0, 1, size=p.dim)
     # a fixed step is the backtracking step started at its cap
-    L, L_cap = (p.lipschitz, p.lipschitz) if mode == "fixed" else (1.0, math.inf)
+    work = (LevelWork(p, p.lipschitz, p.lipschitz) if mode == "fixed"
+            else LevelWork(p, 1.0, math.inf))
     prev = p.objective(x)
     for _ in range(5):
-        res = run_smoothing(p, None, x, L, 4, L_cap)
-        x, L = res.x, res.L
+        x = run_smoothing(work, None, x, 4).x
         cur = p.objective(x)
         G = np.linalg.norm(prox_grad_map(p, None, x, p.lipschitz))
         assert cur <= prev + 1e-12
@@ -100,7 +104,7 @@ def test_first_step_sufficient_descent_certificate():
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.uniform(0, 1, size=p.dim)
     L = p.lipschitz
-    res = run_smoothing(p, None, x, L, 1, L)
+    res = run_smoothing(LevelWork(p, L, L), None, x, 1)
     G = np.linalg.norm(prox_grad_map(p, None, x, L))
     assert p.objective(res.x) <= p.objective(x) - G * G / (2.0 * L) + 1e-12
 
@@ -108,9 +112,9 @@ def test_first_step_sufficient_descent_certificate():
 def test_run_smoothing_validation():
     p = quadratic_problem()
     with pytest.raises(ValueError):
-        run_smoothing(p, None, np.array([1.0]), 1.0, 0, math.inf)
+        run_smoothing(LevelWork(p, 1.0, math.inf), None, np.array([1.0]), 0)
     with pytest.raises(ValueError):
-        backtrack_L(p, None, np.array([1.0]), -1.0, math.inf)
+        backtrack_L(LevelWork(p, -1.0, math.inf), None, np.array([1.0]))
 
 
 def test_a_step_started_at_or_above_its_cap_is_the_fixed_step():
@@ -121,8 +125,9 @@ def test_a_step_started_at_or_above_its_cap_is_the_fixed_step():
     fg = p.smooth.value_and_grad(x)
     for start in (L, 2.0 * L):
         for pair in (None, fg):
-            got_L, y, fg_y = backtrack_L(p, tau, x, start, L, pair)
-            assert got_L == L and fg_y is None
+            work = LevelWork(p, start, L)
+            y, fg_y = backtrack_L(work, tau, x, pair)
+            assert work.L == L and fg_y is None
             assert y.tobytes() == prox_grad_step(p, tau, x, L).tobytes()
 
 
@@ -138,3 +143,25 @@ def test_quadratic_underestimator_certificate():
         lhs = p.objective(probe) - p.objective(y)
         rhs = L * float((x - y) @ (probe - x)) + 0.5 * L * float((y - x) @ (y - x))
         assert lhs >= rhs - 1e-9
+
+
+@pytest.mark.parametrize("L0, L_cap", [(1.0, None), (1.0, 64.0), ("cap", None),
+                                       ("above", None)])  # None: step_cap of the bound
+def test_steps_grow_the_workspace_estimate_up_to_its_cap(L0, L_cap):
+    p = make_obstacle_problem(15, 1.0)
+    rng = np.random.Generator(np.random.PCG64(5))
+    x, tau = rng.uniform(0, 1, size=p.dim), rng.uniform(-1, 1, size=p.dim)
+    L_cap = step_cap(p.lipschitz) if L_cap is None else L_cap
+    L0 = {"cap": L_cap, "above": 2.0 * L_cap}.get(L0, L0)
+    work = LevelWork(p, L0, L_cap)
+    for _ in range(5):
+        before = work.L
+        x, _ = backtrack_L(work, tau, x)
+        if before >= L_cap:
+            assert work.L == L_cap
+        else:
+            assert before <= work.L <= L_cap
+        res = run_smoothing(work, tau, x, 1)
+        assert work.L == res.L_first
+        x = res.x
+    assert work.L > 1.0  # the estimate did move from a start below the curvature

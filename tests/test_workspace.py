@@ -69,11 +69,13 @@ def test_backtracking_returns_arrays_the_workspace_does_not_reuse(tilted, L_cap)
     x1, x2 = rng.uniform(0.0, 1.0, p.dim), rng.uniform(0.0, 1.0, p.dim)
     tau = rng.uniform(-1.0, 1.0, p.dim) if tilted else None
     work = LevelWork(p, 1.0, L_cap)
-    L, y, fg = backtrack_L(work.problem, tau, x1, work.L, work.L_cap, scratch=work.step)
+    y, fg = backtrack_L(work, tau, x1)
+    L = work.L
     kept = y.tobytes(), fg[0], fg[1].tobytes()
-    backtrack_L(work.problem, tau, x2, work.L, work.L_cap, scratch=work.step)
-    run_smoothing(work.problem, tau, x2, work.L, 3, work.L_cap, scratch=work.step)
+    backtrack_L(work, tau, x2)
+    run_smoothing(work, tau, x2, 3)
     assert (y.tobytes(), fg[0], fg[1].tobytes()) == kept
-    # and the workspace path gives the bytes of the throwaway one
-    L0, y0, fg0 = backtrack_L(p, tau, x1, 1.0, L_cap=L_cap)
-    assert (L0, y0.tobytes(), fg0[0], fg0[1].tobytes()) == (L, *kept)
+    # and a fresh workspace gives the bytes of the used one
+    fresh = LevelWork(p, 1.0, L_cap)
+    y0, fg0 = backtrack_L(fresh, tau, x1)
+    assert (fresh.L, y0.tobytes(), fg0[0], fg0[1].tobytes()) == (L, *kept)
