@@ -12,7 +12,7 @@ guarantees at runtime.
 from .accelerated import (FastState, fast_step, fastmgprox_solve,
                           lambda_rate_bound, phi_bar_update, solve_alpha)
 from .baselines import fista_solve, proxgrad_solve
-from .certificates import (SCOPES, CertificateReport, CertificateResult,
+from .certificates import (SCOPES, CertificateResult,
                            certify_run, check_angle_condition, check_converged,
                            check_fast_certificates, check_fixed_point,
                            check_linear_rate, check_lipschitz_bound,

@@ -1,8 +1,10 @@
 """Runtime-checkable certificates of the solvers' descent and rate guarantees.
 
 Each check consumes a solver trace (plus, where needed, a high-accuracy
-reference point) and returns a pass/fail result with its worst-case margin,
-where positive margins mean the inequality held with room to spare.  The
+reference point) and returns a pass/fail result with its margin: the least
+slack of the inequalities it tests, positive where they held with room to
+spare.  A check passes when that slack is non-negative (positive for the
+strict ones), and a run with nothing to check holds at margin 0.  The
 checks deliberately recompute everything from recorded quantities so a
 corrupted trace is caught rather than papered over.
 
@@ -14,7 +16,7 @@ the same things at the same settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -55,46 +57,31 @@ class CertificateResult:
         return text + (f"  ({self.detail})" if self.detail else "")
 
 
-@dataclass
-class CertificateReport:
-    results: list[CertificateResult] = field(default_factory=list)
+def _least(name: str, margins, detail: str, strict: bool = False) -> CertificateResult:
+    """Holds when every margin is >= 0 (> 0 when ``strict``); reports the least.
 
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def extend(self, results):
-        self.results.extend(results)
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.results]
+    A run with nothing to check holds at margin 0.0.
+    """
+    margins = [float(m) for m in margins]
+    passed = all(m > 0.0 if strict else m >= 0.0 for m in margins)
+    return CertificateResult(name, passed, min(margins, default=0.0), detail)
 
 
 def check_stage_monotonicity(trace: SolverTrace) -> CertificateResult:
     """Fine-level objective never increases across any stage boundary."""
-    worst = np.inf
-    for ct in trace.cycles:
-        vals = ct.stage_objectives
-        scale = max(1.0, abs(vals[0]))
-        for a, b in zip(vals, vals[1:]):
-            worst = min(worst, (a - b) / scale + STAGE_REL_SLACK)
-    passed = worst >= 0.0
-    return CertificateResult("stage-monotonicity", bool(passed), float(worst),
-                             f"{len(trace.cycles)} cycles")
+    return _least("stage-monotonicity",
+                  ((a - b) / max(1.0, abs(ct.stage_objectives[0])) + STAGE_REL_SLACK
+                   for ct in trace.cycles
+                   for a, b in zip(ct.stage_objectives, ct.stage_objectives[1:])),
+                  f"{len(trace.cycles)} cycles")
 
 
 def check_angle_condition(trace: SolverTrace) -> CertificateResult:
     """<subgradient, correction> < 0 whenever the correction is nonzero."""
-    worst = -np.inf
-    counted = 0
-    for ct in trace.cycles:
-        if ct.correction_norms and ct.correction_norms[0] > ANGLE_P_FLOOR:
-            counted += 1
-            worst = max(worst, ct.angle_products[0])
-    if counted == 0:
-        return CertificateResult("angle-condition", True, 0.0, "no nonzero corrections")
-    return CertificateResult("angle-condition", bool(worst < 0.0), float(-worst),
-                             f"{counted} corrections checked")
+    margins = [-ct.angle_products[0] for ct in trace.cycles
+               if ct.correction_norms and ct.correction_norms[0] > ANGLE_P_FLOOR]
+    return _least("angle-condition", margins, f"{len(margins)} corrections checked",
+                  strict=True)
 
 
 def check_smoothing_descent(trace: SolverTrace) -> CertificateResult:
@@ -103,31 +90,26 @@ def check_smoothing_descent(trace: SolverTrace) -> CertificateResult:
     G(x) is reconstructed from the stored step endpoints, G = L (x - y), so
     the check is independent of the solver's own bookkeeping.
     """
-    worst = np.inf
-    for ct in trace.cycles:
+    def margin(ct):
         F_x = ct.stage_objectives[0]
         G = ct.L_first * (ct.x_entry - ct.y_first)
         bound = F_x - float(G @ G) / (2.0 * ct.L_first)
-        scale = max(1.0, abs(F_x))
-        worst = min(worst, (bound - ct.F_y_first) / scale + SMOOTHING_REL_SLACK)
-    if worst is np.inf:
-        worst = SMOOTHING_REL_SLACK
-    return CertificateResult("smoothing-sufficient-descent", bool(worst >= 0.0),
-                             float(worst), f"{len(trace.cycles)} cycles")
+        return (bound - ct.F_y_first) / max(1.0, abs(F_x)) + SMOOTHING_REL_SLACK
+
+    return _least("smoothing-sufficient-descent", map(margin, trace.cycles),
+                  f"{len(trace.cycles)} cycles")
 
 
 def check_mgprox_sufficient_descent(trace: SolverTrace, x_star: np.ndarray,
                                     F_star: float) -> CertificateResult:
     """Per cycle: F(x+) - F* <= (L/2)(||x - x*||^2 - ||y1 - x*||^2) + slack."""
-    worst = np.inf
-    for ct, F_next in zip(trace.cycles, trace.objectives):
-        lhs = F_next - F_star
+    def margin(ct, F_next):
         dx = float(np.linalg.norm(ct.x_entry - x_star)) ** 2
         dy = float(np.linalg.norm(ct.y_first - x_star)) ** 2
-        rhs = 0.5 * ct.L_first * (dx - dy)
-        worst = min(worst, rhs - lhs + MGPROX_DESCENT_SLACK)
-    return CertificateResult("mgprox-sufficient-descent", bool(worst >= 0.0),
-                             float(worst), f"slack={MGPROX_DESCENT_SLACK:g}")
+        return 0.5 * ct.L_first * (dx - dy) - (F_next - F_star) + MGPROX_DESCENT_SLACK
+
+    return _least("mgprox-sufficient-descent", map(margin, trace.cycles, trace.objectives),
+                  f"slack={MGPROX_DESCENT_SLACK:g}")
 
 
 def check_one_over_k(trace: SolverTrace, x_star: np.ndarray, F_star: float,
@@ -138,18 +120,13 @@ def check_one_over_k(trace: SolverTrace, x_star: np.ndarray, F_star: float,
     point) to the reference, a computable stand-in for the sublevel-set
     diameter the bound is stated with.
     """
-    delta = 0.0
-    for ct in trace.cycles:
-        delta = max(delta,
-                    float(np.linalg.norm(ct.x_entry - x_star)),
-                    float(np.linalg.norm(ct.y_first - x_star)))
-    gap1 = trace.objective_initial - F_star
-    envelope = max(8.0 * delta * delta * L, gap1)
-    worst = np.inf
-    for k, F in enumerate(trace.objectives, start=1):
-        worst = min(worst, envelope / k - (F - F_star) + ONE_OVER_K_SLACK)
-    return CertificateResult("one-over-k-envelope", bool(worst >= 0.0), float(worst),
-                             f"delta={delta:.3e}")
+    delta = max((float(np.linalg.norm(v - x_star))
+                 for ct in trace.cycles for v in (ct.x_entry, ct.y_first)), default=0.0)
+    envelope = max(8.0 * delta * delta * L, trace.objective_initial - F_star)
+    return _least("one-over-k-envelope",
+                  (envelope / k - (F - F_star) + ONE_OVER_K_SLACK
+                   for k, F in enumerate(trace.objectives, start=1)),
+                  f"delta={delta:.3e}")
 
 
 def check_linear_rate(trace: SolverTrace, F_star: float, mu: float,
@@ -159,84 +136,48 @@ def check_linear_rate(trace: SolverTrace, F_star: float, mu: float,
     x^1 is the starting point, so the k-th recorded objective (the iterate
     after k cycles) is tested against rho^k times the initial gap.
     """
-    if not trace.objectives:
-        return CertificateResult("linear-rate", True, 0.0, "empty run")
     gap1 = trace.objective_initial - F_star
     rho = 1.0 - mu / L
-    worst = np.inf
-    for k, F in enumerate(trace.objectives, start=1):
-        bound = rho**k * gap1 + LINEAR_RATE_SLACK
-        worst = min(worst, bound - (F - F_star))
-    return CertificateResult("linear-rate", bool(worst >= 0.0), float(worst),
-                             f"rho={rho:.6f}")
+    return _least("linear-rate",
+                  (rho**k * gap1 + LINEAR_RATE_SLACK - (F - F_star)
+                   for k, F in enumerate(trace.objectives, start=1)),
+                  f"rho={rho:.6f}")
 
 
 def check_work_units(trace: SolverTrace, num_levels: int, n_smooth: int) -> CertificateResult:
     """Per-cycle smoothing work <= (8/3)(1 - r^L) fine smoothing blocks."""
     budget = (8.0 / 3.0) * (1.0 - WORK_RATIO**num_levels) * n_smooth
-    worst = np.inf
-    for ct in trace.cycles:
-        worst = min(worst, budget - cycle_work_units(ct, WORK_RATIO) + 1e-9)
-    if worst is np.inf:
-        worst = budget
-    return CertificateResult("multilevel-work", bool(worst >= 0.0), float(worst),
-                             f"budget={budget:.2f} fine steps")
+    return _least("multilevel-work",
+                  (budget - cycle_work_units(ct, WORK_RATIO) + 1e-9 for ct in trace.cycles),
+                  f"budget={budget:.2f} fine steps")
 
 
 def check_fast_certificates(trace: SolverTrace, gamma0: float,
                             L: float) -> list[CertificateResult]:
     """Estimate-sequence certificates of an accelerated run."""
-    lam = trace.extras.get("lam", [])
-    phi = trace.extras.get("phi_bar", [])
-    alpha = trace.extras.get("alpha", [])
-    gamma = trace.extras.get("gamma", [])
-    results = []
-
-    worst = np.inf
-    prev = 1.0
-    for k, l in enumerate(lam, start=1):
-        worst = min(worst, lambda_rate_bound(k, gamma0, L) - l, prev - l)
-        prev = l
-    if worst is np.inf:
-        worst = 0.0
-    results.append(CertificateResult("lambda-decay-bound", bool(worst > 0.0 or not lam),
-                                     float(worst), f"{len(lam)} iterations"))
-
-    worst = np.inf
-    for F, p in zip(trace.objectives, phi):
-        scale = max(1.0, abs(p))
-        worst = min(worst, (p - F) / scale + FAST_REL_SLACK)
-    if worst is np.inf:
-        worst = FAST_REL_SLACK
-    results.append(CertificateResult("estimate-sequence-bound", bool(worst >= 0.0),
-                                     float(worst), "F(x^k) <= phi_bar^k"))
-
-    worst = np.inf
-    for a, g_next, l_next in zip(alpha, gamma, lam):
-        worst = min(worst, 1e-12 - abs(g_next - l_next * gamma0) / max(1.0, g_next))
-    if worst is np.inf:
-        worst = 0.0
-    results.append(CertificateResult("gamma-lambda-identity", bool(worst >= 0.0 or not alpha),
-                                     float(worst), "gamma^k = lambda^k gamma0"))
-
-    worst = np.inf
-    for resid in trace.extras.get("alpha_residual", []):
-        worst = min(worst, 1e-14 - resid)
-    if worst is np.inf:
-        worst = 0.0
-    results.append(CertificateResult("alpha-equation", bool(worst >= 0.0), float(worst),
-                                     "L a^2 = (1 - a) gamma"))
-
-    worst = np.inf
-    for F_y, gny, F_next in zip(trace.extras.get("F_y", []),
-                                trace.extras.get("g_norm_y", []), trace.objectives):
-        bound = F_y - gny * gny / (2.0 * L) + 1e-10 * max(1.0, abs(F_y))
-        worst = min(worst, bound - F_next)
-    if worst is np.inf:
-        worst = 0.0
-    results.append(CertificateResult("accelerated-descent", bool(worst >= 0.0),
-                                     float(worst), "F(x+) <= F(y) - ||G(y)||^2/2L"))
-    return results
+    ex = trace.extras
+    lam = ex.get("lam", [])
+    return [
+        _least("lambda-decay-bound",
+               (m for k, (l, prev) in enumerate(zip(lam, [1.0, *lam]), start=1)
+                for m in (lambda_rate_bound(k, gamma0, L) - l, prev - l)),
+               f"{len(lam)} iterations", strict=True),
+        _least("estimate-sequence-bound",
+               ((p - F) / max(1.0, abs(p)) + FAST_REL_SLACK
+                for F, p in zip(trace.objectives, ex.get("phi_bar", []))),
+               "F(x^k) <= phi_bar^k"),
+        _least("gamma-lambda-identity",
+               (1e-12 - abs(g - l * gamma0) / max(1.0, g)
+                for _, g, l in zip(ex.get("alpha", []), ex.get("gamma", []), lam)),
+               "gamma^k = lambda^k gamma0"),
+        _least("alpha-equation", (1e-14 - r for r in ex.get("alpha_residual", [])),
+               "L a^2 = (1 - a) gamma"),
+        _least("accelerated-descent",
+               (F_y - gny * gny / (2.0 * L) + 1e-10 * max(1.0, abs(F_y)) - F_next
+                for F_y, gny, F_next in zip(ex.get("F_y", []), ex.get("g_norm_y", []),
+                                            trace.objectives)),
+               "F(x+) <= F(y) - ||G(y)||^2/2L"),
+    ]
 
 
 def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
@@ -284,10 +225,8 @@ def check_lipschitz_bound(stack: LevelStack) -> CertificateResult:
         D, E = build_difference_operators(lev.grid)
         margins.append(lev.L_est - power_iteration(D.T @ D + E.T @ E))
     sides = "/".join(str(lev.grid.n_side) for lev in stack.levels)
-    worst = min(margins)
-    return CertificateResult("lipschitz-bound", bool(worst >= 0.0), float(worst),
-                             f"margins at n = {sides}: "
-                             + " / ".join(f"{m:.3e}" for m in margins))
+    return _least("lipschitz-bound", margins, f"margins at n = {sides}: "
+                  + " / ".join(f"{m:.3e}" for m in margins))
 
 
 def check_converged(trace: SolverTrace, rel_tol: float, name: str) -> CertificateResult:
@@ -298,23 +237,13 @@ def check_converged(trace: SolverTrace, rel_tol: float, name: str) -> Certificat
 
 
 def certify_run(trace: SolverTrace, stack: LevelStack, x_star: np.ndarray,
-                F_star: float, mu: float | None = None) -> CertificateReport:
-    """Aggregate every certificate the trace carries enough data for."""
-    report = CertificateReport()
-    L = stack.fine.L_est
-    if trace.cycles and trace.cycles[0].stage_objectives:
-        report.results.append(check_stage_monotonicity(trace))
-        report.results.append(check_angle_condition(trace))
-        report.results.append(check_smoothing_descent(trace))
-        report.results.append(check_mgprox_sufficient_descent(trace, x_star, F_star))
-        report.results.append(check_one_over_k(trace, x_star, F_star, L))
-        report.results.append(check_work_units(trace, len(stack), stack.n_smooth))
-    if mu is not None:
-        report.results.append(check_linear_rate(trace, F_star, mu, L))
-    if "phi_bar" in trace.extras:
-        gamma0 = trace.meta.get("gamma0", L)
-        report.extend(check_fast_certificates(trace, gamma0, L))
-    return report
+                F_star: float) -> list[CertificateResult]:
+    """The cycle certificates of an ``mgprox`` run on ``stack``."""
+    return [check_stage_monotonicity(trace), check_angle_condition(trace),
+            check_smoothing_descent(trace),
+            check_mgprox_sufficient_descent(trace, x_star, F_star),
+            check_one_over_k(trace, x_star, F_star, stack.fine.L_est),
+            check_work_units(trace, len(stack), stack.n_smooth)]
 
 
 # The verification suite: one function per ``proxmg verify`` scope.
@@ -392,7 +321,7 @@ def verify_mgprox(seed: int) -> list[CertificateResult]:
         _, trace = mgprox_solve(stack, x0, StoppingRule(400, 1e-10))
         cycles.append(trace.iterations)
         for r in [check_converged(trace, 1e-10, "mgprox-converged"),
-                  *certify_run(trace, stack, ref.x, ref.objective).results]:
+                  *certify_run(trace, stack, ref.x, ref.objective)]:
             per_run.setdefault(r.name, []).append(r)
     spare = sum(cycles) - 40
     results = [_worst(name, runs) for name, runs in per_run.items()]

@@ -32,7 +32,7 @@ import time
 
 from .accelerated import fastmgprox_solve
 from .baselines import fista_solve, proxgrad_solve
-from .certificates import SCOPES, CertificateReport
+from .certificates import SCOPES
 from .hierarchy import build_obstacle_hierarchy
 from .multigrid import CycleConfig, StoppingRule, mgprox_solve
 from .oracles import build_chain_hierarchy
@@ -197,16 +197,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = CertificateReport()
-    for scope in SCOPES if args.scope == "all" else [args.scope]:
-        report.extend(SCOPES[scope](args.seed))
-    for line in report.lines():
-        print(line)
-    failed = [r.name for r in report.results if not r.passed]
+    results = [r for scope in (SCOPES if args.scope == "all" else [args.scope])
+               for r in SCOPES[scope](args.seed)]
+    for r in results:
+        print(r.line())
+    failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"FAILED: {', '.join(failed)}")
         return 1
-    print(f"all {len(report.results)} certificates passed")
+    print(f"all {len(results)} certificates passed")
     return 0
 
 

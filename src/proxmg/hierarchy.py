@@ -117,7 +117,7 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
               transfer: TransferPair, mask: np.ndarray,
               y_fine: np.ndarray, y_coarse: np.ndarray,
               upstream_tau: np.ndarray | None = None,
-              policy: str | None = "zero",
+              subgradients: bool = True,
               grad_fine: np.ndarray | None = None,
               grad_coarse: np.ndarray | None = None) -> np.ndarray:
     """Linear correction for the coarse objective, from matched points.
@@ -125,13 +125,13 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
     tau = [grad f_c(y_c) + s_c] - R_adaptive [grad f_f(y_f) + s_f - upstream_tau]
 
     where s are the least-magnitude subgradients of the nonsmooth parts
-    (``SeparableNonsmooth.subgradient``, policy ``"zero"``) and the adaptive
+    (``SeparableNonsmooth.subgradient``) and the adaptive
     restriction zeroes the masked (set-valued) fine coordinates.  The upstream
     tau makes the fine-side term the subgradient of the *tilted* objective the
     fine level is actually minimizing, so the fixed-point property chains
     through all levels.
 
-    ``policy=None`` drops the subgradient terms altogether (s = 0 on both
+    ``subgradients=False`` drops the subgradient terms altogether (s = 0 on both
     sides), which is the classical smooth-problem correction; the ``kocvara3``
     variant runs on it.  The exact fixed-point property is then lost up to
     O(lam).
@@ -142,9 +142,7 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
     fine_side = fine_problem.smooth.grad(y_fine) if grad_fine is None else grad_fine
     coarse_side = (coarse_problem.smooth.grad(y_coarse) if grad_coarse is None
                    else grad_coarse)
-    if policy not in ("zero", None):
-        raise ValueError(f"unknown subgradient policy {policy!r}")
-    if policy is not None:
+    if subgradients:
         fine_side = fine_side + fine_problem.nonsmooth.subgradient(y_fine)
         coarse_side = coarse_side + coarse_problem.nonsmooth.subgradient(y_coarse)
     if upstream_tau is not None:

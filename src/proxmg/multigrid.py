@@ -116,8 +116,7 @@ def _coarse_solve(work: LevelWork, tau, x: np.ndarray, n_smooth: int,
     """Coarsest-level solve: budgeted smoothing, or iterate to tolerance."""
     problem = work.problem
     if config.coarse_mode == "smoothing":
-        res = run_smoothing(work, tau, x, n_smooth, fg_x)
-        return res.x, res.steps
+        return run_smoothing(work, tau, x, n_smooth, fg_x).x, n_smooth
     g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg_x[1], work))
     target = COARSE_REL_TOL * g_entry
     steps = 0
@@ -156,7 +155,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x)
     y = pre.x
     fg_y = pre.fg if pre.fg is not None else smooth.value_and_grad(y)
-    trace.smoothing_steps[ell] += pre.steps
+    trace.smoothing_steps[ell] += stack.n_smooth
     if at_finest:
         trace.y_first = pre.y_first
         trace.L_first = pre.L_first
@@ -166,7 +165,6 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     g = problem.nonsmooth
     kocvara = config.variant == "kocvara3"
     # kocvara3: no masking, and the subdifferential terms of tau are zeroed out
-    policy = None if kocvara else "zero"
     mask = np.zeros(problem.dim, dtype=bool) if kocvara else adaptive_mask(g, y)
     trace.mask_counts[ell] = int(mask.sum())
 
@@ -175,7 +173,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     coarse_problem = work[ell + 1].problem
     fg_coarse = coarse_problem.smooth.value_and_grad(x_coarse)
     tau_next = build_tau(problem, coarse_problem, transfer, mask,
-                         y, x_coarse, upstream_tau=tau, policy=policy,
+                         y, x_coarse, upstream_tau=tau, subgradients=not kocvara,
                          grad_fine=fg_y[1], grad_coarse=fg_coarse[1])
     if config.tau_hook is not None:
         tau_next = config.tau_hook(tau_next, ell + 1)
@@ -202,7 +200,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
         trace.stage_objectives.append(f_z)
 
     post = run_smoothing(lw, tau, z, stack.n_smooth)
-    trace.smoothing_steps[ell] += post.steps
+    trace.smoothing_steps[ell] += stack.n_smooth
     if not at_finest:
         return post.x, None
     fg_out = post.fg if post.fg is not None else smooth.value_and_grad(post.x)

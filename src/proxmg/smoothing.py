@@ -114,7 +114,6 @@ class SmoothResult:
     x: np.ndarray
     y_first: np.ndarray  # iterate after the first step
     L_first: float       # stepsize parameter used at the first step
-    steps: int
     fg: tuple | None = None  # (f(x), grad f(x)) when the last step computed it
     f_first: float | None = None  # f(y_first) when the first step computed it
 
@@ -134,4 +133,4 @@ def run_smoothing(work, tau, x: np.ndarray, n_steps: int,
         if k == 0:
             y_first, L_first = x, work.L
             f_first = None if fg is None else fg[0]
-    return SmoothResult(x, y_first, L_first, n_steps, fg, f_first)
+    return SmoothResult(x, y_first, L_first, fg, f_first)

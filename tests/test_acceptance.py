@@ -9,6 +9,7 @@ wall-clock limits are the gate's own.  Run with
 """
 
 import functools
+import hashlib
 import time
 
 import numpy as np
@@ -150,3 +151,16 @@ def test_criterion_13_contact_fixed_point():
 
 def test_criterion_14_lipschitz_bound():
     report_certificates(14, "mgprox", ["lipschitz-bound"])
+
+
+# SHA-256 of every scope's certificate lines, in SCOPES order, at seed 0:
+# the first 30 lines ``proxmg verify`` prints.  A change that moves any
+# printed margin (four significant digits) or detail, renames a certificate
+# or reorders them breaks it.
+VERIFY_LINES_SHA256 = "b91acccfef5109fe70dbe9b5836c746d4fc6e400a28cc5b4f7be729021c238e6"
+
+
+def test_verify_lines_are_pinned_to_the_bit():
+    lines = [r.line() for scope in SCOPES for r in run_scope(scope)[0].values()]
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert (len(lines), digest) == (30, VERIFY_LINES_SHA256), "\n".join(lines)

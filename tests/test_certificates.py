@@ -1,0 +1,48 @@
+"""The margin rule every reducing certificate shares.
+
+A check holds when each of its margins is non-negative (positive when
+strict), reports the least of them, and holds at margin 0 when a run gives
+it nothing to check.
+"""
+
+import numpy as np
+import pytest
+
+from proxmg.accelerated import fastmgprox_solve
+from proxmg.certificates import (_least, check_angle_condition, check_fast_certificates,
+                                 check_linear_rate, check_mgprox_sufficient_descent,
+                                 check_one_over_k, check_smoothing_descent,
+                                 check_stage_monotonicity, check_work_units)
+from proxmg.hierarchy import build_obstacle_hierarchy
+from proxmg.multigrid import StoppingRule, mgprox_solve
+from proxmg.problems import start_points
+
+
+@pytest.mark.parametrize("margins, strict, passed, least", [
+    ([3.0, 1.0, 2.0], False, True, 1.0),
+    ([3.0, -1e-300, 2.0], False, False, -1e-300),
+    ([0.0, 2.0], False, True, 0.0),
+    ([0.0, 2.0], True, False, 0.0),
+    ([2.0, float("nan")], False, False, 2.0),
+])
+def test_least_holds_when_every_margin_does(margins, strict, passed, least):
+    r = _least("c", margins, "d", strict=strict)
+    assert (r.passed, r.margin, r.detail) == (passed, least, "d")
+
+
+def test_an_empty_run_holds_every_reducing_certificate_at_zero():
+    stack = build_obstacle_hierarchy(7, 1e-6, 2, 5)
+    x0 = next(start_points(0, stack.fine.problem.dim))
+    x_star = np.zeros_like(x0)
+    _, mg = mgprox_solve(stack, x0, StoppingRule(0, 1e-10))
+    _, fast = fastmgprox_solve(stack, x0, StoppingRule(0, 1e-10))
+    assert mg.iterations == fast.iterations == 0
+    results = [check_stage_monotonicity(mg), check_angle_condition(mg),
+               check_smoothing_descent(mg), check_mgprox_sufficient_descent(mg, x_star, 0.0),
+               check_one_over_k(mg, x_star, 0.0, stack.fine.L_est),
+               check_linear_rate(mg, 0.0, 1.0, stack.fine.L_est),
+               check_work_units(mg, len(stack), stack.n_smooth),
+               *check_fast_certificates(fast, fast.meta["gamma0"], stack.fine.L_est)]
+    assert len(results) == 12
+    for r in results:
+        assert r.passed and r.margin == 0.0 and np.copysign(1.0, r.margin) == 1.0, r.line()

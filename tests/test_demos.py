@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the library in ``src``.
+"""Every demo script, and README's quick start, runs against the library in ``src``.
 
 The demos call the public solver signatures directly, so a removed option or
 a renamed trace field shows up here as a failing script.
@@ -27,3 +27,17 @@ def test_demo_exits_cleanly(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+
+
+def test_readme_quick_start_prints_its_certificates(tmp_path):
+    # README's first python block, as a reader would paste it
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    passes = [line for line in result.stdout.splitlines() if line.startswith("PASS  ")]
+    assert len(passes) == 6, result.stdout
