@@ -49,12 +49,6 @@ class GridLevel:
     def n_total(self) -> int:
         return self.n_side * self.n_side
 
-    def coarsen(self) -> "GridLevel":
-        """The next coarser grid (points at every second fine point)."""
-        if self.n_side < 3:
-            raise ValueError("cannot coarsen a grid with a single interior point")
-        return GridLevel(self.level + 1, (self.n_side - 1) // 2)
-
 
 def ij_to_k(i: int, j: int, n_side: int) -> int:
     """Flat (0-based) index of the 1-based interior point ``(i, j)``."""

@@ -112,55 +112,49 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
 
 
 def _coarse_solve(work: LevelWork, tau, x: np.ndarray, n_smooth: int,
-                  config: CycleConfig, fg_x: tuple) -> tuple[np.ndarray, int]:
-    """Coarsest-level solve: budgeted smoothing, or iterate to tolerance."""
+                  config: CycleConfig, fg_x: tuple) -> tuple[np.ndarray, tuple, int]:
+    """Coarsest-level solve: budgeted smoothing, or iterate to tolerance.
+
+    Returns the output, the pair (f, grad f) there and the steps taken.
+    """
     problem = work.problem
     if config.coarse_mode == "smoothing":
-        return run_smoothing(work, tau, x, n_smooth, fg_x).x, n_smooth
+        res = run_smoothing(work, tau, x, n_smooth, fg_x)
+        return res.x, res.fg, n_smooth
     g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg_x[1], work))
     target = COARSE_REL_TOL * g_entry
-    steps = 0
     fg = fg_x
-    for _ in range(COARSE_MAX_ITERS):
+    for steps in range(1, COARSE_MAX_ITERS + 1):
         res = run_smoothing(work, tau, x, 1, fg)
-        x = res.x
-        fg = res.fg if res.fg is not None else problem.smooth.value_and_grad(x)
-        steps += 1
+        x, fg = res.x, res.fg
         if np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg[1], work)) <= target:
             break
-    return x, steps
+    return x, fg, steps
 
 
 def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
-                tau, config: CycleConfig, trace: CycleTrace, fg_x: tuple):
+                tau, config: CycleConfig, trace: CycleTrace,
+                fg_x: tuple) -> tuple[np.ndarray, tuple]:
     """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
-    level's smooth part.  Returns the level's output and, at the finest
-    level, the pair there (None below, where nothing reads it).  The level's
-    step estimate lives in its workspace, and the smoothing steps grow it
-    there (see ``smoothing.backtrack_L``)."""
+    level's smooth part.  Returns the level's output and the pair there.
+    The level's step estimate lives in its workspace, and the smoothing
+    steps grow it there (see ``smoothing.backtrack_L``)."""
     level, lw = stack[ell], work[ell]
     problem = lw.problem
-    smooth = problem.smooth
 
     if ell == len(stack) - 1:
-        x_out, steps = _coarse_solve(lw, tau, x, stack.n_smooth, config, fg_x)
+        x_out, fg_out, steps = _coarse_solve(lw, tau, x, stack.n_smooth, config, fg_x)
         trace.smoothing_steps[ell] += steps
-        return x_out, None
-
-    at_finest = ell == 0
-    if at_finest:
-        trace.x_entry = x
-        trace.stage_objectives.append(tilted_objective(problem, tau, x, fg_x[0]))
+        return x_out, fg_out
 
     pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x)
-    y = pre.x
-    fg_y = pre.fg if pre.fg is not None else smooth.value_and_grad(y)
+    y, fg_y = pre.x, pre.fg
     trace.smoothing_steps[ell] += stack.n_smooth
-    if at_finest:
-        trace.y_first = pre.y_first
-        trace.L_first = pre.L_first
+    f_y = tilted_objective(problem, tau, y, fg_y[0])
+    if ell == 0:
+        trace.x_entry, trace.y_first, trace.L_first = x, pre.y_first, pre.L_first
         trace.F_y_first = tilted_objective(problem, tau, pre.y_first, pre.f_first)
-        trace.stage_objectives.append(tilted_objective(problem, tau, y, fg_y[0]))
+        trace.stage_objectives += [tilted_objective(problem, tau, x, fg_x[0]), f_y]
 
     g = problem.nonsmooth
     kocvara = config.variant == "kocvara3"
@@ -191,21 +185,15 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     trace.angle_products[ell] = float(s_hat @ p)
     trace.correction_norms[ell] = float(np.linalg.norm(p))
 
-    f_y = trace.stage_objectives[1] if at_finest else tilted_objective(problem, tau, y,
-                                                                        fg_y[0])
     z, alpha, f_z = naive_line_search(lambda v: tilted_objective(problem, tau, v),
                                       y, p, f_y)
     trace.alphas[ell] = alpha
-    if at_finest:
-        trace.stage_objectives.append(f_z)
 
     post = run_smoothing(lw, tau, z, stack.n_smooth)
     trace.smoothing_steps[ell] += stack.n_smooth
-    if not at_finest:
-        return post.x, None
-    fg_out = post.fg if post.fg is not None else smooth.value_and_grad(post.x)
-    trace.stage_objectives.append(tilted_objective(problem, tau, post.x, fg_out[0]))
-    return post.x, fg_out
+    if ell == 0:
+        trace.stage_objectives += [f_z, tilted_objective(problem, tau, post.x, post.fg[0])]
+    return post.x, post.fg
 
 
 def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,

@@ -19,7 +19,7 @@ from .hierarchy import Level, LevelStack
 from .multigrid import CycleConfig, StoppingRule, mgprox_solve
 from .nonsmooth import SeparableNonsmooth
 from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues, laplacian_1d,
-                       start_points)
+                       power_iteration, start_points)
 from .smoothing import prox_grad_map
 from .transfer import build_line_weighting
 
@@ -90,15 +90,14 @@ def brute_force_prox(g_scalar, v: float, step: float, bracket: tuple[float, floa
 def make_chain_problem(n: int, lam: float = 0.01, seed: int = 0) -> CompositeProblem:
     """Quadratic + l1 test problem: f = 0.5 x'Ax - b'x with A = tridiag(-1,2,-1).
 
-    Both curvature constants are computed numerically (power iteration), so
-    the problem carries its own rate-verification data; b is drawn from a
-    seeded PCG64 stream for reproducibility.
+    The curvature bound L is computed numerically (power iteration), and
+    :func:`chain_constants` re-derives (mu, L) for the rate certificates; b
+    is drawn from a seeded PCG64 stream for reproducibility.
     """
     A = laplacian_1d(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     b = rng.uniform(-1.0, 1.0, size=n)
-    mu, L = extreme_eigenvalues(A)
-    smooth = QuadraticForm(A, b, L)
+    smooth = QuadraticForm(A, b, power_iteration(A))
     problem = CompositeProblem(smooth, SeparableNonsmooth.l1(lam))
     return problem
 
@@ -126,8 +125,7 @@ def build_chain_hierarchy(n: int, lam: float = 0.01, num_levels: int = 2,
         size = transfer.n_coarse
         A_c = laplacian_1d(size)
         b_c = transfer.restrict @ problems[-1].smooth.b
-        _, L_c = extreme_eigenvalues(A_c)
-        problems.append(CompositeProblem(QuadraticForm(A_c, b_c, L_c),
+        problems.append(CompositeProblem(QuadraticForm(A_c, b_c, power_iteration(A_c)),
                                          SeparableNonsmooth.l1(lam)))
         transfers.append(transfer)
     levels = [Level(p, t) for p, t in zip(problems, transfers + [None])]

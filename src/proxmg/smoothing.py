@@ -16,7 +16,9 @@ The steps take the level's share of a solve's workspace (``work``, a
 ``hierarchy.LevelWork``): its problem, its estimate ``L`` with the cap
 ``L_cap``, and the scratch arrays ``point`` and ``diff``.  A step writes the
 L it accepted back to ``work.L``, so the estimate only ever grows (Beck and
-Teboulle's monotone rule) and no caller updates it.
+Teboulle's monotone rule) and no caller updates it.  A block of steps
+returns the pair (f, grad f) at its output, so the next stage of a cycle
+reads it rather than evaluating it again.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class SmoothResult:
     x: np.ndarray
     y_first: np.ndarray  # iterate after the first step
     L_first: float       # stepsize parameter used at the first step
-    fg: tuple | None = None  # (f(x), grad f(x)) when the last step computed it
+    fg: tuple            # (f(x), grad f(x)) at the output x
     f_first: float | None = None  # f(y_first) when the first step computed it
 
 
@@ -123,7 +125,9 @@ def run_smoothing(work, tau, x: np.ndarray, n_steps: int,
     """n_steps backtracking steps (see :func:`backtrack_L`) on ``work``.
 
     ``fg_x`` is (f(x), grad f(x)) when the caller already has it; each step
-    hands the pair at its output to the next.
+    hands the pair at its output to the next.  The pair at the block's
+    output is evaluated once at the end when the last step, accepted at its
+    cap, left it unset, so a fixed step still costs one gradient.
     """
     if n_steps < 1:
         raise ValueError("need at least one smoothing step")
@@ -133,4 +137,6 @@ def run_smoothing(work, tau, x: np.ndarray, n_steps: int,
         if k == 0:
             y_first, L_first = x, work.L
             f_first = None if fg is None else fg[0]
+    if fg is None:
+        fg = work.problem.smooth.value_and_grad(x)
     return SmoothResult(x, y_first, L_first, fg, f_first)

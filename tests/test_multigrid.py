@@ -7,6 +7,7 @@ from proxmg.certificates import (check_angle_condition, check_fixed_point,
                                  check_smoothing_descent,
                                  check_stage_monotonicity)
 from proxmg.hierarchy import LevelStack, build_obstacle_hierarchy
+from proxmg.membrane import MembraneEnergy
 from proxmg.multigrid import (CycleConfig, StoppingRule, cycle_work_units,
                               mgprox_solve, naive_line_search, vcycle)
 from proxmg.nonsmooth import SeparableNonsmooth
@@ -181,3 +182,20 @@ def test_linear_rate_on_the_synthetic_problem():
     _, trace = mgprox_solve(stack, x0, StoppingRule(2000, 1e-12))
     assert trace.converged
     assert check_linear_rate(trace, ref.objective, mu, L).passed
+
+
+def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
+    # a fixed step costs one gradient; each smoothing block completes the pair
+    # (f, grad f) at its output once, not once per step
+    stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
+    rng = np.random.Generator(np.random.PCG64(0))
+    x = rng.uniform(0, 1, size=stack.fine.problem.dim)
+    fg_x = stack.fine.problem.smooth.value_and_grad(x)
+    counts = {"grad": {}, "value_and_grad": {}}
+    for name in counts:
+        def counted(self, u, _name=name, _orig=getattr(MembraneEnergy, name)):
+            counts[_name][self._n] = counts[_name].get(self._n, 0) + 1
+            return _orig(self, u)
+        monkeypatch.setattr(MembraneEnergy, name, counted)
+    vcycle(stack, x, CycleConfig(step_mode="fixed"), fg_x)
+    assert counts == {"grad": {15: 39, 7: 39, 3: 19}, "value_and_grad": {15: 2, 7: 3, 3: 2}}

@@ -165,3 +165,16 @@ def test_steps_grow_the_workspace_estimate_up_to_its_cap(L0, L_cap):
         assert work.L == res.L_first
         x = res.x
     assert work.L > 1.0  # the estimate did move from a start below the curvature
+
+
+@pytest.mark.parametrize("mode", ["fixed", "backtracking"])
+def test_a_smoothing_block_returns_the_pair_at_its_output(mode):
+    p = make_obstacle_problem(15, 1e-6)
+    rng = np.random.Generator(np.random.PCG64(4))
+    x, tau = rng.uniform(0, 1, size=p.dim), rng.uniform(-1, 1, size=p.dim)
+    L = p.lipschitz
+    work = LevelWork(p, L, L) if mode == "fixed" else LevelWork(p, 1.0, step_cap(L))
+    res = run_smoothing(work, tau, x, 3)
+    f, g = p.smooth.value_and_grad(res.x)
+    assert np.float64(res.fg[0]).tobytes() == np.float64(f).tobytes()
+    assert res.fg[1].tobytes() == g.tobytes()
