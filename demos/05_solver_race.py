@@ -10,6 +10,16 @@ about seventeen times the target -- the penalty's slopes are small but they
 are exactly what the correction term needs to cancel for the cycle to have
 the right fixed point.  Its budget is 200 cycles, enough to show the plateau.
 
+The accelerated variant ends its 300 iterations at a residual of 6.2e-5
+while the plain cycle reaches 2.2e-11 in 21.  Its momentum cannot pay off
+against a cycle that already contracts by a constant factor: the auxiliary
+point z moves only along the fine-level gradient mapping, so after 300
+iterations it is still 3.7 from the solution (the start was 9.2 away), and
+each extrapolation y = alpha z + (1 - alpha) x pulls the iterate back by
+about alpha |z - x| = 0.0066 * 3.7 = 0.024.  The V-cycle from there removes
+about 70 % of the error (|y - x*| = 1.9e-2, |x+ - x*| = 5.6e-3), so the
+error falls like alpha, about 2/k, instead of geometrically.
+
 The same comparison is available from the command line:
     proxmg compare --n-exp 4 --levels 3 --tol 1e-10 --seed 0 --max-iters 2000
 """

@@ -38,10 +38,11 @@ lam_ok = all(l < lambda_rate_bound(k, gamma0, L)
              for k, l in enumerate(trace.extras["lam"], start=1))
 phi_ok = all(F <= p + 1e-9 * max(1.0, abs(p))
              for F, p in zip(trace.objectives, trace.extras["phi_bar"]))
-resid = max(trace.extras["alpha_residual"])
+resid = max(r / (gamma0 * l)
+            for r, l in zip(trace.extras["alpha_residual"], trace.extras["lam"]))
 print(f"\nlambda^k < bound for all k:    {lam_ok}")
 print(f"F(x^k) <= phi_bar^k for all k: {phi_ok}")
-print(f"worst |L a^2 - (1-a) gamma|:   {resid:.2e}")
+print(f"worst |L a^2 - (1-a) gamma| / (gamma0 lambda^k): {resid:.2e}")
 
 anchor = (trace.objective_initial - ref.objective
           + 0.5 * gamma0 * float((x0 - ref.x) @ (x0 - ref.x)))

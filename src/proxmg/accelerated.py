@@ -1,19 +1,42 @@
 """Momentum-accelerated variant of the V-cycle solver, with its certificates.
 
 Each iteration extrapolates (y = alpha z + (1 - alpha) x), takes a
-prox-gradient step at y, runs one V-cycle from there, and updates the
-auxiliary point z.  The scalar sequences (alpha, gamma, lambda) and the
-running bound phi_bar follow the canonical estimate-sequence recursions:
+prox-gradient step w = T(y) = prox_{g/L}(y - grad f(y) / L), runs one V-cycle
+from w to get x+, and moves the auxiliary point z along the composite
+gradient mapping G = G(y) = L (y - T(y)).  The scalar sequences (alpha,
+gamma, lambda) and the running bound phi_bar follow Nesterov's estimate
+sequence with mu = 0 (Nesterov, *Introductory Lectures*, 2004, section 2.2;
+Beck and Teboulle, FISTA, 2009), written for G:
 
     L alpha^2 = (1 - alpha) gamma,      gamma+ = (1 - alpha) gamma,
-    lambda+ = (1 - alpha) lambda,       g = (y - x+) / L,
-    z+ = z - (alpha / gamma+) g,
+    lambda+ = (1 - alpha) lambda,       z+ = z - (alpha / gamma+) G,
     phi_bar+ = (1 - alpha) phi_bar + alpha F(x+)
-               + (alpha/2) (1/L - alpha/gamma+) ||g||^2 + alpha <g, z - y>.
+               + (alpha/2) (1/L - alpha/gamma+) ||G||^2 + alpha <G, z - y>.
 
-``F(x^k) <= phi_bar^k`` and ``lambda^k`` under its closed-form decay bound
-are the computable witnesses of the accelerated O(1/k^2) rate; both are
-recorded every iteration and checked by the verification suite.
+Why phi_bar+ >= F(x+).  With L at least the curvature of f, the descent
+lemma at T(y) and the convexity of f and g give, for every u,
+
+    F(u) >= F(T(y)) + <G, u - y> + ||G||^2 / 2L.
+
+The V-cycle from w never raises F (the ``stage-monotonicity``
+certificate), so F(x+) <= F(w) = F(T(y)), and the bound holds with F(x+)
+in place of F(T(y)).  phi_bar+ is the minimum of (1 - alpha) phi(u) +
+alpha (that lower model), where phi(u) = phi_bar + (gamma/2) ||u - z||^2, so
+it is attained at z+ and has the value above.  If phi_bar >= F(x), bound
+F(x) from below by the lower model at u = x; then
+
+    phi_bar+ >= F(x+) + <G, (1 - alpha)(x - y) + alpha (z - y)>
+                + (||G||^2 / 2) (1/L - alpha^2/gamma+) = F(x+),
+
+because y = alpha z + (1 - alpha) x and L alpha^2 = gamma+.  With
+phi_bar0 = F(x0) the bound holds at every k.  A momentum taken from the
+V-cycle's output, L (y - x+), has no such lower model behind it, and
+``estimate-sequence-bound`` fails on it.
+
+``F(x^k) <= phi_bar^k`` and ``lambda^k`` under Nesterov's decay bound
+4L / (2 sqrt(L) + k sqrt(gamma0))^2 are the computable witnesses of the
+accelerated O(1/k^2) rate; both are recorded every iteration and checked by
+the verification suite.
 """
 
 from __future__ import annotations
@@ -40,14 +63,16 @@ def solve_alpha(L: float, gamma: float) -> float:
 
 
 def lambda_rate_bound(k: int, gamma0: float, L: float) -> float:
-    """Closed-form decay bound for lambda^k (the O(1/k^2) envelope)."""
+    """Nesterov's decay bound 4L / (2 sqrt(L) + k sqrt(gamma0))^2 for lambda^k.
+
+    Lemma 2.2.4 of Nesterov's *Introductory Lectures* with mu = 0; it is 1 at
+    k = 0 and holds for every L and gamma0.
+    """
     if gamma0 <= 0 or L <= 0:
         raise ValueError("gamma0 and L must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    sL, sg = math.sqrt(L), math.sqrt(gamma0)
-    den = (2.0 * sL - sg) ** 2 + 2.0 * (2.0 * sL * sg - sg) * sg * k + gamma0 * k * k
-    return 4.0 * L / den
+    return 4.0 * L / (2.0 * math.sqrt(L) + k * math.sqrt(gamma0)) ** 2
 
 
 def phi_bar_update(phi_bar: float, alpha: float, gamma_next: float, L: float,
@@ -91,11 +116,10 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     G_y = L * (y - w)
     F_y = problem.objective(y, f_y)
     x_next, ctrace = vcycle(stack, w, config, work=work)
-    g = (y - x_next) / L
-    z_next = state.z - (alpha / gamma_next) * g
+    z_next = state.z - (alpha / gamma_next) * G_y
     F_x_next = ctrace.stage_objectives[-1]
     phi_bar_next = phi_bar_update(state.phi_bar, alpha, gamma_next, L,
-                                  F_x_next, g, state.z, y)
+                                  F_x_next, G_y, state.z, y)
     diag = {
         "alpha": alpha,
         "alpha_residual": abs(L * alpha * alpha - (1.0 - alpha) * state.gamma),

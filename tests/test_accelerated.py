@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from proxmg.accelerated import (FastState, fast_step, fastmgprox_solve,
                                 lambda_rate_bound, phi_bar_update, solve_alpha)
 from proxmg.certificates import check_fast_certificates
-from proxmg.multigrid import StoppingRule
+from proxmg.hierarchy import build_obstacle_hierarchy, workspace
+from proxmg.membrane import make_obstacle_problem
+from proxmg.multigrid import CycleConfig, SolverTrace, StoppingRule
 from proxmg.oracles import build_chain_hierarchy, reference_solution
+from proxmg.problems import start_points
+from proxmg.smoothing import prox_grad_step
 
 
 def test_alpha_closed_form_values():
@@ -32,7 +36,7 @@ def test_alpha_solves_its_equation_in_the_unit_interval(L, gamma):
 
 
 def test_lambda_rate_bound_examples():
-    assert lambda_rate_bound(0, 1.0, 1.0) == pytest.approx(4.0)
+    assert lambda_rate_bound(0, 1.0, 1.0) == pytest.approx(1.0)
     # leading k^2 term: bound(k) * k^2 -> 4 L / gamma0
     assert lambda_rate_bound(10**6, 1.0, 1.0) * 10**12 == pytest.approx(4.0, rel=1e-5)
     with pytest.raises(ValueError):
@@ -45,6 +49,17 @@ def test_lambda_recursion_stays_under_the_bound_for_unit_constants():
     L = gamma0 = 1.0
     lam, gamma = 1.0, gamma0
     for k in range(1, 201):
+        a = solve_alpha(L, gamma)
+        gamma *= (1.0 - a)
+        lam *= (1.0 - a)
+        assert 0.0 < lam < lambda_rate_bound(k, gamma0, L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.floats(1e-3, 1e6), gamma0=st.floats(1e-3, 1e6))
+def test_lambda_recursion_stays_under_the_bound_at_any_scale(L, gamma0):
+    lam, gamma = 1.0, gamma0
+    for k in range(1, 301):
         a = solve_alpha(L, gamma)
         gamma *= (1.0 - a)
         lam *= (1.0 - a)
@@ -98,3 +113,91 @@ def test_final_rate_bound_from_the_estimate_sequence():
               + 0.5 * gamma0 * float((x0 - x_star) @ (x0 - x_star)))
     for k, F in enumerate(trace.objectives, start=1):
         assert F - ref.objective <= lambda_rate_bound(k, gamma0, L) * anchor + 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([1e-6, 1.0, 100.0]),
+       scale=st.floats(0.01, 10.0))
+def test_gradient_mapping_gives_a_lower_model_of_F(seed, lam, scale):
+    # F(u) >= F(T(y)) + <G, u - y> + ||G||^2 / 2L with T(y) the prox-gradient
+    # step at y and G = L (y - T(y)): the inequality fast_step's phi_bar rests on
+    problem = make_obstacle_problem(7, lam)
+    L = problem.smooth.lipschitz
+    rng = np.random.Generator(np.random.PCG64(seed))
+    y, u = (scale * rng.uniform(-1.0, 1.0, size=problem.dim) for _ in range(2))
+    T = prox_grad_step(problem, None, y, L)
+    G = L * (y - T)
+    F_T = problem.objective(T)
+    model = F_T + float(G @ (u - y)) + float(G @ G) / (2.0 * L)
+    assert problem.objective(u) >= model - 1e-12 * max(1.0, abs(F_T))
+
+
+@pytest.mark.parametrize("lam", [1e-6, 100.0])
+def test_momentum_moves_z_away_from_the_start(lam):
+    stack = build_obstacle_hierarchy(15, lam, 3, 20)
+    problem = stack.fine.problem
+    x0 = next(start_points(0, problem.dim))
+    state = FastState(z=x0.copy(), gamma=stack.fine.L_est, phi_bar=problem.objective(x0))
+    work = workspace(stack, "fixed")
+    x = x0
+    for _ in range(20):
+        x, state, _ = fast_step(stack, state, x, CycleConfig(), work)
+    assert np.linalg.norm(state.z - x0) >= 0.1 * np.linalg.norm(x - x0)
+
+
+def _chain_run():
+    """50 accelerated iterations on the chain problem, seed 0."""
+    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
+    _, trace = fastmgprox_solve(stack, next(start_points(0, 64)), StoppingRule(50, 0.0))
+    return trace
+
+
+def test_momentum_from_the_vcycle_output_fails_the_estimate_sequence_bound():
+    # the same iteration with z and phi_bar driven by L (y - x+) instead of G(y)
+    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
+    problem = stack.fine.problem
+    L = stack.fine.L_est
+    x = next(start_points(0, problem.dim))
+    trace = SolverTrace(algorithm="corrupted", objective_initial=problem.objective(x))
+    trace.extras = {"phi_bar": []}
+    state = FastState(z=x.copy(), gamma=L, phi_bar=trace.objective_initial)
+    work = workspace(stack, "fixed")
+    for _ in range(200):
+        x_next, honest, diag = fast_step(stack, state, x, CycleConfig(), work)
+        alpha = diag["alpha"]
+        y = alpha * state.z + (1.0 - alpha) * x
+        g = L * (y - x_next)
+        phi_bar = phi_bar_update(state.phi_bar, alpha, honest.gamma, L,
+                                 diag["F_x_next"], g, state.z, y)
+        state = FastState(state.z - (alpha / honest.gamma) * g, honest.gamma, honest.lam,
+                          phi_bar)
+        x = x_next
+        trace.objectives.append(diag["F_x_next"])
+        trace.extras["phi_bar"].append(phi_bar)
+    certs = {r.name: r for r in check_fast_certificates(trace, L, L)}
+    assert not certs["estimate-sequence-bound"].passed, certs["estimate-sequence-bound"].line()
+
+
+def test_alpha_off_by_one_part_in_1e12_fails_the_alpha_equation():
+    trace = _chain_run()
+    L = gamma0 = trace.meta["gamma0"]
+    ex = trace.extras
+    gammas = [gamma0, *ex["gamma"]]
+
+    def residuals(scale):
+        return [abs(L * a * a - (1.0 - a) * g)
+                for a, g in zip((a * scale for a in ex["alpha"]), gammas)]
+
+    assert residuals(1.0) == ex["alpha_residual"]
+    ex["alpha_residual"] = residuals(1.0 + 1e-12)
+    certs = {r.name: r for r in check_fast_certificates(trace, gamma0, L)}
+    assert not certs["alpha-equation"].passed, certs["alpha-equation"].line()
+
+
+def test_lambda_decaying_like_one_over_k_fails_the_decay_bound():
+    trace = _chain_run()
+    # halved steps: prod (1 - alpha_i / 2) decays like 1/k, not 1/k^2
+    trace.extras["lam"] = list(np.cumprod([1.0 - a / 2.0 for a in trace.extras["alpha"]]))
+    gamma0 = trace.meta["gamma0"]
+    certs = {r.name: r for r in check_fast_certificates(trace, gamma0, gamma0)}
+    assert not certs["lambda-decay-bound"].passed, certs["lambda-decay-bound"].line()

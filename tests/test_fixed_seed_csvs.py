@@ -19,28 +19,28 @@ ARGS = ["compare", "--n-exp", "4", "--levels", "3", "--max-iters", "60", "--seed
 DIGESTS = {
     ("fixed", "1e-6"): {
         "mgprox": "761da5935f75e2ef51e85ef3c4d0bbc0a30858c580b20227ba76d2794cd74236",
-        "fastmgprox": "3b857ea6a1c2b7b6c031a2d226bf14239160a85cd5ac083eb30b5554f5275e5e",
+        "fastmgprox": "171caf9260e5f552b8a1389da7477cd597687b353d6d4f9d04f62544dbc6eb7c",
         "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
         "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
         "kocvara3": "f1ea6ded027e84711814f36721a1ed0a1269ebea25a9eeccc40765e055484556",
     },
     ("fixed", "100"): {
         "mgprox": "dd5df73e9a142d182f9a25f2b8aa9609873894f9a8d095357eff88829301a4d8",
-        "fastmgprox": "82e95a484188a4d829bf3c63f8e50e846d8d058d838d4c0f46a85c464b7cdd4b",
+        "fastmgprox": "39db8927aeb287fb48939a19214156114b85c7af67fc82cfacce615b45e1d221",
         "proxgrad": "db2556ed518e6c89a91f856031041cb6f4eabaaac888bf8bf7c0c0c9aee4733f",
         "fista": "07335055a6f79233c27671922964aed0d6f73b4da30760a870dbc4d02d4ef825",
         "kocvara3": "f8f09b92a981be6f4d992105628d493738fc3ac4169589c6996422196c05f6b1",
     },
     ("backtracking", "1e-6"): {
         "mgprox": "1b1cb22a30507b12d335989bfa072476a79cad305c3a15dd7bb67563f56fdabc",
-        "fastmgprox": "3f4a69c8ce5011c86e831d0d85f6e8cb5e0e64cbd2ef5665bd3d38e8853f3a1d",
+        "fastmgprox": "629a384e1bc735687f0e41cd047977b729823e95c0134b7fd78aa0afd7570c0c",
         "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
         "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
         "kocvara3": "0ebdffdeb7cbbfb364189fd928ec2419650fe2ff18676f1f631db41b5978c717",
     },
     ("backtracking", "100"): {
         "mgprox": "f59191c0af5773b62395c18fce1088d76b0f74d149c9e3d9bb6e555022791ade",
-        "fastmgprox": "3ba8309545bbddc210628d9555dfc43f083e5fceda0a524cc429a7c721d2b267",
+        "fastmgprox": "86d84697034f6fa2479dbb3bb6fe5a8889835e4d4f2a71b1f219050240009be7",
         "proxgrad": "db2556ed518e6c89a91f856031041cb6f4eabaaac888bf8bf7c0c0c9aee4733f",
         "fista": "07335055a6f79233c27671922964aed0d6f73b4da30760a870dbc4d02d4ef825",
         "kocvara3": "12b5f7abf8ec9c3e29133f572ad2a910b1cac43bc0742b8325ba2bddfd303f0c",
