@@ -33,12 +33,12 @@ print("\n== run to convergence ==")
 x, trace = mgprox_solve(stack, x0, StoppingRule(100, 1e-10))
 print(f"{trace.iterations} cycles to relative residual {trace.rel_g_norms[-1]:.2e}")
 
-print("\n== fixed point: one cycle from the solution does nothing ==")
+print("\n== fixed point: one cycle of the solver from the solution does nothing ==")
 ref = reference_solution(stack, tol=1e-12, seed=0)
-for r in check_fixed_point(stack, ref.x, CycleConfig(coarse_mode="exact")):
+for r in check_fixed_point(stack, ref.x):
     print(f"  {r.line()}")
 
-print("\n== negative control: flip tau's sign and the certificate must fail ==")
-bad = CycleConfig(coarse_mode="exact", tau_hook=lambda tau, level: -tau)
+print("\n== negative control: flip tau's sign in that cycle and the certificate must fail ==")
+bad = CycleConfig(tau_hook=lambda tau, level: -tau)
 for r in check_fixed_point(stack, ref.x, bad):
     print(f"  {r.line()}")

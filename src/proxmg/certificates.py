@@ -184,12 +184,13 @@ def check_fast_certificates(trace: SolverTrace, gamma0: float,
 def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
                       config: CycleConfig | None = None,
                       masked: bool = False) -> list[CertificateResult]:
-    """One cycle from the reference point moves nothing, coarse solve included.
+    """One cycle of the solvers (``mgprox_solve``'s cycle, unless ``config``
+    changes it) from the reference point moves nothing, coarse level
+    included.
 
     With ``masked``, a fourth result requires a non-empty fine mask, so that
     the adaptive transfers act in the cycle being certified.
     """
-    config = config or CycleConfig(coarse_mode="exact")
     x_next, ct = vcycle(stack, x_star, config)
     move = float(np.max(np.abs(x_next - x_star)))
     coarse = max(ct.coarse_moves) if ct.coarse_moves else 0.0
@@ -284,7 +285,7 @@ def verify_gradient(seed: int) -> list[CertificateResult]:
 
 
 def verify_fixed_point(seed: int) -> list[CertificateResult]:
-    """One exact-coarse cycle from a reference point moves nothing: at
+    """One of the solvers' cycles from a reference point moves nothing: at
     lam = 1e-6, where nothing is masked, and at lam = 100 ("contact-"),
     where the fine mask must be non-empty."""
     results = []
@@ -370,13 +371,13 @@ def _control(name: str, checks: list[CertificateResult], detail: str) -> Certifi
 
 def verify_negative_controls(seed: int) -> list[CertificateResult]:
     """The suite must detect corrupted runs: these pass when those fail."""
+    flipped = CycleConfig(tau_hook=lambda tau, level: -tau)
     stack, ref = _obstacle_reference(7, 1e-6, 2, seed)
-    flipped = CycleConfig(coarse_mode="exact", tau_hook=lambda tau, level: -tau)
     tau = check_fixed_point(stack, ref.x, flipped)
 
     stack, ref = _obstacle_reference(7, 100.0, 2, seed)
-    kocvara = CycleConfig(coarse_mode="exact", variant="kocvara3")
-    coarse = check_fixed_point(stack, ref.x, kocvara)[1]
+    contact_tau = check_fixed_point(stack, ref.x, flipped)[1]
+    coarse = check_fixed_point(stack, ref.x, CycleConfig(variant="kocvara3"))[1]
 
     chain = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
     _, trace = mgprox_solve(chain, next(start_points(seed, 64)), StoppingRule(10, 0.0))
@@ -387,6 +388,8 @@ def verify_negative_controls(seed: int) -> list[CertificateResult]:
                  "tampered stage fails monotonicity"),
         _control("negative-control-kocvara3", [coarse],
                  "kocvara3 moves the coarse level at the contact x*"),
+        _control("negative-control-contact-tau", [contact_tau],
+                 "flipped tau moves the coarse level at the contact x*"),
     ]
 
 

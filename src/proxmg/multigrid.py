@@ -1,12 +1,12 @@
 """V-cycle solvers built on proximal-gradient smoothing with tau correction.
 
 One cycle on a stack of levels: smooth, restrict the variable with the full
-weighting, build tau from adaptively restricted subgradients, recurse; at the
-coarsest level run the smoothing budget (or iterate to tolerance in exact
-mode); on the way back up, prolong the coarse move through the masked rows,
-accept it through a halving line search on the tilted objective, and smooth
-again.  The ``kocvara3`` variant runs the same cycle with no masking and with
-the subdifferential terms dropped from the correction.
+weighting, build tau from adaptively restricted subgradients, recurse; the
+coarsest level runs its smoothing budget and nothing else; on the way back
+up, prolong the coarse move through the masked rows, accept it through a
+halving line search on the tilted objective, and smooth again.  The
+``kocvara3`` variant runs the same cycle with no masking and with the
+subdifferential terms dropped from the correction.
 
 Every smoothing step on a level is a backtracking step from the level's
 working estimate L up to its cap L_cap, both kept in the solve's workspace
@@ -35,10 +35,6 @@ from .smoothing import prox_grad_map, run_smoothing
 from .transfer import adaptive_mask, prolong_adaptive
 
 
-# the exact coarse solve stops at this fraction of its entry prox-gradient
-# norm, or after this many steps
-COARSE_REL_TOL = 1e-12
-COARSE_MAX_ITERS = 100000
 # the coarse-correction line search gives up, with a zero step, once its step
 # has halved down to this
 LINE_SEARCH_MIN_STEP = 1e-15
@@ -51,13 +47,11 @@ class CycleConfig:
     alpha_init: ClassVar[float] = 1.0  # first step of the line search
     variant: str = "mgprox"        # "mgprox" | "kocvara3"
     step_mode: str = "fixed"       # "fixed" | "backtracking"
-    coarse_mode: str = "smoothing"  # "smoothing" (budgeted steps) | "exact" (to tolerance)
     tau_hook: Callable | None = None  # verification hook: (tau, level_index) -> tau
 
     def __post_init__(self):
         for name, allowed in (("variant", ("mgprox", "kocvara3")),
-                              ("step_mode", ("fixed", "backtracking")),
-                              ("coarse_mode", ("smoothing", "exact"))):
+                              ("step_mode", ("fixed", "backtracking"))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
@@ -111,27 +105,6 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
             return y, 0.0, f_y
 
 
-def _coarse_solve(work: LevelWork, tau, x: np.ndarray, n_smooth: int,
-                  config: CycleConfig, fg_x: tuple) -> tuple[np.ndarray, tuple, int]:
-    """Coarsest-level solve: budgeted smoothing, or iterate to tolerance.
-
-    Returns the output, the pair (f, grad f) there and the steps taken.
-    """
-    problem = work.problem
-    if config.coarse_mode == "smoothing":
-        res = run_smoothing(work, tau, x, n_smooth, fg_x)
-        return res.x, res.fg, n_smooth
-    g_entry = np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg_x[1], work))
-    target = COARSE_REL_TOL * g_entry
-    fg = fg_x
-    for steps in range(1, COARSE_MAX_ITERS + 1):
-        res = run_smoothing(work, tau, x, 1, fg)
-        x, fg = res.x, res.fg
-        if np.linalg.norm(prox_grad_map(problem, tau, x, work.L, fg[1], work)) <= target:
-            break
-    return x, fg, steps
-
-
 def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
                 tau, config: CycleConfig, trace: CycleTrace,
                 fg_x: tuple) -> tuple[np.ndarray, tuple]:
@@ -142,14 +115,11 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     level, lw = stack[ell], work[ell]
     problem = lw.problem
 
-    if ell == len(stack) - 1:
-        x_out, fg_out, steps = _coarse_solve(lw, tau, x, stack.n_smooth, config, fg_x)
-        trace.smoothing_steps[ell] += steps
-        return x_out, fg_out
-
     pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x)
-    y, fg_y = pre.x, pre.fg
     trace.smoothing_steps[ell] += stack.n_smooth
+    if ell == len(stack) - 1:
+        return pre.x, pre.fg
+    y, fg_y = pre.x, pre.fg
     f_y = tilted_objective(problem, tau, y, fg_y[0])
     if ell == 0:
         trace.x_entry, trace.y_first, trace.L_first = x, pre.y_first, pre.L_first

@@ -1,14 +1,13 @@
 """Separable convex nonsmooth penalties: values, prox maps, subdifferentials.
 
-Three penalty kinds are supported:
+Two penalty kinds are supported:
 
 ``hinge``
     ``g(u) = lam * sum_i max(c_i - u_i, 0)`` -- a one-sided penalty that
     charges for dipping below a per-coordinate floor ``c`` (the obstacle).
 ``l1``
-    ``g(u) = lam * sum_i |u_i|``.
-``zero``
-    ``g(u) = 0``, for smooth problems run through the same machinery.
+    ``g(u) = lam * sum_i |u_i|``; at lam = 0 it is the zero penalty of a
+    smooth problem run through the same machinery.
 
 Each penalty is real-valued everywhere (no indicator functions), separable,
 and proper convex lower semi-continuous, so the subdifferential is a closed
@@ -52,7 +51,7 @@ class SeparableNonsmooth:
     obstacle: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("hinge", "l1", "zero"):
+        if self.kind not in ("hinge", "l1"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.lam < 0:
             raise ValueError("penalty weight must be nonnegative")
@@ -67,10 +66,6 @@ class SeparableNonsmooth:
     def l1(cls, lam: float) -> "SeparableNonsmooth":
         return cls("l1", lam)
 
-    @classmethod
-    def zero(cls) -> "SeparableNonsmooth":
-        return cls("zero")
-
     def _check_dim(self, u: np.ndarray):
         if self.kind == "hinge" and u.shape[0] != self.obstacle.shape[0]:
             raise ValueError(
@@ -83,9 +78,7 @@ class SeparableNonsmooth:
         if self.kind == "hinge":
             gap = self.obstacle - u
             return float(self.lam * np.sum(np.maximum(gap, 0.0, out=gap)))
-        if self.kind == "l1":
-            return float(self.lam * np.sum(np.abs(u)))
-        return 0.0
+        return float(self.lam * np.sum(np.abs(u)))
 
     def prox(self, v: np.ndarray, step: float) -> np.ndarray:
         """Exact minimizer of ``step * g(u) + 0.5 * ||u - v||^2``, per coordinate.
@@ -112,9 +105,7 @@ class SeparableNonsmooth:
             out = v + lam
             np.minimum(out, self.obstacle, out=out)
             return np.maximum(v, out, out=out)
-        if self.kind == "l1":
-            return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
-        return v.copy()
+        return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
     def subdiff(self, u: np.ndarray) -> IntervalVec:
         """Per-coordinate subdifferential intervals at ``u``.
@@ -131,13 +122,10 @@ class SeparableNonsmooth:
             lo = np.where(u <= c, -lam, 0.0)
             hi = np.where(u < c, -lam, 0.0)
             return IntervalVec(lo, hi)
-        if self.kind == "l1":
-            sign = np.sign(u)
-            lo = np.where(u == 0.0, -lam, lam * sign)
-            hi = np.where(u == 0.0, lam, lam * sign)
-            return IntervalVec(lo, hi)
-        zeros = np.zeros_like(u)
-        return IntervalVec(zeros, zeros.copy())
+        sign = np.sign(u)
+        lo = np.where(u == 0.0, -lam, lam * sign)
+        hi = np.where(u == 0.0, lam, lam * sign)
+        return IntervalVec(lo, hi)
 
     def mask(self, u: np.ndarray) -> np.ndarray:
         """True where the subdifferential at ``u`` is set-valued.
@@ -148,7 +136,7 @@ class SeparableNonsmooth:
         """
         u = np.asarray(u, dtype=np.float64)
         self._check_dim(u)
-        if self.kind == "zero" or self.lam == 0.0:
+        if self.lam == 0.0:
             return np.zeros(u.shape, dtype=bool)
         return u == (self.obstacle if self.kind == "hinge" else 0.0)
 
@@ -164,9 +152,7 @@ class SeparableNonsmooth:
         self._check_dim(u)
         if self.kind == "hinge":
             return np.where(u < self.obstacle, -self.lam, 0.0)
-        if self.kind == "l1":
-            return self.lam * np.sign(u)
-        return np.zeros_like(u)
+        return self.lam * np.sign(u)
 
 
 def select_subgradient(intervals: IntervalVec) -> np.ndarray:

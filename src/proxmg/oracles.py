@@ -3,8 +3,10 @@
 The oracles re-derive what they check by other means: gradients by central
 differences, prox outputs by golden-section search, and the synthetic
 problem's curvature constants by power iteration.  The reference solution
-is the exception; it cross-checks two of the library's solvers, FISTA and
-the V-cycle solver, against each other.
+is the exception: it runs two of the library's solvers, FISTA and then the
+V-cycle solver, each warm starting the next.  At the references the
+certificates use, FISTA meets the tolerance on its own and the V-cycle run
+takes no iteration; it is a fallback for when FISTA stops short.
 """
 
 from __future__ import annotations
@@ -151,7 +153,12 @@ def reference_solution(stack: LevelStack, tol: float = 1e-12, seed: int = 0,
     Runs FISTA and the V-cycle solver (in the requested order,
     ``"fista-first"`` or ``"mg-first"``, each warm starting the next) down to
     the relative prox-gradient tolerance; the returned objective is the
-    smaller of the two final values.
+    smaller of the two final values.  In the default order FISTA does the
+    work: at the verification references (n = 7 at lam = 1e-6 and 100,
+    n = 15, and the n = 64 chain, all at tol = 1e-12) it meets the tolerance,
+    and the V-cycle run stops before its first cycle.  That run is a
+    fallback: it iterates only when FISTA stops short of the tolerance, or
+    with ``order="mg-first"``.
     """
     if order not in ("fista-first", "mg-first"):
         raise ValueError(f"unknown order {order!r}")
@@ -168,7 +175,7 @@ def reference_solution(stack: LevelStack, tol: float = 1e-12, seed: int = 0,
         return fista_solve(problem, x, StoppingRule(max_iters, 0.0, abs_tol))
 
     def run_mg(x):
-        cfg = CycleConfig(coarse_mode="exact", step_mode="backtracking")
+        cfg = CycleConfig(step_mode="backtracking")
         return mgprox_solve(stack, x, StoppingRule(min(2000, max_iters), 0.0, abs_tol), cfg)
 
     runs = (run_fista, run_mg) if order == "fista-first" else (run_mg, run_fista)

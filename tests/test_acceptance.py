@@ -138,7 +138,8 @@ def test_criterion_11_compare_determinism(tmp_path):
 
 def test_criterion_12_negative_controls():
     report_certificates(12, "negative-controls",
-                        ["negative-control-tau", "negative-control-trace"])
+                        ["negative-control-tau", "negative-control-trace",
+                         "negative-control-contact-tau"])
 
 
 def test_criterion_13_contact_fixed_point():
@@ -154,13 +155,13 @@ def test_criterion_14_lipschitz_bound():
 
 
 # SHA-256 of every scope's certificate lines, in SCOPES order, at seed 0:
-# the first 30 lines ``proxmg verify`` prints.  A change that moves any
+# the first 31 lines ``proxmg verify`` prints.  A change that moves any
 # printed margin (four significant digits) or detail, renames a certificate
 # or reorders them breaks it.
-VERIFY_LINES_SHA256 = "7f32851006adb924d70a2644dd225b6b6b481c893d51d75224323a9ddad7ebec"
+VERIFY_LINES_SHA256 = "b29fe5bc4ae257d006f7eb047ef11a6663caef75d62a0d48459541a7a21781f7"
 
 
 def test_verify_lines_are_pinned_to_the_bit():
     lines = [r.line() for scope in SCOPES for r in run_scope(scope)[0].values()]
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
-    assert (len(lines), digest) == (30, VERIFY_LINES_SHA256), "\n".join(lines)
+    assert (len(lines), digest) == (31, VERIFY_LINES_SHA256), "\n".join(lines)

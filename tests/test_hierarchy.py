@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from proxmg.grid import ij_to_k
 from proxmg.hierarchy import (LevelStack, build_obstacle_hierarchy, build_tau)
 from proxmg.membrane import obstacle_values
-from proxmg.multigrid import CycleConfig, vcycle
+from proxmg.multigrid import vcycle
 from proxmg.nonsmooth import SeparableNonsmooth, select_subgradient
 from proxmg.oracles import make_chain_problem, reference_solution
 from proxmg.problems import CompositeProblem, tilted_objective
@@ -63,8 +63,8 @@ def test_tau_vanishes_for_identical_problems_with_identity_transfer():
 
 def test_tau_reduces_to_classical_form_without_nonsmooth_part():
     stack = build_obstacle_hierarchy(7, 1e-6, 2)
-    fine = CompositeProblem(stack[0].problem.smooth, SeparableNonsmooth.zero())
-    coarse = CompositeProblem(stack[1].problem.smooth, SeparableNonsmooth.zero())
+    fine = CompositeProblem(stack[0].problem.smooth, SeparableNonsmooth.l1(0.0))
+    coarse = CompositeProblem(stack[1].problem.smooth, SeparableNonsmooth.l1(0.0))
     t = stack[0].transfer_down
     rng = np.random.Generator(np.random.PCG64(1))
     y = rng.uniform(0, 1, size=49)
@@ -106,7 +106,7 @@ def test_fixed_point_certificate_of_tau():
 def test_multilevel_fixed_point_chains_through_three_levels():
     stack = build_obstacle_hierarchy(15, 1e-6, 3)
     ref = reference_solution(stack, tol=1e-12, seed=0)
-    x_next, ct = vcycle(stack, ref.x, CycleConfig(coarse_mode="exact"))
+    x_next, ct = vcycle(stack, ref.x)
     assert float(np.max(np.abs(x_next - ref.x))) <= 1e-8
     assert all(move <= 1e-7 for move in ct.coarse_moves)
 

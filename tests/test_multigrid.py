@@ -60,8 +60,6 @@ def test_cycle_config_validation():
         CycleConfig(variant="wcycle")
     with pytest.raises(ValueError, match="step_mode"):
         CycleConfig(step_mode="wild")
-    with pytest.raises(ValueError, match="coarse_mode"):
-        CycleConfig(coarse_mode="exactt")
     with pytest.raises(ValueError):
         vcycle(build_obstacle_hierarchy(7, 1e-6, 1), np.zeros(49))
 
@@ -79,7 +77,7 @@ def test_cycle_stage_monotonicity_and_angle_condition():
 def test_fixed_point_of_one_cycle():
     stack = build_obstacle_hierarchy(7, 1e-6, 2)
     ref = reference_solution(stack, tol=1e-12, seed=0)
-    results = check_fixed_point(stack, ref.x, CycleConfig(coarse_mode="exact"))
+    results = check_fixed_point(stack, ref.x)
     assert all(r.passed for r in results)
     # nothing is masked at lam = 1e-6, so a check that needs a mask fails
     mask = check_fixed_point(stack, ref.x, masked=True)[-1]
@@ -87,11 +85,12 @@ def test_fixed_point_of_one_cycle():
 
 
 def test_corrupted_tau_breaks_the_fixed_point():
-    stack = build_obstacle_hierarchy(7, 1e-6, 2)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
-    bad = CycleConfig(coarse_mode="exact", tau_hook=lambda tau, level: -tau)
-    results = check_fixed_point(stack, ref.x, bad)
-    assert not all(r.passed for r in results)
+    bad = CycleConfig(tau_hook=lambda tau, level: -tau)
+    for lam in (1e-6, 100.0):
+        stack = build_obstacle_hierarchy(7, lam, 2)
+        ref = reference_solution(stack, tol=1e-12, seed=0)
+        results = check_fixed_point(stack, ref.x, bad)
+        assert not all(r.passed for r in results), lam
 
 
 @pytest.mark.parametrize("num_levels", [2, 3, 4])
@@ -147,7 +146,7 @@ def test_kocvara3_equals_mgprox_on_a_smooth_problem():
     def smooth_stack():
         stack = build_obstacle_hierarchy(7, 1e-6, 2)
         return LevelStack([dataclasses.replace(lev, problem=CompositeProblem(
-            lev.problem.smooth, SeparableNonsmooth.zero())) for lev in stack.levels],
+            lev.problem.smooth, SeparableNonsmooth.l1(0.0))) for lev in stack.levels],
             stack.n_smooth)
 
     rng = np.random.Generator(np.random.PCG64(4))

@@ -53,14 +53,6 @@ def test_l1_ops():
     assert (s.lo[2], s.hi[2]) == (-2.0, 2.0)
 
 
-def test_zero_penalty():
-    g = SeparableNonsmooth.zero()
-    u = np.array([1.0, -2.0])
-    assert g.value(u) == 0.0
-    assert np.array_equal(g.prox(u, 0.7), u)
-    assert not g.subdiff(u).set_valued().any()
-
-
 def test_select_subgradient_policies():
     iv = IntervalVec(np.array([-1.0, -1.0, 2.0]), np.array([0.0, -1.0, 3.0]))
     zero = select_subgradient(iv)
@@ -172,8 +164,6 @@ def test_l1_and_zero_prox_keep_their_closed_forms():
         lam = step * 0.7
         want = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
         assert SeparableNonsmooth.l1(0.7).prox(v, step).tobytes() == want.tobytes()
-        out = SeparableNonsmooth.zero().prox(v, step)
-        assert out.tobytes() == v.tobytes() and out is not v
 
 
 def _kink_inputs(rng, size=4000):
@@ -191,11 +181,10 @@ def _kink_inputs(rng, size=4000):
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.5, 100.0])
-@pytest.mark.parametrize("kind", ["hinge", "l1", "zero"])
+@pytest.mark.parametrize("kind", ["hinge", "l1"])
 def test_mask_and_subgradient_equal_the_interval_oracle_byte_for_byte(kind, lam):
     u, c = _kink_inputs(np.random.Generator(np.random.PCG64(13)))
-    g = {"hinge": SeparableNonsmooth.hinge(lam, c), "l1": SeparableNonsmooth.l1(lam),
-         "zero": SeparableNonsmooth.zero()}[kind]
+    g = {"hinge": SeparableNonsmooth.hinge(lam, c), "l1": SeparableNonsmooth.l1(lam)}[kind]
     iv = g.subdiff(u)
     assert g.mask(u).dtype == bool
     assert g.mask(u).tobytes() == iv.set_valued().tobytes()

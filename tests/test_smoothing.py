@@ -15,8 +15,7 @@ from proxmg.smoothing import backtrack_L, prox_grad_map, prox_grad_step, run_smo
 def quadratic_problem(a=1.0, n=1, lam=0.0):
     A = sp.csr_array(a * sp.identity(n))
     smooth = QuadraticForm(A, np.zeros(n), a)
-    g = SeparableNonsmooth.l1(lam) if lam > 0 else SeparableNonsmooth.zero()
-    return CompositeProblem(smooth, g)
+    return CompositeProblem(smooth, SeparableNonsmooth.l1(lam))
 
 
 def test_exact_gradient_step_on_quadratic():

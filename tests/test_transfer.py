@@ -96,7 +96,7 @@ def test_adaptive_mask_examples():
     g = SeparableNonsmooth.hinge(1.0, phi)
     assert not adaptive_mask(g, phi + 1.0).any()  # strictly above everywhere
 
-    assert not adaptive_mask(SeparableNonsmooth.zero(), np.zeros(5)).any()
+    assert not adaptive_mask(SeparableNonsmooth.l1(0.0), np.zeros(5)).any()
 
 
 def test_adaptive_restriction_identities():
