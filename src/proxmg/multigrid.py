@@ -107,18 +107,20 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
 
 def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
                 tau, config: CycleConfig, trace: CycleTrace,
-                fg_x: tuple) -> tuple[np.ndarray, tuple]:
+                fg_x: tuple) -> np.ndarray:
     """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
-    level's smooth part.  Returns the level's output and the pair there.
-    The level's step estimate lives in its workspace, and the smoothing
-    steps grow it there (see ``smoothing.backtrack_L``)."""
+    level's smooth part.  Returns the level's output; the finest level
+    leaves the pair there in ``trace.fg_exit``, and no other level
+    evaluates it.  The level's step estimate lives in its workspace, and
+    the smoothing steps grow it there (see ``smoothing.backtrack_L``)."""
     level, lw = stack[ell], work[ell]
     problem = lw.problem
+    coarsest = ell == len(stack) - 1
 
-    pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x)
+    pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x, pair=not coarsest)
     trace.smoothing_steps[ell] += stack.n_smooth
-    if ell == len(stack) - 1:
-        return pre.x, pre.fg
+    if coarsest:
+        return pre.x
     y, fg_y = pre.x, pre.fg
     f_y = tilted_objective(problem, tau, y, fg_y[0])
     if ell == 0:
@@ -142,8 +144,8 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     if config.tau_hook is not None:
         tau_next = config.tau_hook(tau_next, ell + 1)
 
-    w_coarse, _ = _level_pass(stack, work, ell + 1, x_coarse, tau_next, config, trace,
-                              fg_coarse)
+    w_coarse = _level_pass(stack, work, ell + 1, x_coarse, tau_next, config, trace,
+                           fg_coarse)
     trace.coarse_moves[ell] = float(np.max(np.abs(w_coarse - x_coarse)))
 
     p = prolong_adaptive(transfer, mask, w_coarse - x_coarse)
@@ -159,11 +161,12 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
                                       y, p, f_y)
     trace.alphas[ell] = alpha
 
-    post = run_smoothing(lw, tau, z, stack.n_smooth)
+    post = run_smoothing(lw, tau, z, stack.n_smooth, pair=ell == 0)
     trace.smoothing_steps[ell] += stack.n_smooth
     if ell == 0:
         trace.stage_objectives += [f_z, tilted_objective(problem, tau, post.x, post.fg[0])]
-    return post.x, post.fg
+        trace.fg_exit = post.fg
+    return post.x
 
 
 def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
@@ -185,7 +188,7 @@ def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
     trace = CycleTrace.empty(len(stack))
     if fg_x is None:
         fg_x = work[0].problem.smooth.value_and_grad(x)
-    x_next, trace.fg_exit = _level_pass(stack, work, 0, x, None, config, trace, fg_x)
+    x_next = _level_pass(stack, work, 0, x, None, config, trace, fg_x)
     return x_next, trace
 
 

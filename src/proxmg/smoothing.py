@@ -116,18 +116,20 @@ class SmoothResult:
     x: np.ndarray
     y_first: np.ndarray  # iterate after the first step
     L_first: float       # stepsize parameter used at the first step
-    fg: tuple            # (f(x), grad f(x)) at the output x
+    fg: tuple | None     # (f(x), grad f(x)) at the output x; see run_smoothing
     f_first: float | None = None  # f(y_first) when the first step computed it
 
 
 def run_smoothing(work, tau, x: np.ndarray, n_steps: int,
-                  fg_x: tuple | None = None) -> SmoothResult:
+                  fg_x: tuple | None = None, pair: bool = True) -> SmoothResult:
     """n_steps backtracking steps (see :func:`backtrack_L`) on ``work``.
 
     ``fg_x`` is (f(x), grad f(x)) when the caller already has it; each step
     hands the pair at its output to the next.  The pair at the block's
     output is evaluated once at the end when the last step, accepted at its
-    cap, left it unset, so a fixed step still costs one gradient.
+    cap, left it unset, so a fixed step still costs one gradient.  A caller
+    that does not read the pair passes ``pair=False``, and then gets the
+    pair only when the last step computed it (None otherwise).
     """
     if n_steps < 1:
         raise ValueError("need at least one smoothing step")
@@ -137,6 +139,6 @@ def run_smoothing(work, tau, x: np.ndarray, n_steps: int,
         if k == 0:
             y_first, L_first = x, work.L
             f_first = None if fg is None else fg[0]
-    if fg is None:
+    if fg is None and pair:
         fg = work.problem.smooth.value_and_grad(x)
     return SmoothResult(x, y_first, L_first, fg, f_first)

@@ -10,7 +10,7 @@ from proxmg.accelerated import (FastState, fast_step, fastmgprox_solve,
 from proxmg.certificates import check_fast_certificates
 from proxmg.hierarchy import build_obstacle_hierarchy, workspace
 from proxmg.membrane import make_obstacle_problem
-from proxmg.multigrid import CycleConfig, SolverTrace, StoppingRule
+from proxmg.multigrid import CycleConfig, SolverTrace, StoppingRule, mgprox_solve
 from proxmg.oracles import build_chain_hierarchy, reference_solution
 from proxmg.problems import start_points
 from proxmg.smoothing import prox_grad_step
@@ -201,3 +201,77 @@ def test_lambda_decaying_like_one_over_k_fails_the_decay_bound():
     gamma0 = trace.meta["gamma0"]
     certs = {r.name: r for r in check_fast_certificates(trace, gamma0, gamma0)}
     assert not certs["lambda-decay-bound"].passed, certs["lambda-decay-bound"].line()
+
+
+def _restarted_run(stack, iters, keep_lam=False):
+    """``fastmgprox_solve``'s loop written out, from the seed-0 start; with
+    ``keep_lam`` a restart resets gamma to gamma0 but lets lambda carry on."""
+    problem = stack.fine.problem
+    L = stack.fine.L_est
+    x = next(start_points(0, problem.dim))
+    F_x = problem.objective(x)
+    trace = SolverTrace(algorithm="restarted", objective_initial=F_x)
+    trace.meta.update(gamma0=L, restarts=[])
+    trace.extras = {key: [] for key in ("alpha", "lam", "gamma", "phi_bar", "F_y",
+                                        "g_norm_y", "alpha_residual")}
+    state = FastState(z=x.copy(), gamma=L, phi_bar=F_x)
+    work = workspace(stack, "fixed")
+    for k in range(1, iters + 1):
+        x_next, state, diag = fast_step(stack, state, x, CycleConfig(), work)
+        for key, series in trace.extras.items():
+            series.append(diag[key])
+        F_next = diag["F_x_next"]
+        if F_next > F_x or float(diag["G_y"] @ (x_next - x)) > 0.0:
+            state = FastState(x_next, L, state.lam if keep_lam else 1.0, F_next)
+            trace.meta["restarts"].append(k)
+        x, F_x = x_next, F_next
+        trace.objectives.append(F_x)
+    return trace
+
+
+def test_a_restart_that_keeps_lambda_fails_the_gamma_and_alpha_identities():
+    stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
+    L = stack.fine.L_est
+    honest = _restarted_run(stack, 40)
+    _, solved = fastmgprox_solve(stack, next(start_points(0, stack.fine.problem.dim)),
+                                 StoppingRule(40, 0.0))
+    # the loop above is the solver's: same restarts, same bytes in every series
+    assert honest.meta["restarts"] == solved.meta["restarts"] != []
+    assert honest.extras == solved.extras and honest.objectives == solved.objectives
+    assert all(r.passed for r in check_fast_certificates(honest, L, L))
+
+    certs = {r.name: r for r in check_fast_certificates(_restarted_run(stack, 40, True), L, L)}
+    for name in ("gamma-lambda-identity", "alpha-equation"):
+        assert not certs[name].passed, certs[name].line()
+
+
+def test_the_decay_bound_needs_the_epoch_count_on_a_restarted_contact_run():
+    # contact-n31's accelerated solve: n = 31, lam = 100, 4 levels, 150 fixed steps
+    stack = build_obstacle_hierarchy(31, 100.0, 4, 20)
+    _, trace = fastmgprox_solve(stack, next(start_points(0, stack.fine.problem.dim)),
+                                StoppingRule(150, 0.0))
+    L, gamma0 = stack.fine.L_est, trace.meta["gamma0"]
+    assert trace.meta["restarts"]
+    certs = {r.name: r for r in check_fast_certificates(trace, gamma0, L)}
+    assert all(r.passed for r in certs.values()), [r.line() for r in certs.values()]
+    # counting k over the whole run, as if it had never restarted
+    trace.meta["restarts"] = []
+    global_k = check_fast_certificates(trace, gamma0, L)[0]
+    assert global_k.name == "lambda-decay-bound" and not global_k.passed, global_k.line()
+
+
+@pytest.mark.parametrize("n_side, levels", [(15, 3), (31, 4)])
+@pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
+def test_restarted_fastmgprox_reaches_the_tolerance_within_half_again_mgprox(
+        n_side, levels, step_mode):
+    config = CycleConfig(step_mode=step_mode)
+    stop = StoppingRule(1000, 1e-10)
+    for seed in range(3):
+        x0 = next(start_points(seed, n_side * n_side))
+        cycles = {}
+        for solve in (mgprox_solve, fastmgprox_solve):
+            _, trace = solve(build_obstacle_hierarchy(n_side, 1e-6, levels, 20), x0, stop,
+                             config)
+            assert trace.converged, (solve.__name__, seed, trace.rel_g_norms[-1])
+            cycles[solve.__name__] = trace.iterations
+        assert cycles["fastmgprox_solve"] <= 1.5 * cycles["mgprox_solve"], (seed, cycles)

@@ -31,3 +31,20 @@ def test_every_solve_of_the_workload_runs_and_checks(name):
         failed = [c.line() for c in result.checks
                   if not c.passed and c.name not in NEED_FULL_BUDGET]
         assert not failed, f"{solve}: {failed}"
+
+
+FAST_CERTIFICATES = {"lambda-decay-bound", "estimate-sequence-bound", "gamma-lambda-identity",
+                     "alpha-equation", "accelerated-descent"}
+
+
+def test_contact_fastmgprox_passes_every_check_on_its_own():
+    # contact-n31's accelerated solve at its full 150 iterations, seed 0's first
+    # start; each check must pass by its own result, known defects or not
+    workload = workloads.WORKLOADS["contact-n31"]
+    (solve,) = [s for s in workload.solves if s.algo == "fastmgprox"]
+    run = workloads.run_solve(solve, workload.start_points(0)[0])
+    result = workloads.check_solve(solve, *run)
+    assert result.iters == solve.max_iters == 150
+    assert FAST_CERTIFICATES <= {c.name for c in result.checks}
+    failed = [c.line() for c in result.checks if not c.passed]
+    assert not failed, failed

@@ -19,7 +19,7 @@ ARGS = ["compare", "--n-exp", "4", "--levels", "3", "--max-iters", "60", "--seed
 DIGESTS = {
     ("fixed", "1e-6"): {
         "mgprox": "761da5935f75e2ef51e85ef3c4d0bbc0a30858c580b20227ba76d2794cd74236",
-        "fastmgprox": "171caf9260e5f552b8a1389da7477cd597687b353d6d4f9d04f62544dbc6eb7c",
+        "fastmgprox": "eac6f5c56c564c6d7a52d6e5a5e1adaab9fc3a8f74b977643958277c633b3a23",
         "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
         "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
         "kocvara3": "f1ea6ded027e84711814f36721a1ed0a1269ebea25a9eeccc40765e055484556",
@@ -33,14 +33,14 @@ DIGESTS = {
     },
     ("backtracking", "1e-6"): {
         "mgprox": "1b1cb22a30507b12d335989bfa072476a79cad305c3a15dd7bb67563f56fdabc",
-        "fastmgprox": "629a384e1bc735687f0e41cd047977b729823e95c0134b7fd78aa0afd7570c0c",
+        "fastmgprox": "5b779c476640c3c0c7a37c8217a738501ecf12c3f04a58ec4e00b6f6b527756d",
         "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
         "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
         "kocvara3": "0ebdffdeb7cbbfb364189fd928ec2419650fe2ff18676f1f631db41b5978c717",
     },
     ("backtracking", "100"): {
         "mgprox": "f59191c0af5773b62395c18fce1088d76b0f74d149c9e3d9bb6e555022791ade",
-        "fastmgprox": "86d84697034f6fa2479dbb3bb6fe5a8889835e4d4f2a71b1f219050240009be7",
+        "fastmgprox": "a6917f02d3140f341fb2142d6c6a636c5c0892c798c6e04f7685b919f6bcc473",
         "proxgrad": "db2556ed518e6c89a91f856031041cb6f4eabaaac888bf8bf7c0c0c9aee4733f",
         "fista": "07335055a6f79233c27671922964aed0d6f73b4da30760a870dbc4d02d4ef825",
         "kocvara3": "12b5f7abf8ec9c3e29133f572ad2a910b1cac43bc0742b8325ba2bddfd303f0c",

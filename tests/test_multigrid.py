@@ -184,8 +184,10 @@ def test_linear_rate_on_the_synthetic_problem():
 
 
 def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
-    # a fixed step costs one gradient; each smoothing block completes the pair
-    # (f, grad f) at its output once, not once per step
+    # a fixed step costs one gradient; the pair (f, grad f) is completed once
+    # per smoothing block, not once per step, and only where the cycle reads
+    # it: after pre-smoothing above the coarsest level, and after the finest
+    # post-smoothing
     stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.uniform(0, 1, size=stack.fine.problem.dim)
@@ -197,4 +199,4 @@ def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
             return _orig(self, u)
         monkeypatch.setattr(MembraneEnergy, name, counted)
     vcycle(stack, x, CycleConfig(step_mode="fixed"), fg_x)
-    assert counts == {"grad": {15: 39, 7: 39, 3: 19}, "value_and_grad": {15: 2, 7: 3, 3: 2}}
+    assert counts == {"grad": {15: 39, 7: 39, 3: 19}, "value_and_grad": {15: 2, 7: 2, 3: 1}}
