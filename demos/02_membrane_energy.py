@@ -33,7 +33,7 @@ u = rng.uniform(0, 1, size=f.dim)
 print(f"energy of a random bumpy membrane: {f.value(u):.3f}")
 
 exact = f.grad(u)
-approx = fd_gradient(f.value, u, 1e-6)
+approx = fd_gradient(f.value, u)
 rel = np.linalg.norm(exact - approx) / np.linalg.norm(exact)
 print(f"gradient vs central differences: relative error {rel:.2e}")
 

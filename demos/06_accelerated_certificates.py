@@ -23,7 +23,7 @@ stack = build_chain_hierarchy(64, lam=0.01, num_levels=2, seed=0)
 mu, L = chain_constants(stack.fine.problem)
 print(f"chain problem n=64: mu = {mu:.6f}, L = {L:.6f} (power iteration)")
 
-ref = reference_solution(stack, tol=1e-12, seed=0)
+ref = reference_solution(stack, seed=0)
 rng = np.random.Generator(np.random.PCG64(0))
 x0 = rng.uniform(0, 1, size=64)
 

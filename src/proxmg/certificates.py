@@ -24,8 +24,8 @@ import numpy as np
 from .accelerated import fastmgprox_solve, lambda_rate_bound
 from .hierarchy import LevelStack, build_obstacle_hierarchy
 from .membrane import build_difference_operators, make_obstacle_problem
-from .multigrid import (CycleConfig, SolverTrace, StoppingRule, cycle_work_units,
-                        mgprox_solve, vcycle)
+from .multigrid import (WORK_RATIO, CycleConfig, SolverTrace, StoppingRule,
+                        cycle_work_units, mgprox_solve, vcycle)
 from .nonsmooth import SeparableNonsmooth
 from .oracles import (brute_force_prox, build_chain_hierarchy, chain_constants,
                       fd_gradient, reference_solution)
@@ -39,7 +39,6 @@ SMOOTHING_REL_SLACK = 1e-12   # check_smoothing_descent
 MGPROX_DESCENT_SLACK = 1e-8   # check_mgprox_sufficient_descent
 ONE_OVER_K_SLACK = 1e-9       # check_one_over_k
 LINEAR_RATE_SLACK = 1e-12     # check_linear_rate
-WORK_RATIO = 0.25             # check_work_units: coarse/fine size ratio r
 FAST_REL_SLACK = 1e-9         # check_fast_certificates, estimate-sequence bound
 FIXED_POINT_MOVE_TOL = 1e-8   # check_fixed_point
 
@@ -145,10 +144,11 @@ def check_linear_rate(trace: SolverTrace, F_star: float, mu: float,
 
 
 def check_work_units(trace: SolverTrace, num_levels: int, n_smooth: int) -> CertificateResult:
-    """Per-cycle smoothing work <= (8/3)(1 - r^L) fine smoothing blocks."""
+    """Per-cycle smoothing work <= (8/3)(1 - r^L) fine smoothing blocks,
+    with r = ``WORK_RATIO``."""
     budget = (8.0 / 3.0) * (1.0 - WORK_RATIO**num_levels) * n_smooth
     return _least("multilevel-work",
-                  (budget - cycle_work_units(ct, WORK_RATIO) + 1e-9 for ct in trace.cycles),
+                  (budget - cycle_work_units(ct) + 1e-9 for ct in trace.cycles),
                   f"budget={budget:.2f} fine steps")
 
 
@@ -240,9 +240,9 @@ def check_lipschitz_bound(stack: LevelStack) -> CertificateResult:
     """
     margins = []
     for lev in stack.levels:
-        D, E = build_difference_operators(lev.grid)
+        D, E = build_difference_operators(lev.problem.smooth.grid)
         margins.append(lev.L_est - power_iteration(D.T @ D + E.T @ E))
-    sides = "/".join(str(lev.grid.n_side) for lev in stack.levels)
+    sides = "/".join(str(lev.problem.smooth.grid.n_side) for lev in stack.levels)
     return _least("lipschitz-bound", margins, f"margins at n = {sides}: "
                   + " / ".join(f"{m:.3e}" for m in margins))
 
@@ -268,7 +268,7 @@ def certify_run(trace: SolverTrace, stack: LevelStack, x_star: np.ndarray,
 
 def _obstacle_reference(n_side: int, lam: float, levels: int, seed: int):
     stack = build_obstacle_hierarchy(n_side, lam, levels, 20)
-    return stack, reference_solution(stack, tol=1e-12, seed=seed)
+    return stack, reference_solution(stack, seed)
 
 
 def verify_prox(seed: int) -> list[CertificateResult]:
@@ -296,7 +296,7 @@ def verify_gradient(seed: int) -> list[CertificateResult]:
         for _ in range(5):
             u = rng.uniform(0.0, 1.0, size=problem.dim)
             exact = problem.smooth.grad(u)
-            approx = fd_gradient(problem.smooth.value, u, 1e-6)
+            approx = fd_gradient(problem.smooth.value, u)
             rel = np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-30)
             worst = max(worst, rel)
     return [_least("gradient-fidelity", [1e-6 - worst], f"max rel error {worst:.2e}")]
@@ -359,7 +359,7 @@ def verify_linear_rate(seed: int) -> list[CertificateResult]:
     """The (1 - mu/L)^k envelope over a chain solve run to 1e-12."""
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=seed)
     mu, L = chain_constants(stack.fine.problem)
-    ref = reference_solution(stack, tol=1e-12, seed=seed)
+    ref = reference_solution(stack, seed)
     _, trace = mgprox_solve(stack, next(start_points(seed, 64)), StoppingRule(3000, 1e-12))
     return [check_converged(trace, 1e-12, "linear-rate-converged"),
             check_linear_rate(trace, ref.objective, mu, L)]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridLevel
 from .membrane import make_obstacle_problem
 from .problems import CompositeProblem
 from .transfer import TransferPair, build_full_weighting, restrict_adaptive
@@ -36,7 +35,6 @@ class Level:
 
     problem: CompositeProblem
     transfer_down: TransferPair | None = None
-    grid: GridLevel | None = None
 
     @property
     def L_est(self) -> float:
@@ -170,6 +168,6 @@ def build_obstacle_hierarchy(n_side: int, lam: float = 1e-6, num_levels: int = 2
         problem = make_obstacle_problem(side, lam, level=l)
         grid = problem.smooth.grid
         transfer = build_full_weighting(grid) if l < num_levels - 1 else None
-        levels.append(Level(problem, transfer, grid))
+        levels.append(Level(problem, transfer))
         side = (side - 1) // 2
     return LevelStack(levels, n_smooth=n_smooth)

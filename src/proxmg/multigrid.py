@@ -192,9 +192,14 @@ def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
     return x_next, trace
 
 
-def cycle_work_units(trace: CycleTrace, r: float = 0.25) -> float:
-    """Smoothing work of one cycle in units of a single finest-level step."""
-    return float(sum(steps * r**ell for ell, steps in enumerate(trace.smoothing_steps)))
+WORK_RATIO = 0.25   # size of a level relative to the next finer one
+
+
+def cycle_work_units(trace: CycleTrace) -> float:
+    """Smoothing work of one cycle in units of a single finest-level step,
+    a level-l step counting ``WORK_RATIO**l``."""
+    return float(sum(steps * WORK_RATIO**ell
+                     for ell, steps in enumerate(trace.smoothing_steps)))
 
 
 @dataclass

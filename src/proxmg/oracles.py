@@ -3,10 +3,10 @@
 The oracles re-derive what they check by other means: gradients by central
 differences, prox outputs by golden-section search, and the synthetic
 problem's curvature constants by power iteration.  The reference solution
-is the exception: it runs two of the library's solvers, FISTA and then the
-V-cycle solver, each warm starting the next.  At the references the
-certificates use, FISTA meets the tolerance on its own and the V-cycle run
-takes no iteration; it is a fallback for when FISTA stops short.
+is the exception: it is one run of the library's FISTA solver, a
+single-level method that shares no coarse correction with the multigrid
+solvers the certificates check, down to a relative prox-gradient norm of
+``REFERENCE_TOL``.  It raises rather than return a point short of that.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import fista_solve
 from .hierarchy import Level, LevelStack
-from .multigrid import CycleConfig, StoppingRule, mgprox_solve
+from .multigrid import StoppingRule
 from .nonsmooth import SeparableNonsmooth
 from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues, laplacian_1d,
                        power_iteration, start_points)
@@ -26,34 +26,37 @@ from .smoothing import prox_grad_map
 from .transfer import build_line_weighting
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+FD_STEP = 1e-6                 # fd_gradient: central-difference step
+GOLDEN_TOL = 1e-10             # golden_section: final bracket width
+REFERENCE_TOL = 1e-12          # reference_solution: relative prox-gradient norm
+REFERENCE_MAX_ITERS = 200000   # reference_solution: FISTA iteration budget
 
 
-def fd_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector, with
+    step ``FD_STEP``."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
-        e[i] = step
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * step)
+        e[i] = FD_STEP
+        out[i] = (f(x + e) - f(x - e)) / (2.0 * FD_STEP)
     return out
 
 
-def golden_section(h, lo: float, hi: float, tol: float = 1e-10) -> float:
+def golden_section(h, lo: float, hi: float) -> float:
     """Argmin of a unimodal scalar function on [lo, hi].
 
-    The interval is narrowed to width ``tol``; the achievable placement near
-    a smooth minimum is additionally limited by the rounding noise of ``h``,
-    roughly sqrt(eps * |h|), so callers wanting below ~1e-7 must evaluate
-    ``h`` in extended precision.
+    The interval is narrowed to width ``GOLDEN_TOL``; the achievable
+    placement near a smooth minimum is additionally limited by the rounding
+    noise of ``h``, roughly sqrt(eps * |h|), so callers wanting below ~1e-7
+    must evaluate ``h`` in extended precision.
     """
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     hc, hd = h(c), h(d)
-    while (b - a) > tol:
+    while (b - a) > GOLDEN_TOL:
         if hc < hd:
             b, d, hd = d, c, hc
             c = b - _INVPHI * (b - a)
@@ -65,8 +68,8 @@ def golden_section(h, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def brute_force_prox(g_scalar, v: float, step: float, bracket: tuple[float, float],
-                     tol: float = 1e-10) -> float:
+def brute_force_prox(g_scalar, v: float, step: float,
+                     bracket: tuple[float, float]) -> float:
     """Minimizer of step * g(t) + 0.5 (t - v)^2 by golden-section search.
 
     The objective is evaluated in extended precision (``np.longdouble``) so
@@ -86,7 +89,7 @@ def brute_force_prox(g_scalar, v: float, step: float, bracket: tuple[float, floa
         t_l = np.longdouble(t)
         return step_l * g_scalar(t_l) + half * (t_l - v_l) ** 2
 
-    return golden_section(h, lo, hi, tol)
+    return golden_section(h, lo, hi)
 
 
 def make_chain_problem(n: int, lam: float = 0.01, seed: int = 0) -> CompositeProblem:
@@ -142,50 +145,24 @@ class Reference:
     objective: float
     g_norm: float
     g_norm_initial: float
-    converged: bool
 
 
-def reference_solution(stack: LevelStack, tol: float = 1e-12, seed: int = 0,
-                       x0: np.ndarray | None = None, max_iters: int = 200000,
-                       order: str = "fista-first") -> Reference:
-    """Solve the fine problem two ways and keep the better iterate.
+def reference_solution(stack: LevelStack, seed: int) -> Reference:
+    """The fine problem solved by FISTA from the seed's first start point.
 
-    Runs FISTA and the V-cycle solver (in the requested order,
-    ``"fista-first"`` or ``"mg-first"``, each warm starting the next) down to
-    the relative prox-gradient tolerance; the returned objective is the
-    smaller of the two final values.  In the default order FISTA does the
-    work: at the verification references (n = 7 at lam = 1e-6 and 100,
-    n = 15, and the n = 64 chain, all at tol = 1e-12) it meets the tolerance,
-    and the V-cycle run stops before its first cycle.  That run is a
-    fallback: it iterates only when FISTA stops short of the tolerance, or
-    with ``order="mg-first"``.
+    FISTA runs until the prox-gradient norm falls to ``REFERENCE_TOL`` times
+    its value at the start.  A run that spends ``REFERENCE_MAX_ITERS``
+    iterations first raises ``RuntimeError``, so no certificate rests on an
+    unconverged point.
     """
-    if order not in ("fista-first", "mg-first"):
-        raise ValueError(f"unknown order {order!r}")
-    if tol < 1e-13:
-        raise ValueError("tol below 1e-13 is not resolvable in double precision here")
     problem = stack.fine.problem
     L0 = stack.fine.L_est
-    if x0 is None:
-        x0 = next(start_points(seed, problem.dim))
+    x0 = next(start_points(seed, problem.dim))
     gn0 = float(np.linalg.norm(prox_grad_map(problem, None, x0, L0)))
-    abs_tol = tol * gn0
-
-    def run_fista(x):
-        return fista_solve(problem, x, StoppingRule(max_iters, 0.0, abs_tol))
-
-    def run_mg(x):
-        cfg = CycleConfig(step_mode="backtracking")
-        return mgprox_solve(stack, x, StoppingRule(min(2000, max_iters), 0.0, abs_tol), cfg)
-
-    runs = (run_fista, run_mg) if order == "fista-first" else (run_mg, run_fista)
-    best_x, best_F, best_g = None, np.inf, np.inf
-    x = x0
-    for run in runs:
-        x, _ = run(x)
-        F = problem.objective(x)
-        g = float(np.linalg.norm(prox_grad_map(problem, None, x, L0)))
-        if F < best_F or (F == best_F and g < best_g):
-            best_x, best_F, best_g = x.copy(), F, g
-        x = best_x.copy()
-    return Reference(best_x, best_F, best_g, gn0, best_g <= abs_tol)
+    abs_tol = REFERENCE_TOL * gn0
+    x, _ = fista_solve(problem, x0, StoppingRule(REFERENCE_MAX_ITERS, 0.0, abs_tol))
+    g = float(np.linalg.norm(prox_grad_map(problem, None, x, L0)))
+    if g > abs_tol:
+        raise RuntimeError(f"reference solve stopped at relative |G| {g / gn0:.3e} after "
+                           f"{REFERENCE_MAX_ITERS} iterations, short of {REFERENCE_TOL:g}")
+    return Reference(x, problem.objective(x), g, gn0)

@@ -18,6 +18,9 @@ import scipy.sparse as sp
 
 from .nonsmooth import SeparableNonsmooth
 
+POWER_TOL = 1e-13          # power_iteration: relative change of the Rayleigh quotient
+POWER_MAX_ITERS = 200000   # power_iteration: iteration cap
+
 
 @dataclass(frozen=True)
 class CompositeProblem:
@@ -98,37 +101,38 @@ def laplacian_1d(n: int) -> sp.csr_array:
     return sp.csr_array(sp.diags_array([off, main, off], offsets=[-1, 0, 1]))
 
 
-def power_iteration(A, tol: float = 1e-13, max_iters: int = 200000) -> float:
+def power_iteration(A) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by plain power iteration.
 
-    Iterates until the Rayleigh quotient changes by at most ``tol`` (relative)
-    or the cap is hit.  Deterministic: starts from a fixed ramp vector.
+    Iterates until the Rayleigh quotient changes by at most ``POWER_TOL``
+    (relative) or ``POWER_MAX_ITERS`` iterations have run.  Deterministic:
+    starts from a fixed ramp vector.
     """
     n = A.shape[0]
     v = 1.0 + np.arange(n, dtype=np.float64) / n
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         w = A @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         lam_new = float(v @ (A @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new
     return lam
 
 
-def extreme_eigenvalues(A, tol: float = 1e-13) -> tuple[float, float]:
+def extreme_eigenvalues(A) -> tuple[float, float]:
     """(smallest, largest) eigenvalue estimates of symmetric PSD ``A``.
 
     The smallest is obtained by power iteration on the shifted matrix
     ``L*I - A``, so both estimates come from the same numerical primitive.
     """
-    L = power_iteration(A, tol=tol)
+    L = power_iteration(A)
     n = A.shape[0]
     shifted = sp.csr_array(sp.identity(n) * L - A)
-    mu = L - power_iteration(shifted, tol=tol)
+    mu = L - power_iteration(shifted)
     return mu, L

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -105,19 +106,45 @@ def test_accelerated_run_certificates():
             lam = 1.0
 
 
+# the problems of the fast scope: the chain, and n = 15 at lam = 1e-6 and 100
+UNRESTARTED_STACKS = {
+    "chain": lambda: build_chain_hierarchy(64, 0.01, 2, 20, seed=0),
+    "n15-lam1e-6": lambda: build_obstacle_hierarchy(15, 1e-6, 3, 20),
+    "n15-lam100": lambda: build_obstacle_hierarchy(15, 100.0, 3, 20),
+}
+
+
+@functools.cache
+def _unrestarted_run(name):
+    """200 iterations of the estimate sequence with no restart, seed 0: one
+    epoch, over which Nesterov's bounds are proven with k counted from 1."""
+    stack = UNRESTARTED_STACKS[name]()
+    return stack, _restarted_run(stack, 200, restart=False)
+
+
 def test_final_rate_bound_from_the_estimate_sequence():
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
-    rng = np.random.Generator(np.random.PCG64(0))
-    x0 = rng.uniform(0, 1, size=64)
-    _, trace = fastmgprox_solve(stack, x0, StoppingRule(120, 0.0))
-    L = stack.fine.L_est
-    gamma0 = trace.meta["gamma0"]
-    x_star = ref.x
-    anchor = (trace.objective_initial - ref.objective
-              + 0.5 * gamma0 * float((x0 - x_star) @ (x0 - x_star)))
-    for k, F in enumerate(trace.objectives, start=1):
-        assert F - ref.objective <= lambda_rate_bound(k, gamma0, L) * anchor + 1e-8
+    for name in UNRESTARTED_STACKS:
+        stack, trace = _unrestarted_run(name)
+        ref = reference_solution(stack, seed=0)
+        x0 = next(start_points(0, stack.fine.problem.dim))
+        L = stack.fine.L_est
+        gamma0 = trace.meta["gamma0"]
+        anchor = (trace.objective_initial - ref.objective
+                  + 0.5 * gamma0 * float((x0 - ref.x) @ (x0 - ref.x)))
+        for k, F in enumerate(trace.objectives, start=1):
+            assert F - ref.objective <= lambda_rate_bound(k, gamma0, L) * anchor + 1e-8, (
+                name, k)
+
+
+@pytest.mark.parametrize("name", list(UNRESTARTED_STACKS))
+def test_the_decay_bound_holds_over_an_unrestarted_run(name):
+    stack, trace = _unrestarted_run(name)
+    assert trace.meta["restarts"] == []
+    certs = {r.name: r for r in check_fast_certificates(trace, trace.meta["gamma0"],
+                                                        stack.fine.L_est)}
+    assert len(certs) == 5 and all(r.passed for r in certs.values()), [
+        r.line() for r in certs.values()]
+    assert certs["lambda-decay-bound"].detail == "200 iterations"
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,9 +239,10 @@ def test_lambda_decaying_like_one_over_k_fails_the_decay_bound():
     assert not certs["lambda-decay-bound"].passed, certs["lambda-decay-bound"].line()
 
 
-def _restarted_run(stack, iters, keep_lam=False):
+def _restarted_run(stack, iters, keep_lam=False, restart=True):
     """``fastmgprox_solve``'s loop written out, from the seed-0 start; with
-    ``keep_lam`` a restart resets gamma to gamma0 but lets lambda carry on."""
+    ``keep_lam`` a restart resets gamma to gamma0 but lets lambda carry on,
+    and with ``restart`` off the run never restarts."""
     problem = stack.fine.problem
     L = stack.fine.L_est
     x = next(start_points(0, problem.dim))
@@ -233,7 +261,8 @@ def _restarted_run(stack, iters, keep_lam=False):
         F_next = diag["F_x_next"]
         step = x_next - x
         step_sq = float(step @ step)
-        if F_next > F_x or float(diag["G_y"] @ step) > 0.0 or step_sq < prev_sq:
+        if restart and (F_next > F_x or float(diag["G_y"] @ step) > 0.0
+                        or step_sq < prev_sq):
             state = FastState(x_next, L, state.lam if keep_lam else 1.0, F_next)
             trace.meta["restarts"].append(k)
         prev_sq = step_sq

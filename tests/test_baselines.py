@@ -31,7 +31,7 @@ def test_proxgrad_monotone_and_linear_envelope():
     problem = make_chain_problem(64, 0.01, seed=0)
     mu, L = chain_constants(problem)
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     rng = np.random.Generator(np.random.PCG64(0))
     x0 = rng.uniform(0, 1, size=64)
     _, trace = proxgrad_solve(problem, x0, StoppingRule(40000, 1e-8))
@@ -45,7 +45,7 @@ def test_proxgrad_monotone_and_linear_envelope():
 
 def test_proxgrad_terminates_at_a_minimizer():
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     problem = stack.fine.problem
     _, trace = proxgrad_solve(problem, ref.x,
                               StoppingRule(10, 1e-10, abs_tol=2 * ref.g_norm))
@@ -55,7 +55,7 @@ def test_proxgrad_terminates_at_a_minimizer():
 
 def test_fista_quadratic_envelope():
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     problem = stack.fine.problem
     rng = np.random.Generator(np.random.PCG64(0))
     x0 = rng.uniform(0, 1, size=64)

@@ -118,8 +118,8 @@ def _solve_all(lam, x0, sparse):
     stack = build_obstacle_hierarchy(15, lam, 3, 20)
     if sparse:
         stack = LevelStack([dataclasses.replace(level, problem=CompositeProblem(
-            SparseMembrane(level.grid), level.problem.nonsmooth)) for level in stack.levels],
-            stack.n_smooth)
+            SparseMembrane(level.problem.smooth.grid), level.problem.nonsmooth))
+            for level in stack.levels], stack.n_smooth)
     fine = stack.fine.problem
     runs = [mgprox_solve(stack, x0, StoppingRule(200, 1e-10),
                          CycleConfig(step_mode="backtracking")),

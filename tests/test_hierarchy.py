@@ -14,9 +14,9 @@ from proxmg.transfer import TransferPair
 
 def test_hierarchy_sides():
     stack = build_obstacle_hierarchy(15, 1e-6, 3)
-    assert [lev.grid.n_side for lev in stack.levels] == [15, 7, 3]
+    assert [lev.problem.smooth.grid.n_side for lev in stack.levels] == [15, 7, 3]
     stack = build_obstacle_hierarchy(3, 1e-6, 2)
-    assert [lev.grid.n_side for lev in stack.levels] == [3, 1]
+    assert [lev.problem.smooth.grid.n_side for lev in stack.levels] == [3, 1]
     assert stack[1].problem.dim == 1
 
 
@@ -90,7 +90,7 @@ def test_tilted_objective_identities():
 
 def test_fixed_point_certificate_of_tau():
     stack = build_obstacle_hierarchy(7, 1e-6, 2)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     fine, coarse = stack[0], stack[1]
     t = fine.transfer_down
     y = ref.x
@@ -105,7 +105,7 @@ def test_fixed_point_certificate_of_tau():
 
 def test_multilevel_fixed_point_chains_through_three_levels():
     stack = build_obstacle_hierarchy(15, 1e-6, 3)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     x_next, ct = vcycle(stack, ref.x)
     assert float(np.max(np.abs(x_next - ref.x))) <= 1e-8
     assert all(move <= 1e-7 for move in ct.coarse_moves)

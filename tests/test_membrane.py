@@ -100,7 +100,7 @@ def test_gradient_matches_finite_differences(n_side):
     for _ in range(5):
         u = rng.uniform(0, 1, size=p.dim)
         exact = p.smooth.grad(u)
-        approx = fd_gradient(p.smooth.value, u, 1e-6)
+        approx = fd_gradient(p.smooth.value, u)
         rel = np.linalg.norm(exact - approx) / np.linalg.norm(exact)
         assert rel <= 1e-6
 

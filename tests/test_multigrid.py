@@ -76,7 +76,7 @@ def test_cycle_stage_monotonicity_and_angle_condition():
 
 def test_fixed_point_of_one_cycle():
     stack = build_obstacle_hierarchy(7, 1e-6, 2)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     results = check_fixed_point(stack, ref.x)
     assert all(r.passed for r in results)
     # nothing is masked at lam = 1e-6, so a check that needs a mask fails
@@ -88,7 +88,7 @@ def test_corrupted_tau_breaks_the_fixed_point():
     bad = CycleConfig(tau_hook=lambda tau, level: -tau)
     for lam in (1e-6, 100.0):
         stack = build_obstacle_hierarchy(7, lam, 2)
-        ref = reference_solution(stack, tol=1e-12, seed=0)
+        ref = reference_solution(stack, seed=0)
         results = check_fixed_point(stack, ref.x, bad)
         assert not all(r.passed for r in results), lam
 
@@ -116,7 +116,7 @@ def test_solve_with_infinite_tolerance_does_nothing():
 
 def test_solve_started_at_minimizer_stops_first_check():
     stack = build_obstacle_hierarchy(7, 1e-6, 2)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     x, trace = mgprox_solve(stack, ref.x, StoppingRule(10, 1e-10, abs_tol=2 * ref.g_norm))
     assert trace.iterations == 0
     assert trace.converged
@@ -175,7 +175,7 @@ def test_linear_rate_on_the_synthetic_problem():
     from proxmg.oracles import chain_constants
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
     mu, L = chain_constants(stack.fine.problem)
-    ref = reference_solution(stack, tol=1e-12, seed=0)
+    ref = reference_solution(stack, seed=0)
     rng = np.random.Generator(np.random.PCG64(0))
     x0 = rng.uniform(0, 1, size=64)
     _, trace = mgprox_solve(stack, x0, StoppingRule(2000, 1e-12))

@@ -34,7 +34,7 @@ def test_tau_equal_to_gradient_freezes_the_point():
 def test_step_is_identity_at_a_minimizer():
     from proxmg.oracles import build_chain_hierarchy
     stack = build_chain_hierarchy(16, 0.05, 2, 20, seed=3)
-    ref = reference_solution(stack, tol=1e-12, seed=3)
+    ref = reference_solution(stack, seed=3)
     p = stack.fine.problem
     out = prox_grad_step(p, None, ref.x, p.lipschitz)
     assert np.max(np.abs(out - ref.x)) <= 1e-12
