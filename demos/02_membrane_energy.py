@@ -16,7 +16,7 @@ from proxmg import (GridLevel, build_difference_operators, fd_gradient,
                     lipschitz_upper_bound, make_obstacle_problem,
                     obstacle_values, power_iteration)
 
-grid = GridLevel(0, 7)
+grid = GridLevel(7)
 D, E = build_difference_operators(grid)
 print(f"grid: {grid.n_side} x {grid.n_side} interior points, h = {grid.h}")
 print(f"difference operators: {D.shape}, {D.nnz} and {E.nnz} entries, "
@@ -39,8 +39,8 @@ print(f"gradient vs central differences: relative error {rel:.2e}")
 
 print("\ncurvature bound 8 / h^2 against lambda_max(D^T D + E^T E):")
 for n_side in (3, 7, 15):
-    Dn, En = build_difference_operators(GridLevel(0, n_side))
-    print(f"  n = {n_side:>2}: {lipschitz_upper_bound(GridLevel(0, n_side)):7.1f} "
+    Dn, En = build_difference_operators(GridLevel(n_side))
+    print(f"  n = {n_side:>2}: {lipschitz_upper_bound(GridLevel(n_side)):7.1f} "
           f">= {power_iteration(Dn.T @ Dn + En.T @ En):7.1f}")
 
 phi = obstacle_values(7)

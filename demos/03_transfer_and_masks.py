@@ -18,9 +18,10 @@ from proxmg import (GridLevel, StoppingRule, adaptive_mask,
                     build_full_weighting, build_obstacle_hierarchy,
                     mgprox_solve, obstacle_values, prolong_adaptive,
                     restrict_adaptive)
+from proxmg.transfer import PROLONG_SCALE
 
-t = build_full_weighting(GridLevel(0, 7))
-print(f"restriction: {t.restrict.shape}, prolongation = {t.c:g} * R^T")
+t = build_full_weighting(GridLevel(7))
+print(f"restriction: {t.restrict.shape}, prolongation = {PROLONG_SCALE:g} * R^T")
 row_sums = (t.restrict @ np.ones(49)).reshape(3, 3)
 print(f"row sums (R @ 1): {row_sums[1, 1]:g} away from the free edges, "
       f"{row_sums[0, 1]:g} along one, {row_sums[0, 0]:g} at their corner")
@@ -32,7 +33,7 @@ rng = np.random.Generator(np.random.PCG64(0))
 mask = rng.uniform(size=49) < 0.25
 v_c, w_f = rng.standard_normal(9), rng.standard_normal(49)
 lhs = prolong_adaptive(t, mask, v_c) @ w_f
-rhs = t.c * (v_c @ restrict_adaptive(t, mask, w_f))
+rhs = PROLONG_SCALE * (v_c @ restrict_adaptive(t, mask, w_f))
 print(f"adjoint identity under a random mask: {lhs:.12f} == {rhs:.12f}")
 
 print("\n== a contact-rich problem: penalty weight 50 ==")

@@ -30,12 +30,9 @@ class GridLevel:
     coordinates enter only where a concrete domain is sampled.
     """
 
-    level: int
     n_side: int
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
         if not _is_pow2_minus_1(self.n_side):
             raise ValueError(
                 f"n_side must be 2**m - 1 for some m >= 1, got {self.n_side}"

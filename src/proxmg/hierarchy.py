@@ -165,7 +165,7 @@ def build_obstacle_hierarchy(n_side: int, lam: float = 1e-6, num_levels: int = 2
     levels: list[Level] = []
     side = n_side
     for l in range(num_levels):
-        problem = make_obstacle_problem(side, lam, level=l)
+        problem = make_obstacle_problem(side, lam)
         grid = problem.smooth.grid
         transfer = build_full_weighting(grid) if l < num_levels - 1 else None
         levels.append(Level(problem, transfer))

@@ -181,23 +181,23 @@ class MembraneEnergy:
         return float(s.r.sum()), self._adjoint(s)
 
 
-def obstacle_values(n_side: int, domain_side: float = DOMAIN_SIDE) -> np.ndarray:
+def obstacle_values(n_side: int) -> np.ndarray:
     """Obstacle phi sampled at the interior points, flattened column-major.
 
-    Point (i, j) sits at physical coordinates (i * domain_side * h',
-    j * domain_side * h') with h' = 1/(n_side + 1); the positive-part factors
+    Point (i, j) sits at physical coordinates (i * DOMAIN_SIDE * h',
+    j * DOMAIN_SIDE * h') with h' = 1/(n_side + 1); the positive-part factors
     clamp the sine bumps at zero.
     """
     hp = 1.0 / (n_side + 1)
-    t = domain_side * hp * np.arange(1, n_side + 1)
+    t = DOMAIN_SIDE * hp * np.arange(1, n_side + 1)
     bump = np.maximum(0.0, np.sin(t))
     # value at flat index (j-1)*n + (i-1) is bump[i-1] * bump[j-1]
     return np.outer(bump, bump).flatten(order="F")
 
 
-def make_obstacle_problem(n_side: int, lam: float = 1e-6, level: int = 0) -> CompositeProblem:
+def make_obstacle_problem(n_side: int, lam: float = 1e-6) -> CompositeProblem:
     """The penalized obstacle problem on an n_side x n_side interior grid."""
-    grid = GridLevel(level, n_side)
+    grid = GridLevel(n_side)
     smooth = MembraneEnergy(grid)
     phi = obstacle_values(n_side)
     return CompositeProblem(smooth, SeparableNonsmooth.hinge(lam, phi))

@@ -40,11 +40,10 @@ PROLONG_SCALE = 2.0
 
 @dataclass(frozen=True)
 class TransferPair:
-    """Restriction, matching prolongation P = c R^T, and the scale c."""
+    """Restriction and its matching prolongation P = PROLONG_SCALE * R^T."""
 
     restrict: sp.csr_array
     prolong: sp.csr_array
-    c: float
 
     @property
     def n_coarse(self) -> int:
@@ -82,7 +81,7 @@ def build_full_weighting(fine: GridLevel) -> TransferPair:
     R1 = _weighting_1d(fine.n_side, n_c, free_low=True)
     R = sp.csr_array(0.125 * sp.kron(R1, R1, format="csr"))
     P = sp.csr_array(PROLONG_SCALE * R.T)
-    return TransferPair(R, P, PROLONG_SCALE)
+    return TransferPair(R, P)
 
 
 def build_line_weighting(n_fine: int) -> TransferPair:
@@ -96,7 +95,7 @@ def build_line_weighting(n_fine: int) -> TransferPair:
         raise ValueError("chain too short to coarsen")
     R = sp.csr_array(0.25 * _weighting_1d(n_fine, n_c))
     P = sp.csr_array(PROLONG_SCALE * R.T)
-    return TransferPair(R, P, PROLONG_SCALE)
+    return TransferPair(R, P)
 
 
 def adaptive_mask(g: SeparableNonsmooth, x: np.ndarray) -> np.ndarray:

@@ -43,16 +43,6 @@ def test_proxgrad_monotone_and_linear_envelope():
         assert F - ref.objective <= math.exp(-(mu / L) * k) * gap0 + 1e-10
 
 
-def test_proxgrad_terminates_at_a_minimizer():
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    ref = reference_solution(stack, seed=0)
-    problem = stack.fine.problem
-    _, trace = proxgrad_solve(problem, ref.x,
-                              StoppingRule(10, 1e-10, abs_tol=2 * ref.g_norm))
-    assert trace.iterations == 0
-    assert trace.converged
-
-
 def test_fista_quadratic_envelope():
     stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
     ref = reference_solution(stack, seed=0)

@@ -66,7 +66,7 @@ def membranes(n_side, rng):
 
 @pytest.mark.parametrize("n_side", SIDES)
 def test_stencil_matches_the_sparse_oracle_byte_for_byte(n_side):
-    grid = GridLevel(0, n_side)
+    grid = GridLevel(n_side)
     stencil, oracle = MembraneEnergy(grid), SparseMembrane(grid)
     rng = np.random.Generator(np.random.PCG64(n_side))
     for u in membranes(n_side, rng):
@@ -76,7 +76,7 @@ def test_stencil_matches_the_sparse_oracle_byte_for_byte(n_side):
 
 @pytest.mark.parametrize("n_side", [1, 7, 63])
 def test_membrane_value_and_grad_equals_the_separate_calls(n_side):
-    f = MembraneEnergy(GridLevel(0, n_side))
+    f = MembraneEnergy(GridLevel(n_side))
     rng = np.random.Generator(np.random.PCG64(100 + n_side))
     for u in membranes(n_side, rng):
         value, grad = f.value_and_grad(u)

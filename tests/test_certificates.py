@@ -8,6 +8,7 @@ it nothing to check.
 import numpy as np
 import pytest
 
+from proxmg import certificates
 from proxmg.accelerated import fastmgprox_solve
 from proxmg.certificates import (_least, check_angle_condition, check_fast_certificates,
                                  check_linear_rate, check_mgprox_sufficient_descent,
@@ -46,3 +47,14 @@ def test_an_empty_run_holds_every_reducing_certificate_at_zero():
     assert len(results) == 12
     for r in results:
         assert r.passed and r.margin == 0.0 and np.copysign(1.0, r.margin) == 1.0, r.line()
+
+
+def test_the_mgprox_scope_draws_further_starts_until_the_runs_total_40_cycles(monkeypatch):
+    def five_cycles(stack, x0, stop, config=None):
+        return mgprox_solve(stack, x0, StoppingRule(min(stop.max_iters, 5), stop.rel_tol),
+                            config)
+
+    monkeypatch.setattr(certificates, "mgprox_solve", five_cycles)
+    (cycles,) = [r for r in certificates.verify_mgprox(0) if r.name == "mgprox-cycles"]
+    assert cycles.passed
+    assert cycles.detail == "5 + 5 + 5 + 5 + 5 + 5 + 5 + 5 = 40 cycles, 40 required"

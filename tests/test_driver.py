@@ -4,6 +4,8 @@ All five solvers run their steps through ``multigrid.iterate``; these tests
 pin down what it promises at the edges of the budget and the tolerances.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from proxmg.accelerated import fastmgprox_solve
 from proxmg.baselines import fista_solve, proxgrad_solve
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
+from proxmg.oracles import build_chain_hierarchy
 
 SOLVERS = {
     "mgprox": lambda stack, x0, stop: mgprox_solve(stack, x0, stop),
@@ -52,11 +55,10 @@ def test_zero_budget_returns_the_start(name, stack, x0):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_a_start_within_abs_tol_is_converged_without_a_step(name, stack, x0):
-    _, probe = SOLVERS[name](stack, x0.copy(), StoppingRule(0, 0.0))
-    # the floor equals the start's norm: the test is <=, so it already holds
-    x, trace = SOLVERS[name](stack, x0.copy(),
-                             StoppingRule(50, 0.0, abs_tol=probe.g_norm_initial))
+def test_a_start_that_already_meets_the_tolerance_is_converged_without_a_step(
+        name, stack, x0):
+    # the start's relative norm is 1, below an infinite tolerance
+    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(50, math.inf))
     assert trace.converged
     assert trace.iterations == 0
     assert x.tobytes() == x0.tobytes()
@@ -69,7 +71,7 @@ def test_convergence_on_the_last_budgeted_iteration_is_reported(name, stack, x0)
     x_free, free = SOLVERS[name](stack, x0.copy(), StoppingRule(10_000, rel_tol))
     assert free.converged
     k = free.iterations
-    assert k > 0 and free.rel_g_norms[-1] <= rel_tol < free.rel_g_norms[-2]
+    assert k > 0 and free.rel_g_norms[-1] < rel_tol <= free.rel_g_norms[-2]
     _assert_series_lengths(name, free)
 
     x_tight, tight = SOLVERS[name](stack, x0.copy(), StoppingRule(k, rel_tol))
@@ -81,3 +83,15 @@ def test_convergence_on_the_last_budgeted_iteration_is_reported(name, stack, x0)
     _, short = SOLVERS[name](stack, x0.copy(), StoppingRule(k - 1, rel_tol))
     assert not short.converged and short.iterations == k - 1
     _assert_series_lengths(name, short)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_a_zero_tolerance_runs_the_whole_budget_at_the_minimizer(name):
+    # |b_i| <= 1 < lam, so the minimizer is x = 0 and |G| reaches exactly 0
+    chain = build_chain_hierarchy(64, 10.0, 2, 20, seed=0)
+    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=64)
+    x, trace = SOLVERS[name](chain, x0, StoppingRule(50, 0.0))
+    assert trace.iterations == 50
+    assert not trace.converged
+    assert not np.any(x) and trace.g_norms == [0.0] * 50
+    _assert_series_lengths(name, trace)

@@ -32,11 +32,9 @@ def test_flat_index_range_errors():
 
 
 def test_grid_level_validation():
-    g = GridLevel(0, 7)
+    g = GridLevel(7)
     assert g.h == 1.0 / 8.0
     assert g.n_total == 49
     for bad in (0, 2, 4, 5, 6, 8):
         with pytest.raises(ValueError):
-            GridLevel(0, bad)
-    with pytest.raises(ValueError):
-        GridLevel(-1, 3)
+            GridLevel(bad)

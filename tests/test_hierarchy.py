@@ -48,7 +48,7 @@ def test_coarse_obstacle_aligns_with_fine_points():
 
 def _identity_transfer(n):
     eye = sp.csr_array(sp.identity(n))
-    return TransferPair(eye, eye, 1.0)
+    return TransferPair(eye, eye)
 
 
 def test_tau_vanishes_for_identical_problems_with_identity_transfer():

@@ -14,7 +14,7 @@ from proxmg.problems import power_iteration
 
 
 def test_difference_operator_entries_follow_the_index_rule():
-    grid = GridLevel(0, 3)
+    grid = GridLevel(3)
     D, E = build_difference_operators(grid)
     h = grid.h
     Dd = D.toarray()
@@ -35,13 +35,13 @@ def test_difference_operator_entries_follow_the_index_rule():
 
 
 def test_single_point_grid_operator():
-    D, E = build_difference_operators(GridLevel(0, 1))
+    D, E = build_difference_operators(GridLevel(1))
     np.testing.assert_array_equal(D.toarray(), [[-2.0]])  # -1/h with h = 1/2
     np.testing.assert_array_equal(E.toarray(), [[-2.0]])
 
 
 def test_difference_of_constants_and_ramp():
-    grid = GridLevel(0, 3)
+    grid = GridLevel(3)
     D, _ = build_difference_operators(grid)
     ones = np.ones(9)
     du = D @ ones
@@ -107,13 +107,13 @@ def test_gradient_matches_finite_differences(n_side):
 
 def _curvature_operator(n_side):
     """D^T D + E^T E, the membrane Hessian's upper bound in the Loewner order."""
-    D, E = build_difference_operators(GridLevel(0, n_side))
+    D, E = build_difference_operators(GridLevel(n_side))
     return D.T @ D + E.T @ E
 
 
 @pytest.mark.parametrize("n_side", [1, 3, 7, 15, 31, 63])
 def test_lipschitz_bound_covers_the_curvature_operator(n_side):
-    bound = lipschitz_upper_bound(GridLevel(0, n_side))
+    bound = lipschitz_upper_bound(GridLevel(n_side))
     lam_max = power_iteration(_curvature_operator(n_side))
     assert bound >= lam_max
     if n_side >= 7:
@@ -122,9 +122,9 @@ def test_lipschitz_bound_covers_the_curvature_operator(n_side):
 
 def test_lipschitz_bound_is_exact_at_small_sizes():
     # 8 / h^2 with 1/h = n_side + 1, a power of two
-    assert lipschitz_upper_bound(GridLevel(0, 1)) == 32.0
-    assert lipschitz_upper_bound(GridLevel(0, 3)) == 128.0
-    assert lipschitz_upper_bound(GridLevel(0, 7)) == 512.0
+    assert lipschitz_upper_bound(GridLevel(1)) == 32.0
+    assert lipschitz_upper_bound(GridLevel(3)) == 128.0
+    assert lipschitz_upper_bound(GridLevel(7)) == 512.0
 
 
 def test_fixed_step_descends_along_the_top_curvature_direction():

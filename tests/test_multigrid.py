@@ -114,14 +114,6 @@ def test_solve_with_infinite_tolerance_does_nothing():
     assert np.array_equal(x, x0)
 
 
-def test_solve_started_at_minimizer_stops_first_check():
-    stack = build_obstacle_hierarchy(7, 1e-6, 2)
-    ref = reference_solution(stack, seed=0)
-    x, trace = mgprox_solve(stack, ref.x, StoppingRule(10, 1e-10, abs_tol=2 * ref.g_norm))
-    assert trace.iterations == 0
-    assert trace.converged
-
-
 def test_solve_converges_and_is_deterministic():
     rng = np.random.Generator(np.random.PCG64(3))
     x0 = rng.uniform(0, 1, size=49)

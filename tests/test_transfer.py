@@ -4,7 +4,7 @@ import pytest
 from proxmg.grid import GridLevel, ij_to_k
 from proxmg.membrane import obstacle_values
 from proxmg.nonsmooth import SeparableNonsmooth
-from proxmg.transfer import (adaptive_mask, build_full_weighting,
+from proxmg.transfer import (PROLONG_SCALE, adaptive_mask, build_full_weighting,
                              build_line_weighting, prolong_adaptive,
                              restrict_adaptive)
 
@@ -32,14 +32,14 @@ def dense_weighting_oracle(n_fine):
 
 
 def test_full_weighting_matches_stencil_oracle():
-    t = build_full_weighting(GridLevel(0, 7))
+    t = build_full_weighting(GridLevel(7))
     assert t.restrict.shape == (9, 49)
     np.testing.assert_allclose(t.restrict.toarray(), dense_weighting_oracle(7), atol=0)
     np.testing.assert_allclose(t.prolong.toarray(), 2.0 * t.restrict.toarray().T, atol=0)
 
 
 def test_restriction_of_ones_and_row_sums():
-    t = build_full_weighting(GridLevel(0, 15))
+    t = build_full_weighting(GridLevel(15))
     n_c = 7
     # the 1-D factor sums to 4 on every row but I = 1, which sums to 5; times 1/8
     expect = np.full((n_c, n_c), 2.0)
@@ -56,7 +56,7 @@ def test_prolongation_of_ones_is_one_up_to_the_clamped_edges(n_side):
     """P extrapolates a constant onto the free edges i = 1 and j = 1; it is
     halved only on the clamped edges i = n and j = n, and quartered at their
     corner, where the zero boundary value is one fine step away."""
-    t = build_full_weighting(GridLevel(0, n_side))
+    t = build_full_weighting(GridLevel(n_side))
     got = (t.prolong @ np.ones(t.n_coarse)).reshape(n_side, n_side)
     expect = np.ones((n_side, n_side))
     expect[-1, :] *= 0.5
@@ -65,7 +65,7 @@ def test_prolongation_of_ones_is_one_up_to_the_clamped_edges(n_side):
 
 
 def test_restriction_of_delta_reads_the_stencil():
-    t = build_full_weighting(GridLevel(0, 7))
+    t = build_full_weighting(GridLevel(7))
     # a delta at the coarse-aligned fine point (2,2) only feeds its own center
     delta = np.zeros(49)
     delta[ij_to_k(2, 2, 7)] = 1.0
@@ -84,7 +84,7 @@ def test_restriction_of_delta_reads_the_stencil():
 
 def test_too_small_grid_rejected():
     with pytest.raises(ValueError):
-        build_full_weighting(GridLevel(0, 1))
+        build_full_weighting(GridLevel(1))
 
 
 def test_adaptive_mask_examples():
@@ -100,7 +100,7 @@ def test_adaptive_mask_examples():
 
 
 def test_adaptive_restriction_identities():
-    t = build_full_weighting(GridLevel(0, 7))
+    t = build_full_weighting(GridLevel(7))
     rng = np.random.Generator(np.random.PCG64(2))
     v = rng.standard_normal(49)
 
@@ -117,7 +117,7 @@ def test_adaptive_restriction_identities():
 
 
 def test_adaptive_prolongation_identities():
-    t = build_full_weighting(GridLevel(0, 7))
+    t = build_full_weighting(GridLevel(7))
     rng = np.random.Generator(np.random.PCG64(4))
     w = rng.standard_normal(9)
 
@@ -131,14 +131,14 @@ def test_adaptive_prolongation_identities():
 
 
 def test_adjoint_identity_under_any_mask():
-    t = build_full_weighting(GridLevel(0, 7))
+    t = build_full_weighting(GridLevel(7))
     rng = np.random.Generator(np.random.PCG64(8))
     for _ in range(20):
         mask = rng.uniform(size=49) < 0.3
         v_c = rng.standard_normal(9)
         w_f = rng.standard_normal(49)
         lhs = prolong_adaptive(t, mask, v_c) @ w_f
-        rhs = t.c * (v_c @ restrict_adaptive(t, mask, w_f))
+        rhs = PROLONG_SCALE * (v_c @ restrict_adaptive(t, mask, w_f))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -151,7 +151,7 @@ def test_line_weighting():
 
 
 def test_dimension_errors():
-    t = build_full_weighting(GridLevel(0, 7))
+    t = build_full_weighting(GridLevel(7))
     with pytest.raises(ValueError):
         restrict_adaptive(t, np.zeros(49, dtype=bool), np.ones(10))
     with pytest.raises(ValueError):
