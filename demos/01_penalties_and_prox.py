@@ -8,9 +8,11 @@ solver's adaptive masking keys on, so we show the three regimes explicitly
 and cross-check every closed form against a brute-force search.
 """
 
+import sys
+
 import numpy as np
 
-from proxmg import SeparableNonsmooth, brute_force_prox, select_subgradient
+from proxmg import SCOPES, SeparableNonsmooth, brute_force_prox, select_subgradient
 
 lam, c, step = 1.0, 0.0, 1.0
 hinge = SeparableNonsmooth.hinge(lam, np.array([c]))
@@ -41,15 +43,8 @@ print(f"  prox of {v} at step 1: {l1.prox(v, 1.0)}")
 iv = l1.subdiff(np.array([0.0]))
 print(f"  interval at 0: [{iv.lo[0]:+.1f}, {iv.hi[0]:+.1f}]")
 
-print("\n== 300 random cases against the golden-section oracle ==")
-rng = np.random.Generator(np.random.PCG64(0))
-worst = 0.0
-for _ in range(300):
-    v, lam_r = rng.uniform(-3, 3), rng.uniform(0, 2)
-    c_r, step_r = rng.uniform(-1, 1), rng.uniform(0.1, 3)
-    g = SeparableNonsmooth.hinge(lam_r, np.array([c_r]))
-    got = g.prox(np.array([v]), step_r)[0]
-    want = brute_force_prox(lambda t: lam_r * max(c_r - t, 0.0), v, step_r,
-                            bracket=(v - 10 * step_r * lam_r - 1, v + 10 * step_r * lam_r + 1))
-    worst = max(worst, abs(got - want))
-print(f"  worst deviation: {worst:.2e}")
+print("\n== the closed forms against the golden-section oracle ==")
+certs = SCOPES["prox"](0)
+for cert in certs:
+    print(f"  {cert.line()}")
+sys.exit(0 if all(cert.passed for cert in certs) else 1)

@@ -14,10 +14,13 @@ iteration (restarts after iterations 2, 4, ..., 200): lambda never falls
 below about 0.21, and k never passes 2.
 """
 
+import sys
+
 import numpy as np
 
 from proxmg import (StoppingRule, build_chain_hierarchy, chain_constants,
-                    fastmgprox_solve, lambda_rate_bound, reference_solution)
+                    check_fast_certificates, fastmgprox_solve, lambda_rate_bound,
+                    reference_solution)
 
 stack = build_chain_hierarchy(64, lam=0.01, num_levels=2, seed=0)
 mu, L = chain_constants(stack.fine.problem)
@@ -53,12 +56,8 @@ for i in (1, 2, 5, 10, 50, 100, 200):
     print(f"{i:>4} {k:>3} {alpha:>8.4f} {lam:>11.3e} {bound:>12.3e} {gap:>11.3e} "
           f"{phi_gap:>13.3e}")
 
-lam_ok = all(l < lambda_rate_bound(k, gamma0, L)
-             for k, l in zip(epoch_k, trace.extras["lam"]))
-phi_ok = all(F <= p + 1e-9 * max(1.0, abs(p))
-             for F, p in zip(trace.objectives, trace.extras["phi_bar"]))
-resid = max(r / (gamma0 * l)
-            for r, l in zip(trace.extras["alpha_residual"], trace.extras["lam"]))
-print(f"\nlambda^k < bound for all k:    {lam_ok}")
-print(f"F(x^k) <= phi_bar^k for all k: {phi_ok}")
-print(f"worst |L a^2 - (1-a) gamma| / (gamma0 lambda^k): {resid:.2e}")
+print()
+certs = check_fast_certificates(trace, gamma0, L)
+for cert in certs:
+    print(cert.line())
+sys.exit(0 if all(cert.passed for cert in certs) else 1)

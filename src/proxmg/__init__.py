@@ -19,7 +19,7 @@ from .certificates import (SCOPES, CertificateResult,
                            check_mgprox_sufficient_descent, check_one_over_k,
                            check_smoothing_descent, check_stage_monotonicity,
                            check_work_units)
-from .grid import GridLevel, ij_to_k, k_to_ij
+from .grid import GridLevel, ij_to_k
 from .hierarchy import (Level, LevelStack, LevelWork, build_obstacle_hierarchy,
                         build_tau, workspace)
 from .membrane import (MembraneEnergy, build_difference_operators,

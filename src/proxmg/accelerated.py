@@ -140,16 +140,14 @@ class FastState:
 
 
 def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
-              config: CycleConfig | None = None,
-              work: list[LevelWork] | None = None) -> tuple[np.ndarray, FastState, dict]:
+              config: CycleConfig,
+              work: list[LevelWork]) -> tuple[np.ndarray, FastState, dict]:
     """One accelerated iteration; returns (x_next, state_next, diagnostics).
 
-    ``work`` is the solve's workspace; a step run without one starts from a
-    fresh workspace.
+    ``config`` and ``work``, the solve's cycle settings and workspace, are
+    required: the workspace carries the step estimates from one iteration
+    to the next.
     """
-    config = config or CycleConfig()
-    if work is None:
-        work = workspace(stack, config.step_mode)
     problem = work[0].problem
     L = stack.fine.L_est
     alpha = solve_alpha(L, state.gamma)

@@ -7,7 +7,7 @@ compare  run all five solvers from the same start, print a comparison table
 verify   run the certificate suite (certificates.SCOPES); exit 0 iff everything holds
 
 CSV schema: ``iter,time_s,objective,rel_prox_grad_norm,coarse_alpha`` with a
-header row, scientific notation with 15 significant digits.  The time column
+header row, scientific notation with 16 significant digits.  The time column
 is left empty unless ``--wall-time`` is passed, so that fixed-seed runs are
 bit-identical; ``coarse_alpha`` is empty for single-level solvers.
 

@@ -4,9 +4,8 @@ Vectors on an ``n_side x n_side`` grid of interior points are stored flat in
 column-major order: the flat index of the 1-based point ``(i, j)`` is
 ``(j - 1) * n_side + (i - 1)``, so ``i`` is the fast index.  The membrane
 stencil fixes this ordering: it reads a flat vector as ``u.reshape(n_side,
-n_side)``, whose row ``j - 1`` is grid column ``j``.  :func:`ij_to_k` and
-:func:`k_to_ij` spell the same rule out point by point, as an index oracle
-for the tests.
+n_side)``, whose row ``j - 1`` is grid column ``j``.  :func:`ij_to_k` spells
+the same rule out point by point, as an index oracle for the tests.
 
 All floating-point work is IEEE double precision.
 """
@@ -52,11 +51,3 @@ def ij_to_k(i: int, j: int, n_side: int) -> int:
     if not (1 <= i <= n_side and 1 <= j <= n_side):
         raise IndexError(f"point ({i}, {j}) outside 1..{n_side} square")
     return (j - 1) * n_side + (i - 1)
-
-
-def k_to_ij(k: int, n_side: int) -> tuple[int, int]:
-    """Inverse of :func:`ij_to_k`."""
-    if not (0 <= k < n_side * n_side):
-        raise IndexError(f"flat index {k} outside 0..{n_side * n_side - 1}")
-    j, i = divmod(k, n_side)
-    return (i + 1, j + 1)

@@ -115,9 +115,8 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
               transfer: TransferPair, mask: np.ndarray,
               y_fine: np.ndarray, y_coarse: np.ndarray,
               upstream_tau: np.ndarray | None = None,
-              subgradients: bool = True,
-              grad_fine: np.ndarray | None = None,
-              grad_coarse: np.ndarray | None = None) -> np.ndarray:
+              subgradients: bool = True, *,
+              grad_fine: np.ndarray, grad_coarse: np.ndarray) -> np.ndarray:
     """Linear correction for the coarse objective, from matched points.
 
     tau = [grad f_c(y_c) + s_c] - R_adaptive [grad f_f(y_f) + s_f - upstream_tau]
@@ -134,12 +133,10 @@ def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
     variant runs on it.  The exact fixed-point property is then lost up to
     O(lam).
 
-    ``grad_fine`` and ``grad_coarse`` are the smooth gradients at y_fine and
-    y_coarse when the caller already has them.
+    ``grad_fine`` and ``grad_coarse``, the smooth gradients at y_fine and
+    y_coarse, are required: the cycle has both already.
     """
-    fine_side = fine_problem.smooth.grad(y_fine) if grad_fine is None else grad_fine
-    coarse_side = (coarse_problem.smooth.grad(y_coarse) if grad_coarse is None
-                   else grad_coarse)
+    fine_side, coarse_side = grad_fine, grad_coarse
     if subgradients:
         fine_side = fine_side + fine_problem.nonsmooth.subgradient(y_fine)
         coarse_side = coarse_side + coarse_problem.nonsmooth.subgradient(y_coarse)

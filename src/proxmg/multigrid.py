@@ -146,9 +146,10 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
 
     w_coarse = _level_pass(stack, work, ell + 1, x_coarse, tau_next, config, trace,
                            fg_coarse)
-    trace.coarse_moves[ell] = float(np.max(np.abs(w_coarse - x_coarse)))
+    move = w_coarse - x_coarse
+    trace.coarse_moves[ell] = float(np.max(np.abs(move)))
 
-    p = prolong_adaptive(transfer, mask, w_coarse - x_coarse)
+    p = prolong_adaptive(transfer, mask, move)
     # angle-condition witness: any valid subgradient works, so take the one
     # the tau correction uses
     s_hat = fg_y[1] + g.subgradient(y)

@@ -38,9 +38,6 @@ class IntervalVec:
         """Boolean array: True where the interval is non-degenerate."""
         return self.lo < self.hi
 
-    def __len__(self) -> int:
-        return self.lo.shape[0]
-
 
 @dataclass(frozen=True)
 class SeparableNonsmooth:

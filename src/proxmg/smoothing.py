@@ -85,8 +85,6 @@ def backtrack_L(work, tau, x: np.ndarray,
     costs one gradient.
     """
     problem, L, L_cap = work.problem, work.L, work.L_cap
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
     if L >= L_cap:
         work.L = L_cap
         return prox_grad_step(problem, tau, x, L_cap,

@@ -80,7 +80,7 @@ def test_first_step_extrapolation_is_trivial():
     state = FastState(z=x0.copy(), gamma=stack.fine.L_est,
                       phi_bar=stack.fine.problem.objective(x0))
     # z0 = x0 makes y0 = x0 regardless of alpha
-    _, _, diag = fast_step(stack, state, x0)
+    _, _, diag = fast_step(stack, state, x0, CycleConfig(), workspace(stack, "fixed"))
     assert diag["F_y"] == pytest.approx(stack.fine.problem.objective(x0), rel=1e-14)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from proxmg.grid import GridLevel, ij_to_k, k_to_ij
+from proxmg.grid import GridLevel, ij_to_k
 
 
 def test_flat_index_examples():
@@ -18,7 +18,6 @@ def test_flat_index_is_a_bijection(n_side):
             assert 0 <= k < n_side * n_side
             assert k not in seen
             seen.add(k)
-            assert k_to_ij(k, n_side) == (i, j)
     assert len(seen) == n_side * n_side
 
 
@@ -27,8 +26,6 @@ def test_flat_index_range_errors():
         ij_to_k(0, 1, 3)
     with pytest.raises(IndexError):
         ij_to_k(1, 4, 3)
-    with pytest.raises(IndexError):
-        k_to_ij(9, 3)
 
 
 def test_grid_level_validation():

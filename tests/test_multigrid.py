@@ -162,19 +162,6 @@ def test_kocvara3_descends_but_lags_mgprox_on_the_obstacle():
     assert (not t_k.converged) or t_k.iterations > t_mg.iterations
 
 
-def test_linear_rate_on_the_synthetic_problem():
-    from proxmg.certificates import check_linear_rate
-    from proxmg.oracles import chain_constants
-    stack = build_chain_hierarchy(64, 0.01, 2, 20, seed=0)
-    mu, L = chain_constants(stack.fine.problem)
-    ref = reference_solution(stack, seed=0)
-    rng = np.random.Generator(np.random.PCG64(0))
-    x0 = rng.uniform(0, 1, size=64)
-    _, trace = mgprox_solve(stack, x0, StoppingRule(2000, 1e-12))
-    assert trace.converged
-    assert check_linear_rate(trace, ref.objective, mu, L).passed
-
-
 def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
     # a fixed step costs one gradient; the pair (f, grad f) is completed once
     # per smoothing block, not once per step, and only where the cycle reads
