@@ -148,13 +148,13 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     required: the workspace carries the step estimates from one iteration
     to the next.
     """
-    problem = work[0].problem
+    problem = stack.fine.problem
     L = stack.fine.L_est
     alpha = solve_alpha(L, state.gamma)
     gamma_next = (1.0 - alpha) * state.gamma
     y = alpha * state.z + (1.0 - alpha) * x
     f_y, grad_y = problem.smooth.value_and_grad(y)
-    w = prox_grad_step(problem, None, y, L, grad_y, work[0])
+    w = prox_grad_step(problem, None, y, L, grad_y)
     G_y = L * (y - w)
     F_y = problem.objective(y, f_y)
     x_next, ctrace = vcycle(stack, w, config, work=work)
@@ -189,7 +189,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     ``trace.meta["restarts"]``, and ``trace.meta["restart_reasons"]`` names,
     for each, the first of ``"function"``, ``"gradient"`` and ``"speed"``
     that fired.  The solve keeps its per-level state in a workspace of its
-    own and only reads the stack.
+    own and writes no level of the stack.
     """
     config = config or CycleConfig()
     work = workspace(stack, config.step_mode)
@@ -224,4 +224,4 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
             trace.meta["restart_reasons"].append(reason)
         return x_next, ctrace.pop_exit(), F_next, ctrace
 
-    return iterate(trace, work[0], x0, stop, step), trace
+    return iterate(trace, stack.fine.problem, x0, stop, step), trace

@@ -24,7 +24,6 @@ def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray,
                    stop: StoppingRule) -> tuple[np.ndarray, SolverTrace]:
     """Plain proximal gradient with a backtracked, monotone stepsize estimate."""
     work = LevelWork(problem, problem.lipschitz, step_cap(problem.lipschitz))
-    problem = work.problem
     trace = SolverTrace(algorithm="proxgrad")
     L_hat = trace.extras["L_hat"] = []
 
@@ -35,7 +34,7 @@ def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray,
         L_hat.append(work.L)
         return x, fg, problem.objective(x, fg[0]), None
 
-    return iterate(trace, work, x0, stop, step), trace
+    return iterate(trace, problem, x0, stop, step), trace
 
 
 def fista_solve(problem: CompositeProblem, x0: np.ndarray,
@@ -47,7 +46,6 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
     may be nonmonotone; that is expected, not a failure.
     """
     work = LevelWork(problem, problem.lipschitz, step_cap(problem.lipschitz))
-    problem = work.problem
     y = None
     t = 1.0
     trace = SolverTrace(algorithm="fista")
@@ -71,4 +69,4 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
         betas.append(beta)
         return x_next, fg, problem.objective(x_next, fg[0]), None
 
-    return iterate(trace, work, x0, stop, step), trace
+    return iterate(trace, problem, x0, stop, step), trace

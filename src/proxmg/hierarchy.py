@@ -6,12 +6,15 @@ transfer pair down to the next level.  Coarse objectives are always used in
 tilted form F(xi) - <tau, xi>; tau is rebuilt every cycle so that the stack
 has a fixed point at the fine minimizer.
 
-No solve writes to a stack, and its levels are frozen.  What belongs to one
-solve, the step estimate with its cap and the scratch arrays of each level,
-lives in a workspace (:func:`workspace`) that the solver builds at entry and
-drops on return, so a solve's output does not depend on what ran on the
-stack before it.  A level's share (:class:`LevelWork`) is the one handle the
-smoothing steps take, and they alone grow its estimate.
+No solve writes a stack's levels, which are frozen.  An evaluation rewrites
+only the scratch its level's energy keeps (see ``membrane.MembraneEnergy``),
+and it writes every scratch entry before reading it, so no value carries
+over from one evaluation to the next.  What belongs to one solve, each
+level's step estimate with its cap, lives in a workspace (:func:`workspace`)
+that the solver builds at entry and drops on return, so a solve's output
+does not depend on what ran on the stack before it.  A level's share
+(:class:`LevelWork`) is the one handle the smoothing steps take, and they
+alone grow its estimate.
 
 Re-discretization (rather than composing the fine functions with R) keeps the
 nonsmooth term separable with a closed-form prox on every level; the tau
@@ -42,7 +45,8 @@ class Level:
 
 
 class LevelStack:
-    """Ordered levels, finest first; solvers only read it."""
+    """Ordered levels, finest first.  Solvers change nothing in it but the
+    scratch its energies evaluate into, which no result depends on."""
 
     def __init__(self, levels: list[Level], n_smooth: int = 20):
         if not levels:
@@ -75,25 +79,20 @@ def step_cap(L_bound: float) -> float:
     return 4.0 * L_bound
 
 
+@dataclass
 class LevelWork:
     """One level's share of a solve's workspace.
 
-    ``problem`` is the level's problem with a smooth part that evaluates into
-    scratch of its own (see ``CompositeProblem.with_scratch``), ``L`` the
+    ``problem`` is the stack level's own problem, not a copy, ``L`` the
     working step estimate and ``L_cap`` its cap.  The smoothing steps
     (``smoothing.backtrack_L``) write the estimate they accept back to ``L``,
     so it grows monotonically over the solve and nothing else assigns it; a
-    fixed step is the one case L = L_cap.  ``point`` and ``diff`` are the
-    steps' scratch arrays, which never show through the arrays a step
-    returns.
+    fixed step is the one case L = L_cap.
     """
 
-    def __init__(self, problem: CompositeProblem, L: float, L_cap: float):
-        self.problem = problem.with_scratch()
-        self.L = L
-        self.L_cap = L_cap
-        self.point = np.empty(problem.dim)
-        self.diff = np.empty(problem.dim)
+    problem: CompositeProblem
+    L: float
+    L_cap: float
 
     @property
     def dim(self) -> int:

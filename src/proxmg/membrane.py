@@ -21,6 +21,7 @@ domain of side length 3*pi.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,11 +116,12 @@ class MembraneEnergy:
     starts from +0.0, so it never returns -0.0; the stencil adds +0.0 to its
     gradient, which turns -0.0 into +0.0 and leaves every other value alone.
 
-    An instance built directly holds no scratch: each evaluation allocates
-    its own, so one instance can be shared read-only by concurrent solvers.
-    :meth:`with_scratch` gives the copy a solve's workspace holds, which
-    evaluates into preallocated arrays and belongs to that solve alone.
-    Values and gradients returned are fresh arrays either way.
+    An instance evaluates into a :class:`MembraneScratch` of its own,
+    allocated at its first evaluation and rewritten by every later one; each
+    evaluation writes every scratch entry it reads, so nothing carries over
+    from one to the next.  Evaluations on one instance must therefore not
+    overlap (no two threads at once).  Values and gradients returned are
+    fresh arrays, which later evaluations leave alone.
     """
 
     def __init__(self, grid: GridLevel):
@@ -127,24 +129,22 @@ class MembraneEnergy:
         self.lipschitz = lipschitz_upper_bound(grid)
         self._n = grid.n_side
         self._inv_h = 1.0 / grid.h  # n + 1, a power of two
-        self._scratch: MembraneScratch | None = None
 
     @property
     def dim(self) -> int:
         return self.grid.n_total
 
-    def with_scratch(self) -> "MembraneEnergy":
-        """A copy that evaluates into scratch of its own; not to be shared."""
-        twin = MembraneEnergy(self.grid)
-        twin._scratch = MembraneScratch(self._n)
-        return twin
+    @cached_property
+    def _scratch(self) -> MembraneScratch:
+        # allocated lazily, so that building a stack costs no scratch
+        return MembraneScratch(self._n)
 
     def _slopes(self, u: np.ndarray) -> MembraneScratch:
         """Scratch holding Du, Eu and r = sqrt(1 + (Du)^2 + (Eu)^2), flat."""
         n = self._n
         if u.shape[0] != n * n:
             raise ValueError(f"dimension mismatch: grid has {n * n}, vector {u.shape[0]}")
-        s = self._scratch if self._scratch is not None else MembraneScratch(n)
+        s = self._scratch
         np.multiply(u, self._inv_h, out=s.body)
         np.subtract(s.body_next_j, s.body, out=s.du)
         np.subtract(s.body_next_i, s.body, out=s.eu)

@@ -30,7 +30,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .hierarchy import LevelStack, LevelWork, build_tau, workspace
-from .problems import tilted_objective
+from .problems import CompositeProblem, tilted_objective
 from .smoothing import prox_grad_map, run_smoothing
 from .transfer import adaptive_mask, prolong_adaptive
 
@@ -243,7 +243,7 @@ class SolverTrace:
         return min(min(vals), self.objective_initial)
 
 
-def iterate(trace: SolverTrace, work: LevelWork, x0: np.ndarray,
+def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
             stop: StoppingRule, step: Callable) -> np.ndarray:
     """Apply ``step`` from x0 until the stopping rule holds; returns the last x.
 
@@ -254,7 +254,7 @@ def iterate(trace: SolverTrace, work: LevelWork, x0: np.ndarray,
     ``trace`` and sets ``converged``.
 
     The stopping metric is the norm of the prox-gradient map at x on
-    ``work``'s problem with that problem's certified bound ``lipschitz``,
+    the fine ``problem`` with its certified bound ``lipschitz``,
     measured independently of how the step chose its stepsizes, so
     iteration counts of different solvers are comparable.  The rule holds
     once that norm falls below ``rel_tol`` times its value at x0, so
@@ -262,11 +262,10 @@ def iterate(trace: SolverTrace, work: LevelWork, x0: np.ndarray,
     reaches 0; a run that spends its budget without meeting it is reported
     on the trace, not raised.
     """
-    problem = work.problem
     L = problem.lipschitz
 
     def g_norm(x, fg):
-        return float(np.linalg.norm(prox_grad_map(problem, None, x, L, fg[1], work)))
+        return float(np.linalg.norm(prox_grad_map(problem, None, x, L, fg[1])))
 
     x = np.asarray(x0, dtype=np.float64)
     fg = problem.smooth.value_and_grad(x)
@@ -300,7 +299,7 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
 
     The metric is measured at the finest level with the canonical Lipschitz
     bound of the fine problem (see :func:`iterate`).  The solve keeps its
-    per-level state in a workspace of its own and only reads the stack.
+    per-level state in a workspace of its own and writes no level of the stack.
     """
     config = config or CycleConfig()
     work = workspace(stack, config.step_mode)
@@ -311,4 +310,4 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
         x_next, ctrace = vcycle(stack, x, config, fg, work)
         return x_next, ctrace.pop_exit(), ctrace.stage_objectives[-1], ctrace
 
-    return iterate(trace, work[0], x0, stop, step), trace
+    return iterate(trace, stack.fine.problem, x0, stop, step), trace

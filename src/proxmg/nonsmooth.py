@@ -63,15 +63,17 @@ class SeparableNonsmooth:
     def l1(cls, lam: float) -> "SeparableNonsmooth":
         return cls("l1", lam)
 
-    def _check_dim(self, u: np.ndarray):
+    def _vector(self, u) -> np.ndarray:
+        """``u`` as a float64 array, checked against the obstacle's dimension."""
+        u = np.asarray(u, dtype=np.float64)
         if self.kind == "hinge" and u.shape[0] != self.obstacle.shape[0]:
             raise ValueError(
                 f"dimension mismatch: obstacle has {self.obstacle.shape[0]}, vector has {u.shape[0]}"
             )
+        return u
 
     def value(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=np.float64)
-        self._check_dim(u)
+        u = self._vector(u)
         if self.kind == "hinge":
             gap = self.obstacle - u
             return float(self.lam * np.sum(np.maximum(gap, 0.0, out=gap)))
@@ -95,8 +97,7 @@ class SeparableNonsmooth:
         """
         if step <= 0:
             raise ValueError(f"prox step must be positive, got {step}")
-        v = np.asarray(v, dtype=np.float64)
-        self._check_dim(v)
+        v = self._vector(v)
         lam = step * self.lam
         if self.kind == "hinge":
             out = v + lam
@@ -111,8 +112,7 @@ class SeparableNonsmooth:
         (``u_i == c_i`` for the hinge, ``u_i == 0`` for l1); prox outputs land
         on those points bit-exactly, so no epsilon band is used.
         """
-        u = np.asarray(u, dtype=np.float64)
-        self._check_dim(u)
+        u = self._vector(u)
         lam = self.lam
         if self.kind == "hinge":
             c = self.obstacle
@@ -131,8 +131,7 @@ class SeparableNonsmooth:
         exact equality (``u_i == c_i``, ``u_i == 0``) and has width lam, so
         nothing is set-valued at lam = 0.
         """
-        u = np.asarray(u, dtype=np.float64)
-        self._check_dim(u)
+        u = self._vector(u)
         if self.lam == 0.0:
             return np.zeros(u.shape, dtype=bool)
         return u == (self.obstacle if self.kind == "hinge" else 0.0)
@@ -145,8 +144,7 @@ class SeparableNonsmooth:
         lam * sign(u) for l1.  At lam = 0 the interval clip returns the
         -0.0 of a degenerate [-0.0, -0.0] interval, and so do these.
         """
-        u = np.asarray(u, dtype=np.float64)
-        self._check_dim(u)
+        u = self._vector(u)
         if self.kind == "hinge":
             return np.where(u < self.obstacle, -self.lam, 0.0)
         return self.lam * np.sign(u)

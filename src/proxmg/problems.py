@@ -4,9 +4,10 @@ A smooth part is any object with ``value(x)``, ``grad(x)``,
 ``value_and_grad(x)`` (the pair from one evaluation, bit for bit equal to the
 two separate calls), a ``lipschitz`` attribute (an upper bound for the
 gradient's Lipschitz constant, used for fixed 1/L steps and as the scale of
-the prox-gradient map), and ``dim``.  A smooth part may also offer
-``with_scratch()``: a copy that evaluates into preallocated arrays of its own,
-for one solve's exclusive use.
+the prox-gradient map), and ``dim``.  Values and gradients come back as
+fresh arrays, which later evaluations leave alone.  A smooth part may
+evaluate into scratch arrays it owns (the membrane does); callers neither
+see nor supply them.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ class CompositeProblem:
     @property
     def lipschitz(self) -> float:
         return self.smooth.lipschitz
-
-    def with_scratch(self) -> "CompositeProblem":
-        """This problem with its smooth part's scratch-owning copy, if it has one."""
-        bind = getattr(self.smooth, "with_scratch", None)
-        return self if bind is None else CompositeProblem(bind(), self.nonsmooth)
 
     def objective(self, u: np.ndarray, f_u: float | None = None) -> float:
         """F(u); ``f_u`` is the smooth part's value at u when already known."""

@@ -13,12 +13,12 @@ fixed step 1/L is the backtracking step started at its cap (L = L_cap), the
 constant-step special case of backtracking in Beck and Teboulle's FISTA.
 
 The steps take the level's share of a solve's workspace (``work``, a
-``hierarchy.LevelWork``): its problem, its estimate ``L`` with the cap
-``L_cap``, and the scratch arrays ``point`` and ``diff``.  A step writes the
-L it accepted back to ``work.L``, so the estimate only ever grows (Beck and
-Teboulle's monotone rule) and no caller updates it.  A block of steps
-returns the pair (f, grad f) at its output, so the next stage of a cycle
-reads it rather than evaluating it again.
+``hierarchy.LevelWork``): its problem and its estimate ``L`` with the cap
+``L_cap``.  A step writes the L it accepted back to ``work.L``, so the
+estimate only ever grows (Beck and Teboulle's monotone rule) and no caller
+updates it.  Every array a step returns is freshly allocated.  A block of
+steps returns the pair (f, grad f) at its output, so the next stage of a
+cycle reads it rather than evaluating it again.
 """
 
 from __future__ import annotations
@@ -34,31 +34,30 @@ MAX_DOUBLINGS = 60
 
 
 def prox_grad_step(problem: CompositeProblem, tau, x: np.ndarray, L: float,
-                   gx: np.ndarray | None = None, work=None) -> np.ndarray:
+                   gx: np.ndarray | None = None) -> np.ndarray:
     """One proximal-gradient step with stepsize 1/L on the tilted objective.
 
-    ``gx`` is grad f(x) when the caller already has it.  ``work`` is a
-    workspace whose ``point`` array holds the gradient step; without one the
-    step allocates.  The iterate returned is a fresh array either way.
+    ``gx`` is grad f(x) when the caller already has it.  The gradient step
+    x - (gx - tau) / L is formed in one fresh array, and the prox returns
+    the iterate in another.
     """
     if L <= 0:
         raise ValueError(f"L must be positive, got {L}")
     if gx is None:
         gx = problem.smooth.grad(x)
-    point = np.empty(x.shape[0]) if work is None else work.point
     if tau is None:
-        np.divide(gx, L, out=point)
+        point = gx / L
     else:
-        np.subtract(gx, tau, out=point)
+        point = gx - tau
         point /= L
     np.subtract(x, point, out=point)
     return problem.nonsmooth.prox(point, 1.0 / L)
 
 
 def prox_grad_map(problem: CompositeProblem, tau, x: np.ndarray, L: float,
-                  gx: np.ndarray | None = None, work=None) -> np.ndarray:
+                  gx: np.ndarray | None = None) -> np.ndarray:
     """G(x) = L * (x - prox_grad_step(x)); zero exactly at tilted minimizers."""
-    out = prox_grad_step(problem, tau, x, L, gx, work)
+    out = prox_grad_step(problem, tau, x, L, gx)
     np.subtract(x, out, out=out)
     out *= L
     return out
@@ -88,16 +87,15 @@ def backtrack_L(work, tau, x: np.ndarray,
     if L >= L_cap:
         work.L = L_cap
         return prox_grad_step(problem, tau, x, L_cap,
-                              None if fg_x is None else fg_x[1], work), None
-    d = work.diff
+                              None if fg_x is None else fg_x[1]), None
     f = problem.smooth
     fx, gx = f.value_and_grad(x) if fg_x is None else fg_x
     for _ in range(MAX_DOUBLINGS + 1):
-        y = prox_grad_step(problem, tau, x, L, gx, work)
+        y = prox_grad_step(problem, tau, x, L, gx)
         if L >= L_cap:
             work.L = L
             return y, None
-        np.subtract(y, x, out=d)
+        d = y - x
         fg_y = f.value_and_grad(y)
         if fg_y[0] <= fx + float(gx @ d) + 0.5 * L * float(d @ d) + 1e-15 * abs(fx):
             work.L = L

@@ -7,8 +7,8 @@ from proxmg import membrane
 from proxmg.certificates import check_lipschitz_bound
 from proxmg.grid import GridLevel, ij_to_k
 from proxmg.hierarchy import build_obstacle_hierarchy
-from proxmg.membrane import (build_difference_operators, lipschitz_upper_bound,
-                             make_obstacle_problem, obstacle_values)
+from proxmg.membrane import (MembraneEnergy, build_difference_operators,
+                             lipschitz_upper_bound, make_obstacle_problem, obstacle_values)
 from proxmg.oracles import fd_gradient
 from proxmg.problems import power_iteration
 
@@ -103,6 +103,25 @@ def test_gradient_matches_finite_differences(n_side):
         approx = fd_gradient(p.smooth.value, u)
         rel = np.linalg.norm(exact - approx) / np.linalg.norm(exact)
         assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("n_side", [1, 3, 15, 31])
+def test_an_instance_reusing_its_scratch_returns_what_a_fresh_one_does(n_side):
+    # an energy evaluates into scratch it keeps; nothing of one evaluation
+    # may show through the next, nor rewrite an array returned before
+    rng = np.random.Generator(np.random.PCG64(n_side))
+    u1, u2 = rng.uniform(-1.0, 1.0, n_side * n_side), rng.uniform(-1.0, 1.0, n_side * n_side)
+    fresh = MembraneEnergy(GridLevel(n_side))
+    v_fresh, g_fresh = fresh.value_and_grad(u1)
+    expected = (v_fresh, g_fresh.tobytes())
+    energy = MembraneEnergy(GridLevel(n_side))
+    g1 = energy.grad(u1)
+    energy.value_and_grad(u2)
+    assert (energy.value(u1), energy.grad(u1).tobytes()) == expected
+    v, g = energy.value_and_grad(u1)
+    assert (v, g.tobytes()) == expected
+    energy.value_and_grad(u2)
+    assert g1.tobytes() == g.tobytes() == expected[1]
 
 
 def _curvature_operator(n_side):

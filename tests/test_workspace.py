@@ -1,8 +1,10 @@
 """Per-solve state lives in a workspace the solve owns, not in the stack.
 
-A solver's output must not depend on what ran on the stack before it, and
-the scratch a workspace reuses must never show through the arrays a step
-returns.
+A workspace holds, per level, the stack's own problem and the step estimate
+L with its cap, and nothing else.  A solver's output must not depend on what
+ran on the stack before it, although the stack's energies reuse their
+scratch from one solve to the next, and no array a step returns may change
+when the workspace steps again.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 
 from proxmg.accelerated import fastmgprox_solve
 from proxmg.baselines import fista_solve, proxgrad_solve
-from proxmg.hierarchy import LevelWork, build_obstacle_hierarchy
+from proxmg.hierarchy import LevelWork, build_obstacle_hierarchy, workspace
 from proxmg.membrane import make_obstacle_problem
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
 from proxmg.smoothing import backtrack_L, run_smoothing
@@ -56,6 +58,16 @@ def test_solve_is_the_same_on_a_fresh_and_on_a_used_stack(name, n_side, lam):
     before = "kocvara3" if name == "mgprox-backtracking" else "mgprox-backtracking"
     SOLVERS[before](used, x0[::-1].copy())
     assert _fingerprint(*SOLVERS[name](used, x0)) == _fingerprint(*fresh)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "backtracking"])
+def test_a_workspace_holds_the_stacks_problems_and_only_the_step_estimates(mode):
+    stack = build_obstacle_hierarchy(15, 1.0, 3)
+    work = workspace(stack, mode)
+    assert len(work) == len(stack)
+    for lev, lw in zip(stack, work):
+        assert lw.problem is lev.problem
+        assert set(vars(lw)) == {"problem", "L", "L_cap"}  # no array of its own
 
 
 @pytest.mark.parametrize("tilted", [False, True])
