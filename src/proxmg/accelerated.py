@@ -123,10 +123,10 @@ def phi_bar_update(phi_bar: float, alpha: float, gamma_next: float, L: float,
                    F_x_next: float, g: np.ndarray, z_prev: np.ndarray,
                    y_prev: np.ndarray) -> float:
     """One step of the running estimate-sequence minimum value."""
-    gg = float(g @ g)
+    gg = float(g.dot(g))
     return ((1.0 - alpha) * phi_bar + alpha * F_x_next
             + 0.5 * alpha * (1.0 / L - alpha / gamma_next) * gg
-            + alpha * float(g @ (z_prev - y_prev)))
+            + alpha * float(g.dot(z_prev - y_prev)))
 
 
 @dataclass
@@ -170,7 +170,7 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
         "phi_bar": phi_bar_next,
         "F_y": F_y,
         "F_x_next": F_x_next,
-        "g_norm_y": float(np.linalg.norm(G_y)),
+        "g_norm_y": math.sqrt(G_y.dot(G_y)),
         "G_y": G_y,
         "cycle": ctrace,
     }
@@ -213,9 +213,9 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
             series.append(diag[key])
         F_next = diag["F_x_next"]
         d = x_next - x
-        d_sq = float(d @ d)
+        d_sq = float(d.dot(d))
         reason = ("function" if F_next > F_x else
-                  "gradient" if float(diag["G_y"] @ d) > 0.0 else
+                  "gradient" if float(diag["G_y"].dot(d)) > 0.0 else
                   "speed" if d_sq < prev_sq else None)
         prev_sq = d_sq
         if reason:

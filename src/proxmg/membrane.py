@@ -33,6 +33,17 @@ from .problems import CompositeProblem
 DOMAIN_SIDE = 3.0 * math.pi
 
 
+def _constant(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, a cheap ufunc operand."""
+    c = np.array(value, dtype=np.float64)
+    c.flags.writeable = False
+    return c
+
+
+_ZERO = _constant(0.0)
+_ONE = _constant(1.0)
+
+
 def build_difference_operators(grid: GridLevel) -> tuple[sp.csr_array, sp.csr_array]:
     """Forward difference operators (D along j, E along i), shape n^2 x n^2.
 
@@ -122,13 +133,18 @@ class MembraneEnergy:
     from one to the next.  Evaluations on one instance must therefore not
     overlap (no two threads at once).  Values and gradients returned are
     fresh arrays, which later evaluations leave alone.
+
+    The scalars the stencil applies, 1/h, 1 and 0, are read-only 0-d
+    float64 arrays.  A ufunc converts a Python float operand to such an
+    array on every call, which on a small level is a large share of the
+    call's cost; given the array, it does the same arithmetic, so every
+    result keeps its bytes.  Read-only, because instances share 1 and 0.
     """
 
     def __init__(self, grid: GridLevel):
         self.grid = grid
         self.lipschitz = lipschitz_upper_bound(grid)
         self._n = grid.n_side
-        self._inv_h = 1.0 / grid.h  # n + 1, a power of two
 
     @property
     def dim(self) -> int:
@@ -138,6 +154,12 @@ class MembraneEnergy:
     def _scratch(self) -> MembraneScratch:
         # allocated lazily, so that building a stack costs no scratch
         return MembraneScratch(self._n)
+
+    @cached_property
+    def _inv_h(self) -> np.ndarray:
+        # n + 1, a power of two; built lazily too, since a 0-d array costs
+        # more to make than the rest of __init__
+        return _constant(1.0 / self.grid.h)
 
     def _slopes(self, u: np.ndarray) -> MembraneScratch:
         """Scratch holding Du, Eu and r = sqrt(1 + (Du)^2 + (Eu)^2), flat."""
@@ -149,11 +171,11 @@ class MembraneEnergy:
         np.subtract(s.body_next_j, s.body, out=s.du)
         np.subtract(s.body_next_i, s.body, out=s.eu)
         # the last i of each grid column has the zero boundary as its neighbour
-        np.subtract(0.0, s.body_edge, out=s.eu_edge)
+        np.subtract(_ZERO, s.body_edge, out=s.eu_edge)
         np.multiply(s.du, s.du, out=s.r)
-        s.r += 1.0
+        np.add(s.r, _ONE, out=s.r)
         np.multiply(s.eu, s.eu, out=s.tmp)
-        s.r += s.tmp
+        np.add(s.r, s.tmp, out=s.r)
         np.sqrt(s.r, out=s.r)
         return s
 
@@ -161,24 +183,24 @@ class MembraneEnergy:
         """D^T (du / r) + E^T (eu / r), flat and freshly allocated."""
         np.divide(s.du, s.r, out=s.qd)
         np.divide(s.eu, s.r, out=s.qe)
-        g = s.qd_prev_j - s.qd
+        g = np.subtract(s.qd_prev_j, s.qd)
         np.subtract(s.qe_prev_i, s.qe, out=s.tmp)
         # the first i of each grid column has the zero boundary as its neighbour
-        np.subtract(0.0, s.qe_edge, out=s.tmp_edge)
-        g += s.tmp
-        g *= self._inv_h
-        g += 0.0  # -0.0 -> +0.0, as in a sparse row sum
+        np.subtract(_ZERO, s.qe_edge, out=s.tmp_edge)
+        np.add(g, s.tmp, out=g)
+        np.multiply(g, self._inv_h, out=g)
+        np.add(g, _ZERO, out=g)  # -0.0 -> +0.0, as in a sparse row sum
         return g
 
     def value(self, u: np.ndarray) -> float:
-        return float(self._slopes(u).r.sum())
+        return float(np.add.reduce(self._slopes(u).r))
 
     def grad(self, u: np.ndarray) -> np.ndarray:
         return self._adjoint(self._slopes(u))
 
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         s = self._slopes(u)
-        return float(s.r.sum()), self._adjoint(s)
+        return float(np.add.reduce(s.r)), self._adjoint(s)
 
 
 def obstacle_values(n_side: int) -> np.ndarray:

@@ -23,6 +23,7 @@ smoothing step's input/output for the sufficient-descent inequality.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
@@ -132,7 +133,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     kocvara = config.variant == "kocvara3"
     # kocvara3: no masking, and the subdifferential terms of tau are zeroed out
     mask = np.zeros(problem.dim, dtype=bool) if kocvara else adaptive_mask(g, y)
-    trace.mask_counts[ell] = int(mask.sum())
+    trace.mask_counts[ell] = int(np.count_nonzero(mask))
 
     transfer = level.transfer_down
     x_coarse = transfer.restrict @ y  # variables restrict with the full operator
@@ -155,8 +156,8 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     s_hat = fg_y[1] + g.subgradient(y)
     if tau is not None:
         s_hat = s_hat - tau
-    trace.angle_products[ell] = float(s_hat @ p)
-    trace.correction_norms[ell] = float(np.linalg.norm(p))
+    trace.angle_products[ell] = float(s_hat.dot(p))
+    trace.correction_norms[ell] = math.sqrt(p.dot(p))
 
     z, alpha, f_z = naive_line_search(lambda v: tilted_objective(problem, tau, v),
                                       y, p, f_y)
@@ -265,7 +266,8 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
     L = problem.lipschitz
 
     def g_norm(x, fg):
-        return float(np.linalg.norm(prox_grad_map(problem, None, x, L, fg[1])))
+        G = prox_grad_map(problem, None, x, L, fg[1])
+        return math.sqrt(G.dot(G))
 
     x = np.asarray(x0, dtype=np.float64)
     fg = problem.smooth.value_and_grad(x)

@@ -76,8 +76,8 @@ class SeparableNonsmooth:
         u = self._vector(u)
         if self.kind == "hinge":
             gap = self.obstacle - u
-            return float(self.lam * np.sum(np.maximum(gap, 0.0, out=gap)))
-        return float(self.lam * np.sum(np.abs(u)))
+            return float(self.lam * np.add.reduce(np.maximum(gap, 0.0, out=gap)))
+        return float(self.lam * np.add.reduce(np.abs(u)))
 
     def prox(self, v: np.ndarray, step: float) -> np.ndarray:
         """Exact minimizer of ``step * g(u) + 0.5 * ||u - v||^2``, per coordinate.

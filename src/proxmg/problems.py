@@ -54,7 +54,7 @@ def tilted_objective(problem: CompositeProblem, tau, xi: np.ndarray,
     val = problem.objective(xi, f_xi)
     if tau is None:
         return val
-    return val - float(np.dot(tau, xi))
+    return val - float(tau.dot(xi))
 
 
 @dataclass(frozen=True)

@@ -33,25 +33,33 @@ from .problems import CompositeProblem
 MAX_DOUBLINGS = 60
 
 
+def _descend(problem: CompositeProblem, x: np.ndarray, gt: np.ndarray,
+             L: float) -> np.ndarray:
+    """prox_{g/L}(x - gt / L) for the tilted gradient gt = grad f(x) - tau.
+
+    The gradient step is formed in one fresh array, and the prox returns
+    the iterate in another; ``gt`` is left alone.
+    """
+    point = gt / L
+    np.subtract(x, point, out=point)
+    return problem.nonsmooth.prox(point, 1.0 / L)
+
+
+def _check_L(L: float) -> None:
+    if L <= 0:
+        raise ValueError(f"L must be positive, got {L}")
+
+
 def prox_grad_step(problem: CompositeProblem, tau, x: np.ndarray, L: float,
                    gx: np.ndarray | None = None) -> np.ndarray:
     """One proximal-gradient step with stepsize 1/L on the tilted objective.
 
-    ``gx`` is grad f(x) when the caller already has it.  The gradient step
-    x - (gx - tau) / L is formed in one fresh array, and the prox returns
-    the iterate in another.
+    ``gx`` is grad f(x) when the caller already has it.
     """
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    _check_L(L)
     if gx is None:
         gx = problem.smooth.grad(x)
-    if tau is None:
-        point = gx / L
-    else:
-        point = gx - tau
-        point /= L
-    np.subtract(x, point, out=point)
-    return problem.nonsmooth.prox(point, 1.0 / L)
+    return _descend(problem, x, gx if tau is None else gx - tau, L)
 
 
 def prox_grad_map(problem: CompositeProblem, tau, x: np.ndarray, L: float,
@@ -74,6 +82,11 @@ def backtrack_L(work, tau, x: np.ndarray,
     to ``work.L`` and returns (y, fg_y), where fg_y is (f(y), grad f(y)) from
     the descent test that accepted y.
 
+    The tilted gradient grad f(x) - tau is formed once per call and every
+    trial step divides it by its own L, which is the arithmetic of
+    ``prox_grad_step``, so each trial returns that step's bytes.  L only
+    doubles, so it is checked to be positive once, before the first trial.
+
     ``work.L_cap`` is accepted unconditionally once reached: near the
     arithmetic floor the descent test degenerates to rounding noise while the
     inequality is certified analytically for any L above the true curvature,
@@ -88,16 +101,19 @@ def backtrack_L(work, tau, x: np.ndarray,
         work.L = L_cap
         return prox_grad_step(problem, tau, x, L_cap,
                               None if fg_x is None else fg_x[1]), None
+    _check_L(L)
     f = problem.smooth
     fx, gx = f.value_and_grad(x) if fg_x is None else fg_x
+    gt = gx if tau is None else gx - tau
+    slack = 1e-15 * abs(fx)
     for _ in range(MAX_DOUBLINGS + 1):
-        y = prox_grad_step(problem, tau, x, L, gx)
+        y = _descend(problem, x, gt, L)
         if L >= L_cap:
             work.L = L
             return y, None
         d = y - x
         fg_y = f.value_and_grad(y)
-        if fg_y[0] <= fx + float(gx @ d) + 0.5 * L * float(d @ d) + 1e-15 * abs(fx):
+        if fg_y[0] <= fx + float(gx.dot(d)) + 0.5 * L * float(d.dot(d)) + slack:
             work.L = L
             return y, fg_y
         L = min(2.0 * L, L_cap)

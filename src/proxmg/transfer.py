@@ -8,14 +8,21 @@ Prolongation is P = c * R^T with c = 2.
 The full weighting matches the membrane's boundary (see
 :mod:`proxmg.membrane`): clamped past the last row and column, free at
 i = 1 and j = 1.  Its 1-D factor is the [1, 2, 1] leg set centered at fine
-index 2I, with the leg that would reach past the clamped high end dropped,
-and with the leg of the (absent) coarse point I = 0 folded into fine index 1,
-which therefore carries weight 2 in the row I = 1 instead of 1.  P then
-extrapolates the first coarse value as a constant onto the free edges
+index 2I, with the leg of the (absent) coarse point I = 0 folded into fine
+index 1, which therefore carries weight 2 in the row I = 1 instead of 1.
+Since n_fine = 2 n_coarse + 1, no leg reaches past the clamped high end.
+P then extrapolates the first coarse value as a constant onto the free edges
 instead of halving it toward a zero that is not there: P @ 1 is 1 everywhere
 except on the clamped high edges (1/2) and at their corner (1/4).  The row
 sums of R are 2 away from the free edges, 5/2 on the rows with I = 1 or
 J = 1 alone, and 25/8 at I = J = 1.
+
+Both operators are built directly in CSR form.  Row (J - 1) n_c + (I - 1)
+of R holds 9 entries, (1/8) w_j w_i for the legs j of J and i of I, with
+w = [1, 2, 1] ([2, 2, 1] at the first coarse index); they are stored sorted
+by fine column (j - 1) n + (i - 1), j-major, so no zero is stored and the
+indices are sorted.  P is exactly 2 * R^T: row k of P holds column k of R,
+doubled, in ascending coarse row.
 
 The adaptive variants zero out fine coordinates where the nonsmooth term's
 subdifferential is set-valued: columns of R when restricting subgradients (so
@@ -54,12 +61,8 @@ class TransferPair:
         return self.restrict.shape[1]
 
 
-def _weighting_1d(n_fine: int, n_coarse: int, free_low: bool = False) -> sp.csr_array:
-    """Rows [1, 2, 1] centered at fine index 2I, clipped at the boundary.
-
-    With ``free_low`` the low end is a free edge: fine index 1 also takes the
-    leg of the absent coarse point I = 0, so its weight in row I = 1 is 2.
-    """
+def _weighting_1d(n_fine: int, n_coarse: int) -> sp.csr_array:
+    """Rows [1, 2, 1] centered at fine index 2I, clipped at the boundary."""
     rows, cols, vals = [], [], []
     for I in range(1, n_coarse + 1):
         center = 2 * I  # 1-based fine index
@@ -68,19 +71,33 @@ def _weighting_1d(n_fine: int, n_coarse: int, free_low: bool = False) -> sp.csr_
             if 1 <= col <= n_fine:
                 rows.append(I - 1)
                 cols.append(col - 1)
-                vals.append(2.0 if free_low and col == 1 else w)
+                vals.append(w)
     return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n_coarse, n_fine)))
 
 
 def build_full_weighting(fine: GridLevel) -> TransferPair:
     """Full weighting for a square grid with n_side = 2**m - 1, m >= 2, free
     at i = 1 and j = 1 and clamped past the last row and column."""
-    if fine.n_side < 3:
+    n = fine.n_side
+    if n < 3:
         raise ValueError("fine grid too small to coarsen")
-    n_c = (fine.n_side - 1) // 2
-    R1 = _weighting_1d(fine.n_side, n_c, free_low=True)
-    R = sp.csr_array(0.125 * sp.kron(R1, R1, format="csr"))
-    P = sp.csr_array(PROLONG_SCALE * R.T)
+    n_c = (n - 1) // 2
+    # 1-D legs of coarse index I (0-based): fine indices 2I, 2I + 1, 2I + 2
+    legs = 2 * np.arange(n_c)[:, None] + np.arange(3)
+    w = np.tile([1.0, 2.0, 1.0], (n_c, 1))
+    w[0, 0] = 2.0  # the free edge takes the leg of the absent coarse point
+    # axes (J, I, j-leg, i-leg): rows in order, each row's columns ascending
+    cols = (n * legs[:, None, :, None] + legs[None, :, None, :]).ravel()
+    vals = (0.125 * w[:, None, :, None] * w[None, :, None, :]).ravel()
+    rows = np.repeat(np.arange(n_c * n_c), 9)
+    R = sp.csr_array((vals, cols, np.arange(0, 9 * n_c * n_c + 1, 9)),
+                     shape=(n_c * n_c, n * n))
+    # a stable sort by column keeps each column's rows ascending
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n * n), out=indptr[1:])
+    P = sp.csr_array((PROLONG_SCALE * vals[order], rows[order], indptr),
+                     shape=(n * n, n_c * n_c))
     return TransferPair(R, P)
 
 
@@ -88,7 +105,7 @@ def build_line_weighting(n_fine: int) -> TransferPair:
     """1-D weighting (1/4) * [1, 2, 1] for chain problems; coarse size is n_fine // 2.
 
     Used by the synthetic rate-verification hierarchy.  Out-of-range stencil
-    legs are dropped (Dirichlet ends).
+    legs are dropped (Dirichlet ends): an even ``n_fine`` clips the last leg.
     """
     n_c = n_fine // 2
     if n_c < 1:

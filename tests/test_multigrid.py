@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ def test_cycle_stage_monotonicity_and_angle_condition():
     assert check_stage_monotonicity(trace).passed
     assert check_angle_condition(trace).passed
     assert check_smoothing_descent(trace).passed
+
+
+def test_a_cycle_trace_records_python_numbers():
+    """The per-level records are Python ints and floats, so a trace
+    serializes as JSON; numpy scalars such as np.count_nonzero's would not."""
+    stack = build_obstacle_hierarchy(15, 100.0, 3)
+    rng = np.random.Generator(np.random.PCG64(1))
+    _, ct = vcycle(stack, rng.uniform(0, 1, size=225))
+    records = {"mask_counts": int, "smoothing_steps": int, "angle_products": float,
+               "correction_norms": float, "coarse_moves": float, "alphas": float,
+               "stage_objectives": float}
+    for name, kind in records.items():
+        assert all(type(v) is kind for v in getattr(ct, name)), name
+    json.dumps({name: getattr(ct, name) for name in records})
 
 
 def test_fixed_point_of_one_cycle():

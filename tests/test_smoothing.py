@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from proxmg import membrane
 from proxmg.hierarchy import LevelWork, step_cap
 from proxmg.membrane import make_obstacle_problem
 from proxmg.nonsmooth import SeparableNonsmooth
@@ -114,6 +115,49 @@ def test_run_smoothing_validation():
         run_smoothing(LevelWork(p, 1.0, math.inf), None, np.array([1.0]), 0)
     with pytest.raises(ValueError):
         backtrack_L(LevelWork(p, -1.0, math.inf), None, np.array([1.0]))
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0])
+def test_backtracking_rejects_a_nonpositive_estimate(L):
+    p = make_obstacle_problem(7, 1.0)
+    x = np.full(p.dim, 0.5)
+    with pytest.raises(ValueError, match="L must be positive"):
+        backtrack_L(LevelWork(p, L, math.inf), None, x)
+    with pytest.raises(ValueError, match="L must be positive"):
+        backtrack_L(LevelWork(p, L, p.lipschitz), None, x)
+    with pytest.raises(ValueError, match="L must be positive"):
+        prox_grad_step(p, None, x, L)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_each_backtracking_trial_is_the_prox_grad_step_at_its_L(tilted):
+    """The tilted gradient is formed once per call; the step accepted after
+    doubling has the bytes of ``prox_grad_step`` at the accepted L, and so
+    does a step started at its cap."""
+    p = make_obstacle_problem(15, 1.0)
+    rng = np.random.Generator(np.random.PCG64(6))
+    x = rng.uniform(0, 1, size=p.dim)
+    tau = rng.uniform(-1, 1, size=p.dim) if tilted else None
+    fx, gx = p.smooth.value_and_grad(x)
+    L_cap = step_cap(p.lipschitz)
+    work = LevelWork(p, 1e-3, L_cap)
+    y, fg_y = backtrack_L(work, tau, x, (fx, gx))
+    assert 1e-3 < work.L < L_cap  # it doubled, and the descent test accepted
+    assert y.tobytes() == prox_grad_step(p, tau, x, work.L, gx).tobytes()
+    assert fg_y[1].tobytes() == p.smooth.grad(y).tobytes()
+    work = LevelWork(p, L_cap, L_cap)
+    y, _ = backtrack_L(work, tau, x, (fx, gx))
+    assert y.tobytes() == prox_grad_step(p, tau, x, L_cap, gx).tobytes()
+
+
+def test_the_membrane_constants_are_read_only():
+    p = make_obstacle_problem(7, 1.0)
+    for c in (membrane._ZERO, membrane._ONE, p.smooth._inv_h):
+        assert c.shape == () and c.dtype == np.float64
+        with pytest.raises(ValueError):
+            c[()] = 2.0
+        with pytest.raises(ValueError):
+            np.add(c, 1.0, out=c)
 
 
 def test_a_step_started_at_or_above_its_cap_is_the_fixed_step():

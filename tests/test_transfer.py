@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxmg.grid import GridLevel, ij_to_k
 from proxmg.membrane import obstacle_values
@@ -31,11 +32,55 @@ def dense_weighting_oracle(n_fine):
     return R
 
 
+def kron_weighting_oracle(n_fine):
+    """The full weighting as scipy builds it from its 1-D factor:
+    R = (1/8) kron(R1, R1) converted to CSR, and P = 2 R^T converted back.
+
+    The 1-D factor is assembled leg by leg from COO, with the leg of the
+    absent coarse point I = 0 folded into fine index 1.  Unlike the dense
+    oracle, this one stays small at n = 127.
+    """
+    n_c = (n_fine - 1) // 2
+    rows, cols, vals = [], [], []
+    for I in range(1, n_c + 1):
+        for offset, w in ((-1, 1.0), (0, 2.0), (1, 1.0)):
+            col = 2 * I + offset  # 1-based fine index
+            if 1 <= col <= n_fine:
+                rows.append(I - 1)
+                cols.append(col - 1)
+                vals.append(2.0 if col == 1 else w)
+    R1 = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n_c, n_fine)))
+    R = sp.csr_array(0.125 * sp.kron(R1, R1, format="csr"))
+    return R, sp.csr_array(PROLONG_SCALE * R.T)
+
+
 def test_full_weighting_matches_stencil_oracle():
-    t = build_full_weighting(GridLevel(7))
-    assert t.restrict.shape == (9, 49)
-    np.testing.assert_allclose(t.restrict.toarray(), dense_weighting_oracle(7), atol=0)
-    np.testing.assert_allclose(t.prolong.toarray(), 2.0 * t.restrict.toarray().T, atol=0)
+    for n in (3, 7, 15, 31, 63):
+        t = build_full_weighting(GridLevel(n))
+        oracle = dense_weighting_oracle(n)
+        assert t.restrict.shape == oracle.shape
+        assert np.array_equal(t.restrict.toarray(), oracle)
+        assert np.array_equal(t.prolong.toarray(), 2.0 * oracle.T)
+
+
+@pytest.mark.parametrize("n_side", [3, 7, 15, 31, 63, 127])
+def test_full_weighting_has_the_bytes_of_the_kron_construction(n_side):
+    t = build_full_weighting(GridLevel(n_side))
+    for got, want in zip((t.restrict, t.prolong), kron_weighting_oracle(n_side)):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_side", [3, 7, 15, 31, 63, 127])
+def test_full_weighting_stores_sorted_indices_and_no_zeros(n_side):
+    t = build_full_weighting(GridLevel(n_side))
+    assert np.all(np.diff(t.restrict.indptr) == 9)  # 9 stencil entries per coarse row
+    for M in (t.restrict, t.prolong):
+        assert M.has_sorted_indices and M.has_canonical_format
+        assert np.all(M.data != 0.0)
 
 
 def test_restriction_of_ones_and_row_sums():
