@@ -18,7 +18,7 @@ stack = build_obstacle_hierarchy(7, lam=1e-6, num_levels=2)
 rng = np.random.Generator(np.random.PCG64(0))
 x0 = rng.uniform(0, 1, size=49)
 
-x, ct = vcycle(stack, x0)
+x, _, ct = vcycle(stack, x0)
 stages = ["entry           ", "after pre-smooth", "after correction", "after post-smooth"]
 print("== stage objectives of the first cycle ==")
 for name, F in zip(stages, ct.stage_objectives):

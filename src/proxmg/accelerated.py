@@ -141,8 +141,10 @@ class FastState:
 
 def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
               config: CycleConfig,
-              work: list[LevelWork]) -> tuple[np.ndarray, FastState, dict]:
-    """One accelerated iteration; returns (x_next, state_next, diagnostics).
+              work: list[LevelWork]) -> tuple[np.ndarray, tuple, FastState, dict]:
+    """One accelerated iteration; returns (x_next, fg_next, state_next,
+    diagnostics), where fg_next is (f, grad f) of the fine smooth part at
+    x_next, from the V-cycle that produced it.
 
     ``config`` and ``work``, the solve's cycle settings and workspace, are
     required: the workspace carries the step estimates from one iteration
@@ -157,7 +159,7 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     w = prox_grad_step(problem, None, y, L, grad_y)
     G_y = L * (y - w)
     F_y = problem.objective(y, f_y)
-    x_next, ctrace = vcycle(stack, w, config, work=work)
+    x_next, fg_next, ctrace = vcycle(stack, w, config, work=work)
     z_next = state.z - (alpha / gamma_next) * G_y
     F_x_next = ctrace.stage_objectives[-1]
     phi_bar_next = phi_bar_update(state.phi_bar, alpha, gamma_next, L,
@@ -175,7 +177,7 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
         "cycle": ctrace,
     }
     state_next = FastState(z_next, gamma_next, diag["lam"], phi_bar_next)
-    return x_next, state_next, diag
+    return x_next, fg_next, state_next, diag
 
 
 def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
@@ -207,7 +209,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
         F_x = trace.objectives[-1] if trace.objectives else trace.objective_initial
         if state is None:  # z0 = x0 and phi_bar0 = F(x0)
             state = FastState(z=x.copy(), gamma=L0, phi_bar=F_x)
-        x_next, state, diag = fast_step(stack, state, x, config, work)
+        x_next, fg_next, state, diag = fast_step(stack, state, x, config, work)
         ctrace = diag.pop("cycle")
         for key, series in trace.extras.items():
             series.append(diag[key])
@@ -222,6 +224,6 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
             state = FastState(z=x_next, gamma=L0, phi_bar=F_next)
             trace.meta["restarts"].append(trace.iterations + 1)
             trace.meta["restart_reasons"].append(reason)
-        return x_next, ctrace.pop_exit(), F_next, ctrace
+        return x_next, fg_next, ctrace
 
     return iterate(trace, stack.fine.problem, x0, stop, step), trace

@@ -32,7 +32,7 @@ def proxgrad_solve(problem: CompositeProblem, x0: np.ndarray,
         if fg is None:
             fg = problem.smooth.value_and_grad(x)
         L_hat.append(work.L)
-        return x, fg, problem.objective(x, fg[0]), None
+        return x, fg, None
 
     return iterate(trace, problem, x0, stop, step), trace
 
@@ -67,6 +67,6 @@ def fista_solve(problem: CompositeProblem, x0: np.ndarray,
         t = t_next
         L_hat.append(work.L)
         betas.append(beta)
-        return x_next, fg, problem.objective(x_next, fg[0]), None
+        return x_next, fg, None
 
     return iterate(trace, problem, x0, stop, step), trace

@@ -208,7 +208,7 @@ def check_fixed_point(stack: LevelStack, x_star: np.ndarray,
     With ``masked``, a fourth result requires a non-empty fine mask, so that
     the adaptive transfers act in the cycle being certified.
     """
-    x_next, ct = vcycle(stack, x_star, config)
+    x_next, _, ct = vcycle(stack, x_star, config)
     move = float(np.max(np.abs(x_next - x_star)))
     coarse = max(ct.coarse_moves) if ct.coarse_moves else 0.0
     F0, F1 = ct.stage_objectives[0], ct.stage_objectives[-1]
@@ -247,8 +247,12 @@ def check_lipschitz_bound(stack: LevelStack) -> CertificateResult:
 
 
 def check_converged(trace: SolverTrace, rel_tol: float, name: str) -> CertificateResult:
-    """The run met its relative prox-gradient tolerance within its budget."""
-    rel = trace.rel_g_norms[-1] if trace.rel_g_norms else 0.0
+    """The run met its relative prox-gradient tolerance within its budget.
+
+    A run of no iterations is judged at its start, whose relative |G| is 1
+    (0 where |G(x0)| is 0), as the driver judges it.
+    """
+    rel = trace.rel_g_norms[-1] if trace.rel_g_norms else float(trace.g_norm_initial > 0.0)
     return CertificateResult(name, trace.converged, float(rel_tol - rel),
                              f"relative |G| {rel:.3e} after {trace.iterations} iterations")
 

@@ -50,8 +50,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < float("inf"):  # NaN compares false
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

@@ -44,20 +44,24 @@ class Level:
         return self.problem.lipschitz
 
 
+@dataclass(frozen=True, eq=False)
 class LevelStack:
-    """Ordered levels, finest first.  Solvers change nothing in it but the
-    scratch its energies evaluate into, which no result depends on."""
+    """Ordered levels, finest first, frozen like its levels.  Solvers change
+    nothing in it but the scratch its energies evaluate into, which no result
+    depends on."""
 
-    def __init__(self, levels: list[Level], n_smooth: int = 20):
-        if not levels:
+    levels: tuple[Level, ...]
+    n_smooth: int = 20
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(self.levels))
+        if not self.levels:
             raise ValueError("empty stack")
-        if n_smooth < 1:
+        if self.n_smooth < 1:
             raise ValueError("smoothing budget must be at least 1")
-        for lev in levels[:-1]:
+        for lev in self.levels[:-1]:
             if lev.transfer_down is None:
                 raise ValueError("non-coarsest level lacks a transfer pair")
-        self.levels = tuple(levels)
-        self.n_smooth = n_smooth
 
     def __len__(self) -> int:
         return len(self.levels)

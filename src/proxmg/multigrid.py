@@ -15,10 +15,14 @@ the smoothing steps, which grow its estimate themselves.  Backtracking
 starts L at 1 below a cap of a few times the certified bound; a fixed step
 is the backtracking step started at its cap, L = L_cap = the certified bound.
 
-Every cycle returns a trace carrying the descent certificates: objective
-values at the stage boundaries, the inner product of the fine subgradient
-with the correction direction, line-search steps, mask sizes, and the first
-smoothing step's input/output for the sufficient-descent inequality.
+Every cycle returns its output, the fine pair (f, grad f) there, and a
+trace carrying the descent certificates: objective values at the stage
+boundaries, the inner product of the fine subgradient with the correction
+direction, line-search steps, mask sizes, and the first smoothing step's
+input/output for the sufficient-descent inequality.  That triple is the
+step protocol of the one iteration driver (:func:`iterate`), so a cycle is
+``mgprox``'s step as it stands; the driver, not the step, forms the fine
+objective F = f + g that a solve records.
 """
 
 from __future__ import annotations
@@ -72,18 +76,12 @@ class CycleTrace:
     y_first: np.ndarray | None = None
     F_y_first: float = 0.0
     L_first: float = 0.0
-    fg_exit: tuple | None = None       # (f, grad f) of the fine smooth part at the exit
 
     @classmethod
     def empty(cls, num_levels: int) -> "CycleTrace":
         k = num_levels - 1
         return cls([], [0.0] * k, [0.0] * k, [0.0] * k, [0] * k, [0.0] * k,
                    [0] * num_levels)
-
-    def pop_exit(self) -> tuple:
-        """The exit pair, removed so that stored traces hold no gradients."""
-        fg, self.fg_exit = self.fg_exit, None
-        return fg
 
 
 def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
@@ -108,12 +106,13 @@ def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
 
 def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
                 tau, config: CycleConfig, trace: CycleTrace,
-                fg_x: tuple) -> np.ndarray:
+                fg_x: tuple) -> tuple[np.ndarray, tuple | None]:
     """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
-    level's smooth part.  Returns the level's output; the finest level
-    leaves the pair there in ``trace.fg_exit``, and no other level
-    evaluates it.  The level's step estimate lives in its workspace, and
-    the smoothing steps grow it there (see ``smoothing.backtrack_L``)."""
+    level's smooth part.  Returns the level's output with the pair there;
+    only the finest level evaluates that pair, and a coarser one returns
+    whatever its last smoothing step left (None when it computed none).
+    The level's step estimate lives in its workspace, and the smoothing
+    steps grow it there (see ``smoothing.backtrack_L``)."""
     level, lw = stack[ell], work[ell]
     problem = lw.problem
     coarsest = ell == len(stack) - 1
@@ -121,7 +120,7 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x, pair=not coarsest)
     trace.smoothing_steps[ell] += stack.n_smooth
     if coarsest:
-        return pre.x
+        return pre.x, pre.fg
     y, fg_y = pre.x, pre.fg
     f_y = tilted_objective(problem, tau, y, fg_y[0])
     if ell == 0:
@@ -145,8 +144,8 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     if config.tau_hook is not None:
         tau_next = config.tau_hook(tau_next, ell + 1)
 
-    w_coarse = _level_pass(stack, work, ell + 1, x_coarse, tau_next, config, trace,
-                           fg_coarse)
+    w_coarse, _ = _level_pass(stack, work, ell + 1, x_coarse, tau_next, config, trace,
+                              fg_coarse)
     move = w_coarse - x_coarse
     trace.coarse_moves[ell] = float(np.max(np.abs(move)))
 
@@ -167,20 +166,20 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     trace.smoothing_steps[ell] += stack.n_smooth
     if ell == 0:
         trace.stage_objectives += [f_z, tilted_objective(problem, tau, post.x, post.fg[0])]
-        trace.fg_exit = post.fg
-    return post.x
+    return post.x, post.fg
 
 
 def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
            fg_x: tuple | None = None,
-           work: list[LevelWork] | None = None) -> tuple[np.ndarray, CycleTrace]:
+           work: list[LevelWork] | None = None) -> tuple[np.ndarray, tuple, CycleTrace]:
     """One V-cycle over the whole stack, starting and ending at the finest level.
 
-    ``fg_x`` is (f(x), grad f(x)) of the fine smooth part when the caller
-    already has it; the pair at the returned iterate is left in the trace's
-    ``fg_exit``.  ``work`` is the solve's workspace, which carries the
-    backtracking estimates from one cycle to the next; a cycle run without
-    one starts from a fresh workspace.
+    Returns (x_next, fg_next, trace), where fg_next is (f, grad f) of the
+    fine smooth part at x_next, so the cycle is a step of :func:`iterate`
+    as it stands.  ``fg_x`` is that pair at x when the caller already has
+    it.  ``work`` is the solve's workspace, which carries the backtracking
+    estimates from one cycle to the next; a cycle run without one starts
+    from a fresh workspace.
     """
     if len(stack) < 2:
         raise ValueError("a V-cycle needs at least two levels")
@@ -190,8 +189,7 @@ def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,
     trace = CycleTrace.empty(len(stack))
     if fg_x is None:
         fg_x = work[0].problem.smooth.value_and_grad(x)
-    x_next = _level_pass(stack, work, 0, x, None, config, trace, fg_x)
-    return x_next, trace
+    return (*_level_pass(stack, work, 0, x, None, config, trace, fg_x), trace)
 
 
 WORK_RATIO = 0.25   # size of a level relative to the next finer one
@@ -216,6 +214,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if not self.rel_tol >= 0.0:  # NaN compares false
+            raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
 
 
 @dataclass
@@ -249,10 +249,12 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
     """Apply ``step`` from x0 until the stopping rule holds; returns the last x.
 
     ``step(x, fg)`` maps an iterate and fg = (f(x), grad f(x)) of the fine
-    smooth part to ``(x_next, fg_next, F(x_next), cycle)``, where cycle is
-    the iteration's V-cycle trace, or None for a single-level solver.  The
+    smooth part to ``(x_next, fg_next, cycle)``, where cycle is the
+    iteration's V-cycle trace, or None for a single-level solver.  The
     driver fills the initial values and the per-iteration series of
-    ``trace`` and sets ``converged``.
+    ``trace`` and sets ``converged``; the objective it records is
+    F(x_next) on the fine ``problem``, formed from fg_next, so no step
+    computes F for the record.
 
     The stopping metric is the norm of the prox-gradient map at x on
     the fine ``problem`` with its certified bound ``lipschitz``,
@@ -284,9 +286,9 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
         trace.converged = rel(gn) < stop.rel_tol
         if trace.converged or trace.iterations == stop.max_iters:
             return x
-        x, fg, F, cycle = step(x, fg)
+        x, fg, cycle = step(x, fg)
         gn = g_norm(x, fg)
-        trace.objectives.append(F)
+        trace.objectives.append(problem.objective(x, fg[0]))
         trace.g_norms.append(gn)
         trace.rel_g_norms.append(rel(gn))
         trace.coarse_alphas.append(None if cycle is None else cycle.alphas[0])
@@ -307,9 +309,5 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     work = workspace(stack, config.step_mode)
     trace = SolverTrace(algorithm=config.variant)
     trace.meta.update(step_mode=config.step_mode)
-
-    def step(x, fg):
-        x_next, ctrace = vcycle(stack, x, config, fg, work)
-        return x_next, ctrace.pop_exit(), ctrace.stage_objectives[-1], ctrace
-
-    return iterate(trace, stack.fine.problem, x0, stop, step), trace
+    return iterate(trace, stack.fine.problem, x0, stop,
+                   lambda x, fg: vcycle(stack, x, config, fg, work)), trace

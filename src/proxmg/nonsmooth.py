@@ -50,8 +50,8 @@ class SeparableNonsmooth:
     def __post_init__(self):
         if self.kind not in ("hinge", "l1"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("penalty weight must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:  # NaN compares false
+            raise ValueError(f"penalty weight must be finite and >= 0, got {self.lam}")
         if self.kind == "hinge" and self.obstacle is None:
             raise ValueError("hinge penalty needs an obstacle vector")
 

@@ -17,12 +17,16 @@ except on the clamped high edges (1/2) and at their corner (1/4).  The row
 sums of R are 2 away from the free edges, 5/2 on the rows with I = 1 or
 J = 1 alone, and 25/8 at I = J = 1.
 
-Both operators are built directly in CSR form.  Row (J - 1) n_c + (I - 1)
-of R holds 9 entries, (1/8) w_j w_i for the legs j of J and i of I, with
-w = [1, 2, 1] ([2, 2, 1] at the first coarse index); they are stored sorted
-by fine column (j - 1) n + (i - 1), j-major, so no zero is stored and the
-indices are sorted.  P is exactly 2 * R^T: row k of P holds column k of R,
-doubled, in ascending coarse row.
+Both builders, this full weighting and the chain's line weighting, write
+R directly as CSR arrays, and one helper derives P from those arrays.
+Row (J - 1) n_c + (I - 1) of the full weighting holds 9 entries,
+(1/8) w_j w_i for the legs j of J and i of I, with w = [1, 2, 1]
+([2, 2, 1] at the first coarse index); they are stored sorted by fine
+column (j - 1) n + (i - 1), j-major.  Row I of the line weighting (0-based)
+holds (1/4) [1, 2, 1] at fine indices 2I, 2I + 1, 2I + 2, less the leg
+past the end of an even chain.  So no zero is stored and the indices are
+sorted.  P is exactly 2 * R^T: row k of P holds column k of R, doubled, in
+ascending coarse row.
 
 The adaptive variants zero out fine coordinates where the nonsmooth term's
 subdifferential is set-valued: columns of R when restricting subgradients (so
@@ -61,18 +65,20 @@ class TransferPair:
         return self.restrict.shape[1]
 
 
-def _weighting_1d(n_fine: int, n_coarse: int) -> sp.csr_array:
-    """Rows [1, 2, 1] centered at fine index 2I, clipped at the boundary."""
-    rows, cols, vals = [], [], []
-    for I in range(1, n_coarse + 1):
-        center = 2 * I  # 1-based fine index
-        for offset, w in ((-1, 1.0), (0, 2.0), (1, 1.0)):
-            col = center + offset
-            if 1 <= col <= n_fine:
-                rows.append(I - 1)
-                cols.append(col - 1)
-                vals.append(w)
-    return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n_coarse, n_fine)))
+def _csr_pair(vals: np.ndarray, cols: np.ndarray, width: int, n_coarse: int,
+              n_fine: int) -> TransferPair:
+    """R whose row I holds entries width I, ..., width (I + 1) - 1 of
+    (vals, cols), columns ascending and the last row possibly short, and
+    P = PROLONG_SCALE * R^T built from the same arrays."""
+    indptr = np.arange(0, width * n_coarse + 1, width)
+    indptr[-1] = cols.size
+    R = sp.csr_array((vals, cols, indptr), shape=(n_coarse, n_fine))
+    # a stable sort by column keeps each column's rows ascending
+    order = np.argsort(cols, kind="stable")
+    indptr_P = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_fine))))
+    P = sp.csr_array((PROLONG_SCALE * vals[order], order // width, indptr_P),
+                     shape=(n_fine, n_coarse))
+    return TransferPair(R, P)
 
 
 def build_full_weighting(fine: GridLevel) -> TransferPair:
@@ -89,16 +95,7 @@ def build_full_weighting(fine: GridLevel) -> TransferPair:
     # axes (J, I, j-leg, i-leg): rows in order, each row's columns ascending
     cols = (n * legs[:, None, :, None] + legs[None, :, None, :]).ravel()
     vals = (0.125 * w[:, None, :, None] * w[None, :, None, :]).ravel()
-    rows = np.repeat(np.arange(n_c * n_c), 9)
-    R = sp.csr_array((vals, cols, np.arange(0, 9 * n_c * n_c + 1, 9)),
-                     shape=(n_c * n_c, n * n))
-    # a stable sort by column keeps each column's rows ascending
-    order = np.argsort(cols, kind="stable")
-    indptr = np.zeros(n * n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n * n), out=indptr[1:])
-    P = sp.csr_array((PROLONG_SCALE * vals[order], rows[order], indptr),
-                     shape=(n * n, n_c * n_c))
-    return TransferPair(R, P)
+    return _csr_pair(vals, cols, 9, n_c * n_c, n * n)
 
 
 def build_line_weighting(n_fine: int) -> TransferPair:
@@ -110,9 +107,12 @@ def build_line_weighting(n_fine: int) -> TransferPair:
     n_c = n_fine // 2
     if n_c < 1:
         raise ValueError("chain too short to coarsen")
-    R = sp.csr_array(0.25 * _weighting_1d(n_fine, n_c))
-    P = sp.csr_array(PROLONG_SCALE * R.T)
-    return TransferPair(R, P)
+    # legs of coarse index I (0-based): fine indices 2I, 2I + 1, 2I + 2; an
+    # even chain drops the last one, fine index n_fine, from the last row
+    nnz = 3 * n_c - 1 + n_fine % 2
+    cols = (2 * np.arange(n_c)[:, None] + np.arange(3)).ravel()[:nnz]
+    vals = np.tile([0.25, 0.5, 0.25], n_c)[:nnz]
+    return _csr_pair(vals, cols, 3, n_c, n_fine)
 
 
 def adaptive_mask(g: SeparableNonsmooth, x: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ def test_first_step_extrapolation_is_trivial():
     state = FastState(z=x0.copy(), gamma=stack.fine.L_est,
                       phi_bar=stack.fine.problem.objective(x0))
     # z0 = x0 makes y0 = x0 regardless of alpha
-    _, _, diag = fast_step(stack, state, x0, CycleConfig(), workspace(stack, "fixed"))
+    _, _, _, diag = fast_step(stack, state, x0, CycleConfig(), workspace(stack, "fixed"))
     assert diag["F_y"] == pytest.approx(stack.fine.problem.objective(x0), rel=1e-14)
 
 
@@ -173,7 +173,7 @@ def test_momentum_moves_z_away_from_the_start(lam):
     work = workspace(stack, "fixed")
     x = x0
     for _ in range(20):
-        x, state, _ = fast_step(stack, state, x, CycleConfig(), work)
+        x, _, state, _ = fast_step(stack, state, x, CycleConfig(), work)
     assert np.linalg.norm(state.z - x0) >= 0.1 * np.linalg.norm(x - x0)
 
 
@@ -195,7 +195,7 @@ def test_momentum_from_the_vcycle_output_fails_the_estimate_sequence_bound():
     state = FastState(z=x.copy(), gamma=L, phi_bar=trace.objective_initial)
     work = workspace(stack, "fixed")
     for _ in range(200):
-        x_next, honest, diag = fast_step(stack, state, x, CycleConfig(), work)
+        x_next, _, honest, diag = fast_step(stack, state, x, CycleConfig(), work)
         alpha = diag["alpha"]
         y = alpha * state.z + (1.0 - alpha) * x
         g = L * (y - x_next)
@@ -255,7 +255,7 @@ def _restarted_run(stack, iters, keep_lam=False, restart=True):
     work = workspace(stack, "fixed")
     prev_sq = 0.0
     for k in range(1, iters + 1):
-        x_next, state, diag = fast_step(stack, state, x, CycleConfig(), work)
+        x_next, _, state, diag = fast_step(stack, state, x, CycleConfig(), work)
         for key, series in trace.extras.items():
             series.append(diag[key])
         F_next = diag["F_x_next"]

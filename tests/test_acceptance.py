@@ -115,7 +115,7 @@ def test_criterion_10_work_accounting():
     details = []
     for levels in (2, 3, 4):
         stack = build_obstacle_hierarchy(15, 1e-6, levels, 20)
-        _, ct = vcycle(stack, x0.copy())
+        _, _, ct = vcycle(stack, x0.copy())
         work = cycle_work_units(ct)
         budget = (8.0 / 3.0) * (1.0 - 0.25**levels) * stack.n_smooth
         ok = ok and work <= budget and work <= 2.67 * stack.n_smooth

@@ -12,10 +12,11 @@ from proxmg import certificates
 from proxmg.accelerated import fastmgprox_solve
 from proxmg.certificates import (_least, check_angle_condition, check_fast_certificates,
                                  check_linear_rate, check_mgprox_sufficient_descent,
-                                 check_one_over_k, check_smoothing_descent,
-                                 check_stage_monotonicity, check_work_units)
+                                 check_converged, check_one_over_k,
+                                 check_smoothing_descent, check_stage_monotonicity,
+                                 check_work_units)
 from proxmg.hierarchy import build_obstacle_hierarchy
-from proxmg.multigrid import StoppingRule, mgprox_solve
+from proxmg.multigrid import SolverTrace, StoppingRule, mgprox_solve
 from proxmg.problems import start_points
 
 
@@ -47,6 +48,19 @@ def test_an_empty_run_holds_every_reducing_certificate_at_zero():
     assert len(results) == 12
     for r in results:
         assert r.passed and r.margin == 0.0 and np.copysign(1.0, r.margin) == 1.0, r.line()
+
+
+def test_a_run_without_iterations_is_judged_at_its_start():
+    # the driver's relative |G| at the start is 1, so a failed certificate
+    # cannot report a positive margin
+    stack = build_obstacle_hierarchy(15, 1e-6, 3)
+    _, trace = mgprox_solve(stack, next(start_points(0, 225)), StoppingRule(0, 1e-10))
+    r = check_converged(trace, 1e-10, "c")
+    assert not r.passed and r.margin == 1e-10 - 1.0, r.line()
+    assert r.detail == "relative |G| 1.000e+00 after 0 iterations"
+    # a start with |G(x0)| = 0 has relative |G| 0, as in the driver
+    r = check_converged(SolverTrace("t", converged=True), 1e-10, "c")
+    assert r.passed and r.margin == 1e-10, r.line()
 
 
 def test_the_mgprox_scope_draws_further_starts_until_the_runs_total_40_cycles(monkeypatch):

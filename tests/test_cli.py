@@ -128,6 +128,13 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     ("n-exp", "0", []),
     ("algo", "sgd", []),
     ("step-mode", "wild", ["--algo", "proxgrad"]),
+    # a NaN tolerance is never met and an infinite one is met at the start;
+    # a NaN weight makes every objective NaN.  The short budget bounds a
+    # solve that would wrongly start.
+    ("tol", "nan", ["--max-iters", "2"]),
+    ("tol", "inf", ["--max-iters", "2"]),
+    ("lam", "nan", ["--max-iters", "2"]),
+    ("lam", "inf", ["--max-iters", "2"]),
 ])
 def test_config_file_values_get_the_flag_checks(tmp_path, capsys, key, value, extra):
     # a file entry is parsed as the flag it names: same exit status, same message

@@ -86,6 +86,22 @@ def test_convergence_on_the_last_budgeted_iteration_is_reported(name, stack, x0)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_the_recorded_objectives_are_f_plus_g_at_the_iterates(name, stack, x0):
+    # the driver forms F from the pair each step returns; it must be the
+    # fine objective at the iterate, to the byte
+    problem = stack.fine.problem
+    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(3, 0.0))
+    assert trace.objective_initial == problem.objective(x0)
+    assert trace.objectives[-1].hex() == problem.objective(x).hex()
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), -1e-10])
+def test_a_nan_or_negative_tolerance_is_rejected(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        StoppingRule(10, rel_tol)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_a_zero_tolerance_runs_the_whole_budget_at_the_minimizer(name):
     # |b_i| <= 1 < lam, so the minimizer is x = 0 and |G| reaches exactly 0
     chain = build_chain_hierarchy(64, 10.0, 2, 20, seed=0)

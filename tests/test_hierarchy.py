@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,7 +32,7 @@ def test_finest_tau_is_zero_and_lipschitz_per_level():
     # the finest level is never tilted: its stage objectives are the plain F
     problem = stack.fine.problem
     x = np.random.Generator(np.random.PCG64(1)).uniform(0.0, 1.0, problem.dim)
-    x_next, ct = vcycle(stack, x)
+    x_next, _, ct = vcycle(stack, x)
     assert ct.stage_objectives[0] == problem.objective(x)
     assert ct.stage_objectives[-1] == problem.objective(x_next)
     for lev in stack.levels:
@@ -110,7 +112,7 @@ def test_fixed_point_certificate_of_tau():
 def test_multilevel_fixed_point_chains_through_three_levels():
     stack = build_obstacle_hierarchy(15, 1e-6, 3)
     ref = reference_solution(stack, seed=0)
-    x_next, ct = vcycle(stack, ref.x)
+    x_next, _, ct = vcycle(stack, ref.x)
     assert float(np.max(np.abs(x_next - ref.x))) <= 1e-8
     assert all(move <= 1e-7 for move in ct.coarse_moves)
 
@@ -134,3 +136,13 @@ def test_stack_validation():
     stack = build_obstacle_hierarchy(7, 1e-6, 2)
     with pytest.raises(ValueError):
         LevelStack(stack.levels, 0)
+
+
+def test_stack_is_immutable():
+    stack = build_obstacle_hierarchy(7, 1e-6, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stack.n_smooth = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stack.levels = stack.levels[:1]
+    assert stack.n_smooth == 20 and len(stack) == 2
+    assert isinstance(LevelStack(list(stack.levels)).levels, tuple)

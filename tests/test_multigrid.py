@@ -52,7 +52,7 @@ def test_cycle_inherits_the_first_step_descent_guarantee():
     for _ in range(5):
         x = rng.uniform(0, 1, size=49)
         G = np.linalg.norm(prox_grad_map(problem, None, x, L))
-        x_next, ct = vcycle(stack, x)
+        x_next, _, ct = vcycle(stack, x)
         assert problem.objective(x_next) <= problem.objective(x) - G * G / (2 * L) + 1e-12
 
 
@@ -80,7 +80,7 @@ def test_a_cycle_trace_records_python_numbers():
     serializes as JSON; numpy scalars such as np.count_nonzero's would not."""
     stack = build_obstacle_hierarchy(15, 100.0, 3)
     rng = np.random.Generator(np.random.PCG64(1))
-    _, ct = vcycle(stack, rng.uniform(0, 1, size=225))
+    _, _, ct = vcycle(stack, rng.uniform(0, 1, size=225))
     records = {"mask_counts": int, "smoothing_steps": int, "angle_products": float,
                "correction_norms": float, "coarse_moves": float, "alphas": float,
                "stage_objectives": float}
@@ -113,7 +113,7 @@ def test_work_units_stay_under_the_geometric_budget(num_levels):
     stack = build_obstacle_hierarchy(15, 1e-6, num_levels)
     rng = np.random.Generator(np.random.PCG64(2))
     x0 = rng.uniform(0, 1, size=225)
-    _, ct = vcycle(stack, x0)
+    _, _, ct = vcycle(stack, x0)
     budget = (8.0 / 3.0) * (1.0 - 0.25**num_levels) * stack.n_smooth
     assert cycle_work_units(ct) <= budget
     # and 2.67 fine blocks is the level-independent cap

@@ -70,6 +70,15 @@ def test_errors():
         IntervalVec(np.array([1.0]), np.array([0.0]))
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_a_weight_that_is_not_a_finite_nonnegative_number_is_rejected(lam):
+    # every penalty is real-valued, and NaN slips past a plain lam < 0 test
+    with pytest.raises(ValueError, match="penalty weight must be finite"):
+        SeparableNonsmooth.l1(lam)
+    with pytest.raises(ValueError, match="penalty weight must be finite"):
+        SeparableNonsmooth.hinge(lam, np.zeros(3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(v=st.floats(-4, 4), lam=st.floats(0, 2), c=st.floats(-1, 1),
        step=st.floats(0.05, 3))

@@ -54,6 +54,32 @@ def kron_weighting_oracle(n_fine):
     return R, sp.csr_array(PROLONG_SCALE * R.T)
 
 
+def line_weighting_oracle(n_fine):
+    """The chain weighting from a leg loop: the 1-D legs [1, 2, 1] collected
+    into COO, converted to CSR and scaled by 1/4, and P = 2 R^T converted
+    back from the transpose."""
+    n_c = n_fine // 2
+    rows, cols, vals = [], [], []
+    for I in range(1, n_c + 1):
+        for offset, w in ((-1, 1.0), (0, 2.0), (1, 1.0)):
+            col = 2 * I + offset  # 1-based fine index
+            if 1 <= col <= n_fine:
+                rows.append(I - 1)
+                cols.append(col - 1)
+                vals.append(w)
+    R1 = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n_c, n_fine)))
+    R = sp.csr_array(0.25 * R1)
+    return R, sp.csr_array(PROLONG_SCALE * R.T)
+
+
+def assert_same_csr_bytes(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 def test_full_weighting_matches_stencil_oracle():
     for n in (3, 7, 15, 31, 63):
         t = build_full_weighting(GridLevel(n))
@@ -67,11 +93,7 @@ def test_full_weighting_matches_stencil_oracle():
 def test_full_weighting_has_the_bytes_of_the_kron_construction(n_side):
     t = build_full_weighting(GridLevel(n_side))
     for got, want in zip((t.restrict, t.prolong), kron_weighting_oracle(n_side)):
-        assert got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+        assert_same_csr_bytes(got, want)
 
 
 @pytest.mark.parametrize("n_side", [3, 7, 15, 31, 63, 127])
@@ -193,6 +215,13 @@ def test_line_weighting():
     np.testing.assert_allclose(t.prolong.toarray(), 2.0 * t.restrict.toarray().T)
     interior = (t.restrict @ np.ones(64))[:-1]  # last row loses a leg at the end
     np.testing.assert_allclose(interior, 1.0, rtol=1e-15)
+
+
+def test_line_weighting_has_the_bytes_of_the_loop_construction():
+    for n_fine in range(2, 130):  # odd and even chains, down to one coarse point
+        t = build_line_weighting(n_fine)
+        for got, want in zip((t.restrict, t.prolong), line_weighting_oracle(n_fine)):
+            assert_same_csr_bytes(got, want)
 
 
 def test_dimension_errors():
