@@ -249,10 +249,9 @@ def check_lipschitz_bound(stack: LevelStack) -> CertificateResult:
 def check_converged(trace: SolverTrace, rel_tol: float, name: str) -> CertificateResult:
     """The run met its relative prox-gradient tolerance within its budget.
 
-    A run of no iterations is judged at its start, whose relative |G| is 1
-    (0 where |G(x0)| is 0), as the driver judges it.
+    A run of no iterations is judged at its start (``final_rel_g_norm``).
     """
-    rel = trace.rel_g_norms[-1] if trace.rel_g_norms else float(trace.g_norm_initial > 0.0)
+    rel = trace.final_rel_g_norm
     return CertificateResult(name, trace.converged, float(rel_tol - rel),
                              f"relative |G| {rel:.3e} after {trace.iterations} iterations")
 

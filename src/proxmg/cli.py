@@ -162,10 +162,9 @@ def cmd_solve(args) -> int:
     x, trace = _run_algorithm(args.algo, stack, x0, args)
     if args.out:
         _write_csv(args.out, trace, args.wall_time)
-    final_rel = trace.rel_g_norms[-1] if trace.rel_g_norms else 0.0
     gap = (problem.objective(x) - trace.best_objective()) / abs(trace.objective_initial)
     mode_note = f" step_mode={trace.meta['step_mode']}" if "step_mode" in trace.meta else ""
-    print(f"{args.algo}: iterations={trace.iterations} rel_norm={final_rel:.3e} "
+    print(f"{args.algo}: iterations={trace.iterations} rel_norm={trace.final_rel_g_norm:.3e} "
           f"rel_gap={gap:.3e} converged={trace.converged}{mode_note}")
     return 0 if trace.converged else 1
 

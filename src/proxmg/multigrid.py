@@ -4,9 +4,14 @@ One cycle on a stack of levels: smooth, restrict the variable with the full
 weighting, build tau from adaptively restricted subgradients, recurse; the
 coarsest level runs its smoothing budget and nothing else; on the way back
 up, prolong the coarse move through the masked rows, accept it through a
-halving line search on the tilted objective, and smooth again.  The
-``kocvara3`` variant runs the same cycle with no masking and with the
-subdifferential terms dropped from the correction.
+halving line search on the tilted objective, and smooth again.  The line
+search accepts the first step whose change in the tilted objective,
+summed from pointwise differences, is at most 0 (``naive_line_search``):
+every term of F = f + g and of the tilt has a ``value_change``.  Two
+totals cannot decide it, since their rounding near a solution is larger
+than the change a step makes.  The ``kocvara3`` variant runs the same cycle
+with no masking and with the subdifferential terms dropped from the
+correction.
 
 Every smoothing step on a level is a backtracking step from the level's
 working estimate L up to its cap L_cap, both kept in the solve's workspace
@@ -35,7 +40,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .hierarchy import LevelStack, LevelWork, build_tau, workspace
-from .problems import CompositeProblem, tilted_objective
+from .problems import CompositeProblem, tilted_objective, tilted_value_change
 from .smoothing import prox_grad_map, run_smoothing
 from .transfer import adaptive_mask, prolong_adaptive
 
@@ -84,24 +89,30 @@ class CycleTrace:
                    [0] * num_levels)
 
 
-def naive_line_search(objective: Callable[[np.ndarray], float], y: np.ndarray,
-                      p: np.ndarray, f_y: float) -> tuple[np.ndarray, float, float]:
-    """First alpha in {a0, a0/2, ...} with objective(y + alpha p) <= objective(y),
-    where a0 = ``CycleConfig.alpha_init``.
+def naive_line_search(problem: CompositeProblem, tau, y: np.ndarray,
+                      p: np.ndarray) -> tuple[np.ndarray, float]:
+    """First alpha in {a0, a0/2, ...} whose z = y + alpha p does not raise
+    the tilted objective, where a0 = ``CycleConfig.alpha_init``.
+
+    The test is on the change itself, ``tilted_value_change(problem, tau,
+    y, z) <= 0``, summed from pointwise differences.  Two totals cannot
+    decide it: the membrane energy alone is at least n^2, so each total is
+    rounded by about 1e-16 n^2, more than the true change of a step near a
+    solution, and comparing them accepts uphill steps and refuses downhill
+    ones at random.
 
     Falls back to (y, 0) once alpha drops to ``LINE_SEARCH_MIN_STEP``; a zero
-    step is the defined behavior, not an error.  Returns (z, alpha, objective(z)).
+    step is the defined behavior, not an error.  Returns (z, alpha).
     """
     alpha = CycleConfig.alpha_init
     while True:
         z = y + alpha * p
-        f_z = objective(z)
-        if f_z <= f_y:
-            return z, alpha, f_z
+        if tilted_value_change(problem, tau, y, z) <= 0.0:
+            return z, alpha
         if alpha > LINE_SEARCH_MIN_STEP:
             alpha *= 0.5
         else:
-            return y, 0.0, f_y
+            return y, 0.0
 
 
 def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
@@ -122,11 +133,11 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     if coarsest:
         return pre.x, pre.fg
     y, fg_y = pre.x, pre.fg
-    f_y = tilted_objective(problem, tau, y, fg_y[0])
     if ell == 0:
         trace.x_entry, trace.y_first, trace.L_first = x, pre.y_first, pre.L_first
         trace.F_y_first = tilted_objective(problem, tau, pre.y_first, pre.f_first)
-        trace.stage_objectives += [tilted_objective(problem, tau, x, fg_x[0]), f_y]
+        trace.stage_objectives += [tilted_objective(problem, tau, x, fg_x[0]),
+                                   tilted_objective(problem, tau, y, fg_y[0])]
 
     g = problem.nonsmooth
     kocvara = config.variant == "kocvara3"
@@ -158,14 +169,14 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     trace.angle_products[ell] = float(s_hat.dot(p))
     trace.correction_norms[ell] = math.sqrt(p.dot(p))
 
-    z, alpha, f_z = naive_line_search(lambda v: tilted_objective(problem, tau, v),
-                                      y, p, f_y)
+    z, alpha = naive_line_search(problem, tau, y, p)
     trace.alphas[ell] = alpha
 
     post = run_smoothing(lw, tau, z, stack.n_smooth, pair=ell == 0)
     trace.smoothing_steps[ell] += stack.n_smooth
     if ell == 0:
-        trace.stage_objectives += [f_z, tilted_objective(problem, tau, post.x, post.fg[0])]
+        trace.stage_objectives += [tilted_objective(problem, tau, z),
+                                   tilted_objective(problem, tau, post.x, post.fg[0])]
     return post.x, post.fg
 
 
@@ -238,6 +249,13 @@ class SolverTrace:
     @property
     def iterations(self) -> int:
         return len(self.objectives)
+
+    @property
+    def final_rel_g_norm(self) -> float:
+        """Relative |G| where the run stopped.  A run of no iterations
+        stopped at its start, whose relative |G| is 1 (0 where |G(x0)| is
+        0), as :func:`iterate` judges it."""
+        return self.rel_g_norms[-1] if self.rel_g_norms else float(self.g_norm_initial > 0.0)
 
     def best_objective(self) -> float:
         vals = self.objectives or [self.objective_initial]

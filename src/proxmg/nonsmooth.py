@@ -79,6 +79,19 @@ class SeparableNonsmooth:
             return float(self.lam * np.add.reduce(np.maximum(gap, 0.0, out=gap)))
         return float(self.lam * np.add.reduce(np.abs(u)))
 
+    def value_change(self, y: np.ndarray, z: np.ndarray) -> float:
+        """g(z) - g(y), summed from pointwise differences: lam times the sum
+        of max(c - z, 0) - max(c - y, 0) (hinge) or |z| - |y| (l1)."""
+        y, z = self._vector(y), self._vector(z)
+        if self.kind == "hinge":
+            c = self.obstacle
+            change = np.maximum(c - z, 0.0)
+            np.subtract(change, np.maximum(c - y, 0.0), out=change)
+        else:
+            change = np.abs(z)
+            np.subtract(change, np.abs(y), out=change)
+        return float(self.lam * np.add.reduce(change))
+
     def prox(self, v: np.ndarray, step: float) -> np.ndarray:
         """Exact minimizer of ``step * g(u) + 0.5 * ||u - v||^2``, per coordinate.
 

@@ -159,7 +159,7 @@ def reference_solution(stack: LevelStack, seed: int) -> Reference:
     x0 = next(start_points(seed, problem.dim))
     x, trace = fista_solve(problem, x0, StoppingRule(REFERENCE_MAX_ITERS, REFERENCE_TOL))
     if not trace.converged:
-        raise RuntimeError(f"reference solve stopped at relative |G| {trace.rel_g_norms[-1]:.3e} "
+        raise RuntimeError(f"reference solve stopped at relative |G| {trace.final_rel_g_norm:.3e} "
                            f"after {REFERENCE_MAX_ITERS} iterations, short of {REFERENCE_TOL:g}")
     g = trace.g_norms[-1] if trace.g_norms else 0.0
     return Reference(x, problem.objective(x), g, trace.g_norm_initial)

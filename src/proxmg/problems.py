@@ -2,7 +2,9 @@
 
 A smooth part is any object with ``value(x)``, ``grad(x)``,
 ``value_and_grad(x)`` (the pair from one evaluation, bit for bit equal to the
-two separate calls), a ``lipschitz`` attribute (an upper bound for the
+two separate calls), ``value_change(y, z)`` (f(z) - f(y) summed from
+pointwise differences, so that it keeps its digits where the two values
+agree in most of theirs), a ``lipschitz`` attribute (an upper bound for the
 gradient's Lipschitz constant, used for fixed 1/L steps and as the scale of
 the prox-gradient map), and ``dim``.  Values and gradients come back as
 fresh arrays, which later evaluations leave alone.  A smooth part may
@@ -44,6 +46,10 @@ class CompositeProblem:
             f_u = self.smooth.value(u)
         return f_u + self.nonsmooth.value(u)
 
+    def value_change(self, y: np.ndarray, z: np.ndarray) -> float:
+        """F(z) - F(y), each part summed from pointwise differences."""
+        return self.smooth.value_change(y, z) + self.nonsmooth.value_change(y, z)
+
 
 def tilted_objective(problem: CompositeProblem, tau, xi: np.ndarray,
                      f_xi: float | None = None) -> float:
@@ -55,6 +61,21 @@ def tilted_objective(problem: CompositeProblem, tau, xi: np.ndarray,
     if tau is None:
         return val
     return val - float(tau.dot(xi))
+
+
+def tilted_value_change(problem: CompositeProblem, tau, y: np.ndarray,
+                        z: np.ndarray) -> float:
+    """F(z) - F(y) - <tau, z - y>, each term summed from pointwise
+    differences (see ``value_change``).
+
+    Near a minimizer the change is smaller than the rounding of either
+    tilted objective, so comparing two values of :func:`tilted_objective`
+    cannot tell which of y and z is lower; this can.
+    """
+    change = problem.value_change(y, z)
+    if tau is None:
+        return change
+    return change - float(np.add.reduce(tau * (z - y)))
 
 
 @dataclass(frozen=True)
@@ -78,6 +99,11 @@ class QuadraticForm:
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         Ax = self.A @ x
         return float(0.5 * np.dot(x, Ax) - np.dot(self.b, x)), Ax - self.b
+
+    def value_change(self, y: np.ndarray, z: np.ndarray) -> float:
+        """f(z) - f(y) = <Ay - b, d> + <d, Ad> / 2 with d = z - y."""
+        d = z - y
+        return float(np.add.reduce((self.A @ y - self.b + 0.5 * (self.A @ d)) * d))
 
 
 def start_points(seed: int, dim: int):

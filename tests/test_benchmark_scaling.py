@@ -1,11 +1,16 @@
-"""Ordering of the solvers at a larger grid, mirroring the benchmark table, and
-the V-cycle's cycle count under mesh refinement."""
+"""Ordering of the solvers at a larger grid, mirroring the benchmark table,
+the V-cycle's cycle count under mesh refinement, and its cycle count in
+contact (lam = 100)."""
+
+import itertools
 
 import numpy as np
+import pytest
 
 from proxmg.baselines import fista_solve, proxgrad_solve
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
+from proxmg.problems import start_points
 
 
 def test_multigrid_is_fastest_in_iterations_on_the_63_grid():
@@ -48,3 +53,36 @@ def test_fixed_step_cycle_count_is_mesh_independent():
     at n = 127, the count grows from 18 at n = 15 to 280 at n = 127."""
     coarse, fine = _cycles(15, 3, "fixed"), _cycles(127, 6, "fixed")
     assert fine <= 2 * coarse, (coarse, fine)
+
+
+def _contact_cycles(n_side, num_levels, seed, starts, rel_tol, budget):
+    """Backtracking cycles at lam = 100 from the seed's first ``starts``
+    start points; a solve that misses rel_tol counts as None."""
+    stack = build_obstacle_hierarchy(n_side, 100.0, num_levels, 20)
+    counts = []
+    for x0 in itertools.islice(start_points(seed, n_side * n_side), starts):
+        _, tr = mgprox_solve(stack, x0, StoppingRule(budget, rel_tol),
+                             CycleConfig(step_mode="backtracking"))
+        counts.append(tr.iterations if tr.converged else None)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_side, num_levels", [(7, 2), (15, 3)])
+def test_contact_solve_reaches_1e_12(n_side, num_levels, seed):
+    """In contact, backtracking mgprox reaches relative |G| 1e-12 within 200
+    cycles (11 at n = 7, 27 at n = 15).  While the line search compared two
+    rounded totals of F, none of these solves got there within 2 000
+    cycles; the best they reached was 2.3e-12 to 1.0e-11."""
+    counts = _contact_cycles(n_side, num_levels, seed, 1, 1e-12, 200)
+    assert None not in counts, counts
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_contact_n31_cycles_stay_under_95(seed):
+    """The benchmark's contact-n31 solve (n = 31, 4 levels, to 1e-10) from
+    the seed's three starts: 88 / 84 / 86 cycles at seed 0 and 88 / 88 / 88
+    at seed 4.  With the line search on two rounded totals of F they were
+    104 / 90 / 125 and 115 / 213 / 90."""
+    counts = _contact_cycles(31, 4, seed, 3, 1e-10, 95)
+    assert None not in counts, counts

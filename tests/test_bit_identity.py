@@ -50,6 +50,13 @@ class SparseMembrane:
     def value_and_grad(self, u):
         return self.value(u), self.grad(u)
 
+    def value_change(self, y, z):
+        dd, ed = self.D @ (z - y), self.E @ (z - y)
+        dy, ey = self.D @ y, self.E @ y
+        dq = dd * (dy + dy + dd) + ed * (ey + ey + ed)
+        ry2 = 1.0 + dy * dy + ey * ey
+        return float(np.add.reduce(dq / (np.sqrt(ry2) + np.sqrt(ry2 + dq))))
+
 
 def membranes(n_side, rng):
     """Random membranes at three amplitudes, and inputs with exact +-0.0."""
@@ -69,9 +76,12 @@ def test_stencil_matches_the_sparse_oracle_byte_for_byte(n_side):
     grid = GridLevel(n_side)
     stencil, oracle = MembraneEnergy(grid), SparseMembrane(grid)
     rng = np.random.Generator(np.random.PCG64(n_side))
-    for u in membranes(n_side, rng):
+    points = membranes(n_side, rng)
+    for u in points:
         assert stencil.value(u).hex() == oracle.value(u).hex()
         assert stencil.grad(u).tobytes() == oracle.grad(u).tobytes()
+    for y, z in zip(points, points[1:] + points[:1]):
+        assert stencil.value_change(y, z).hex() == oracle.value_change(y, z).hex()
 
 
 @pytest.mark.parametrize("n_side", [1, 7, 63])
@@ -143,4 +153,4 @@ def test_backtracking_mgprox_iterate_does_not_depend_on_the_step_bound():
                          CycleConfig(step_mode="backtracking"))
     assert tr.converged and tr.iterations == 18
     assert hashlib.sha256(x.tobytes()).hexdigest() == (
-        "7240b07576c289654c3ed8f1c3e4fbe658416f9f268253c157666ceceb473717")
+        "4a1f1200a8dd533fbe8b1947944d6b48181892fce988af3fa5d19e74da3f63de")

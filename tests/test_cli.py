@@ -38,6 +38,14 @@ def test_solve_row_count_matches_budget_when_tolerance_unmet(tmp_path):
     assert len(lines) - 1 == 10
 
 
+def test_solve_met_at_its_start_reports_the_start(capsys):
+    """A tolerance above 1 is met before any iteration; the summary reports
+    the start's relative |G|, 1, not 0."""
+    assert main(["solve", "--n-exp", "3", "--tol", "1.5"]) == 0
+    out = capsys.readouterr().out
+    assert "iterations=0 rel_norm=1.000e+00 " in out and "converged=True" in out
+
+
 def test_single_level_solver_leaves_alpha_empty(tmp_path):
     out = tmp_path / "pg.csv"
     main(["solve", "--n-exp", "3", "--algo", "proxgrad", "--max-iters", "5",
@@ -96,6 +104,10 @@ def test_compare_table_is_deterministic_outside_the_time_column(tmp_path, capsys
 
 
 def test_compare_multigrid_has_the_fewest_iterations(tmp_path, capsys):
+    """mgprox and fastmgprox take fewer cycles than any other solver takes
+    iterations.  Which of the two is faster depends on the start (seeds 0 /
+    1 / 2 / 3 give 19/17, 18/19, 14/17 and 20/14), so their pair is pinned
+    as measured instead of ordered."""
     main(["compare", "--n-exp", "4", "--levels", "3", "--tol", "1e-10",
           "--seed", "0", "--max-iters", "200", "--out-prefix", str(tmp_path / "c")])
     out = capsys.readouterr().out
@@ -104,11 +116,10 @@ def test_compare_multigrid_has_the_fewest_iterations(tmp_path, capsys):
         cells = line.split()
         if cells and cells[0] in ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3"):
             counts[cells[0]] = (cells[1].startswith(">"), int(cells[1].lstrip(">")))
-    unconverged_mg, mg = counts["mgprox"]
-    assert not unconverged_mg
-    for algo, (unconverged, iters) in counts.items():
-        if algo != "mgprox":
-            assert unconverged or iters > mg
+    assert (counts["mgprox"], counts["fastmgprox"]) == ((False, 19), (False, 17))
+    for algo in ("proxgrad", "fista", "kocvara3"):
+        unconverged, iters = counts[algo]
+        assert unconverged or iters > counts["mgprox"][1]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

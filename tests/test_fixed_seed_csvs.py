@@ -18,29 +18,29 @@ ARGS = ["compare", "--n-exp", "4", "--levels", "3", "--max-iters", "60", "--seed
 
 DIGESTS = {
     ("fixed", "1e-6"): {
-        "mgprox": "761da5935f75e2ef51e85ef3c4d0bbc0a30858c580b20227ba76d2794cd74236",
-        "fastmgprox": "10745986b561530fa0d3fc3b3939ca645da07301cad04603616c7fe43cd62bcc",
+        "mgprox": "b50c5d89a07ef2d819197995266467009942db01a93831575a8646298a8eaefd",
+        "fastmgprox": "15c4f368dfdb9a0a583d706ae92f6bf5b40278c8df4d8ffc840c90110de533fd",
         "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
         "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
-        "kocvara3": "f1ea6ded027e84711814f36721a1ed0a1269ebea25a9eeccc40765e055484556",
+        "kocvara3": "5205c88e0d3d2f3e4463a13c735b048fe3e83cc0c2a22a793a83d326ff313508",
     },
     ("fixed", "100"): {
-        "mgprox": "dd5df73e9a142d182f9a25f2b8aa9609873894f9a8d095357eff88829301a4d8",
-        "fastmgprox": "6e20a997f5cbdd4f7b22334916a09ea958c1ac1d6719443085b88f021d4b5048",
+        "mgprox": "86e8b1475ad1195235af68c2f005feac43e91b3dd46773290955a6954f897d87",
+        "fastmgprox": "e378873c607f2396cc411dc61ff9cce3e0de44686d1178dfe07292798505955f",
         "proxgrad": "db2556ed518e6c89a91f856031041cb6f4eabaaac888bf8bf7c0c0c9aee4733f",
         "fista": "07335055a6f79233c27671922964aed0d6f73b4da30760a870dbc4d02d4ef825",
         "kocvara3": "f8f09b92a981be6f4d992105628d493738fc3ac4169589c6996422196c05f6b1",
     },
     ("backtracking", "1e-6"): {
-        "mgprox": "1b1cb22a30507b12d335989bfa072476a79cad305c3a15dd7bb67563f56fdabc",
-        "fastmgprox": "bf975af4995fbed148f55e9571141850173f35913d4e455048cfd4945b0bd429",
+        "mgprox": "8bcb48295e3cf2f0a1de8e25502bd6a3c201b51fb4c290eb0d98e4bf1be4801c",
+        "fastmgprox": "f81edd13c45bb6cd3f875be31d7dbc411d47b472fde3e308b26da7e23bdb8932",
         "proxgrad": "f5a1677546dab9ed5552a03d51747431908d35bf0504fa03a96de383954d1b6c",
         "fista": "9ccd59845340eb3feef3ca0622a5edffd204335eb3047e570d1198a2e3c5128a",
-        "kocvara3": "0ebdffdeb7cbbfb364189fd928ec2419650fe2ff18676f1f631db41b5978c717",
+        "kocvara3": "ccdf96e5f0ead13d5d99b3220da809160185d3bd6d22c0ff0f85c268ea1782e9",
     },
     ("backtracking", "100"): {
-        "mgprox": "f59191c0af5773b62395c18fce1088d76b0f74d149c9e3d9bb6e555022791ade",
-        "fastmgprox": "080bd6f075acbdd10affb699d3d03cc4dbb10840311f6d53bfdd136f5cfad6e5",
+        "mgprox": "00c53de315cdecee504ec63056d863bfd8cf5547a7b3a934a1123bf03b178d95",
+        "fastmgprox": "cd7d49bf286859769fd8c1d0fa153164d46afd263bd384d1d1be819991a28f36",
         "proxgrad": "db2556ed518e6c89a91f856031041cb6f4eabaaac888bf8bf7c0c0c9aee4733f",
         "fista": "07335055a6f79233c27671922964aed0d6f73b4da30760a870dbc4d02d4ef825",
         "kocvara3": "12b5f7abf8ec9c3e29133f572ad2a910b1cac43bc0742b8325ba2bddfd303f0c",

@@ -3,43 +3,119 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxmg.certificates import (check_angle_condition, check_fixed_point,
                                  check_smoothing_descent,
                                  check_stage_monotonicity)
-from proxmg.hierarchy import LevelStack, build_obstacle_hierarchy
-from proxmg.membrane import MembraneEnergy
+from proxmg.grid import GridLevel
+from proxmg.hierarchy import LevelStack, build_obstacle_hierarchy, workspace
+from proxmg.membrane import MembraneEnergy, make_obstacle_problem
 from proxmg.multigrid import (CycleConfig, StoppingRule, cycle_work_units,
                               mgprox_solve, naive_line_search, vcycle)
 from proxmg.nonsmooth import SeparableNonsmooth
 from proxmg.oracles import build_chain_hierarchy, reference_solution
-from proxmg.problems import CompositeProblem
+from proxmg.problems import (CompositeProblem, QuadraticForm, laplacian_1d,
+                             start_points, tilted_objective, tilted_value_change)
+from proxmg.smoothing import prox_grad_step
+
+
+def _quadratic(A, b):
+    """F = 0.5 x'Ax - b'x, with A given as a dense list, and no penalty."""
+    A = sp.csr_array(np.array(A, dtype=np.float64))
+    return CompositeProblem(QuadraticForm(A, np.array(b, dtype=np.float64), 1.0),
+                            SeparableNonsmooth.l1(0.0))
 
 
 def test_line_search_accepts_zero_direction_immediately():
     y = np.array([1.0, 2.0])
-    z, alpha, f_z = naive_line_search(lambda v: float(v @ v), y, np.zeros(2), 5.0)
+    z, alpha = naive_line_search(_quadratic([[1, 0], [0, 1]], [0, 0]), None, y, np.zeros(2))
     assert alpha == 1.0
     assert np.array_equal(z, y)
 
 
 def test_line_search_halves_an_overshooting_direction():
+    problem = _quadratic([[1]], [0])  # F(v) = v^2 / 2
     y = np.array([1.0])
     p = np.array([-100.0])  # descent direction, wildly overscaled
-    f = lambda v: float(v @ v)
-    z, alpha, f_z = naive_line_search(f, y, p, f(y))
+    z, alpha = naive_line_search(problem, None, y, p)
     assert 0.0 < alpha < 1.0
-    assert f_z <= f(y)
+    assert problem.objective(z) <= problem.objective(y)
+    assert tilted_value_change(problem, None, y, z) <= 0.0
 
 
 def test_line_search_uphill_falls_back_to_zero():
-    y = np.array([0.0])
-    p = np.array([1.0])
-    f = lambda v: float(v[0])  # any alpha > 0 increases f
-    z, alpha, f_z = naive_line_search(f, y, p, f(y))
+    problem = _quadratic([[0]], [0])  # F = 0, so the tilt alone decides
+    y, p = np.array([0.0]), np.array([1.0])
+    tau = np.array([-1.0])  # the tilted objective is v: any alpha > 0 climbs
+    z, alpha = naive_line_search(problem, tau, y, p)
     assert alpha == 0.0
     assert np.array_equal(z, y)
-    assert f_z == f(y)
+
+
+def _terms(rng):
+    """(name, term, y) for a smooth part or penalty of each kind."""
+    membrane = MembraneEnergy(GridLevel(15))
+    quadratic = QuadraticForm(laplacian_1d(64), rng.standard_normal(64), 4.0)
+    obstacle = rng.uniform(-0.5, 0.5, 225)
+    return [("membrane", membrane, rng.uniform(0.0, 1.0, 225)),
+            ("quadratic", quadratic, rng.standard_normal(64)),
+            ("hinge", SeparableNonsmooth.hinge(3.0, obstacle), rng.uniform(-1.0, 1.0, 225)),
+            ("l1", SeparableNonsmooth.l1(0.5), rng.uniform(-1.0, 1.0, 64))]
+
+
+def test_value_change_from_a_point_to_itself_is_exactly_zero():
+    rng = np.random.Generator(np.random.PCG64(8))
+    for name, term, y in _terms(rng):
+        for u in (y, np.zeros_like(y), 1e3 * y):
+            assert term.value_change(u, u.copy()) == 0.0, name
+    problem = make_obstacle_problem(15, 100.0)
+    y, tau = rng.uniform(0.0, 1.0, 225), rng.uniform(-1.0, 1.0, 225)
+    assert problem.value_change(y, y) == 0.0
+    assert tilted_value_change(problem, tau, y, y.copy()) == 0.0
+
+
+def test_value_change_agrees_with_the_difference_of_values():
+    rng = np.random.Generator(np.random.PCG64(9))
+    for name, term, y in _terms(rng):
+        for scale in (1.0, 1e-3, 1e-8):
+            z = y + scale * rng.uniform(-1.0, 1.0, y.shape)
+            v_y, v_z = term.value(y), term.value(z)
+            rounding = 64 * np.finfo(float).eps * max(1.0, abs(v_y), abs(v_z))
+            assert abs(term.value_change(y, z) - (v_z - v_y)) <= rounding, (name, scale)
+    problem = make_obstacle_problem(15, 100.0)
+    tau = rng.uniform(-1.0, 1.0, 225)
+    y = rng.uniform(0.0, 1.0, 225)
+    z = y + 1e-3 * rng.uniform(-1.0, 1.0, 225)
+    F_y, F_z = tilted_objective(problem, tau, y), tilted_objective(problem, tau, z)
+    assert tilted_value_change(problem, tau, y, z) == pytest.approx(F_z - F_y, abs=1e-11)
+
+
+def test_line_search_accepts_descent_that_the_totals_round_away():
+    """Near a minimizer at n = 63 (lam = 1), a prox-gradient step from x
+    lowers F by at least |G|^2 / 2L, with G = L (x - T(x)), but by less
+    than one ulp of F >= 63^2.  The line search, testing the change
+    itself, accepts every such step at alpha = 1; comparing the two totals
+    refuses some of them."""
+    stack = build_obstacle_hierarchy(63, 1.0, 5, 20)
+    problem = stack.fine.problem
+    L = problem.lipschitz
+    config = CycleConfig(step_mode="backtracking")
+    work = workspace(stack, config.step_mode)
+    x, fg = next(start_points(0, problem.dim)), None
+    checked, refused = 0, 0
+    for _ in range(40):  # 40 cycles reach relative |G| 1e-10
+        x, fg, _ = vcycle(stack, x, config, fg, work)
+        d = prox_grad_step(problem, None, x, L, fg[1]) - x
+        bound = -0.5 * L * float(d @ d)  # F(T(x)) - F(x) <= bound
+        # below one ulp of F, and above the rounding of the change itself
+        if -1e-12 < bound < -1e-14:
+            z, alpha = naive_line_search(problem, None, x, d)
+            change = tilted_value_change(problem, None, x, z)
+            assert alpha == 1.0 and change <= bound, (alpha, change, bound)
+            checked += 1
+            refused += problem.objective(z) > problem.objective(x)
+    assert checked >= 3 and refused >= 1, (checked, refused)
 
 
 def test_cycle_inherits_the_first_step_descent_guarantee():
