@@ -1,12 +1,17 @@
 """Runtime-checkable certificates of the solvers' descent and rate guarantees.
 
 Each check consumes a solver trace (plus, where needed, a high-accuracy
-reference point) and returns a pass/fail result with its margin: the least
+reference) and returns a pass/fail result with its margin: the least
 slack of the inequalities it tests, positive where they held with room to
 spare.  A check passes when that slack is non-negative (positive for the
 strict ones), and a run with nothing to check holds at margin 0.  The
 checks deliberately recompute everything from recorded quantities so a
 corrupted trace is caught rather than papered over.
+
+A cycle trace records numbers only, no point.  The checks that need the
+distances of a cycle's points to the reference x* take them from
+:func:`certify_run`, which runs the ``mgprox`` solve itself with a step
+that measures them as each cycle ends.
 
 ``SCOPES`` is the verification suite: each ``proxmg verify`` scope is a
 function of the seed that sets up its runs and returns their results.  The
@@ -21,14 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accelerated import fastmgprox_solve, lambda_rate_bound
-from .hierarchy import LevelStack, build_obstacle_hierarchy
+from .hierarchy import LevelStack, build_obstacle_hierarchy, workspace
 from .membrane import build_difference_operators, make_obstacle_problem
 from .multigrid import (WORK_RATIO, CycleConfig, SolverTrace, StoppingRule,
-                        cycle_work_units, mgprox_solve, vcycle)
+                        cycle_work_units, iterate, mgprox_solve, vcycle)
 from .nonsmooth import SeparableNonsmooth
-from .oracles import (brute_force_prox, build_chain_hierarchy, chain_constants,
-                      fd_gradient, reference_solution)
+from .oracles import (Reference, brute_force_prox, build_chain_hierarchy,
+                      chain_constants, fd_gradient, reference_solution)
 from .problems import power_iteration, start_points
+from .smoothing import prox_grad_step
 
 # Tolerances of the checks.  A slack is added to the side of an inequality
 # that must be the larger; a relative one is scaled by max(1, |F|).
@@ -85,41 +91,42 @@ def check_angle_condition(trace: SolverTrace) -> CertificateResult:
 def check_smoothing_descent(trace: SolverTrace) -> CertificateResult:
     """First smoothing step of each cycle obeys F(y) <= F(x) - ||G(x)||^2/(2L).
 
-    G(x) is reconstructed from the stored step endpoints, G = L (x - y), so
-    the check is independent of the solver's own bookkeeping.
+    ||G(x)||^2 is the cycle's record, formed from the step's endpoints as
+    G = L (x - y), so the check is independent of the smoothing step's own
+    bookkeeping.
     """
     def margin(ct):
         F_x = ct.stage_objectives[0]
-        G = ct.L_first * (ct.x_entry - ct.y_first)
-        bound = F_x - float(G @ G) / (2.0 * ct.L_first)
+        bound = F_x - ct.G_first_sq / (2.0 * ct.L_first)
         return (bound - ct.F_y_first) / max(1.0, abs(F_x)) + SMOOTHING_REL_SLACK
 
     return _least("smoothing-sufficient-descent", map(margin, trace.cycles),
                   f"{len(trace.cycles)} cycles")
 
 
-def check_mgprox_sufficient_descent(trace: SolverTrace, x_star: np.ndarray,
+def check_mgprox_sufficient_descent(trace: SolverTrace, distances: list[tuple],
                                     F_star: float) -> CertificateResult:
-    """Per cycle: F(x+) - F* <= (L/2)(||x - x*||^2 - ||y1 - x*||^2) + slack."""
-    def margin(ct, F_next):
-        dx = float(np.linalg.norm(ct.x_entry - x_star)) ** 2
-        dy = float(np.linalg.norm(ct.y_first - x_star)) ** 2
-        return 0.5 * ct.L_first * (dx - dy) - (F_next - F_star) + MGPROX_DESCENT_SLACK
+    """Per cycle: F(x+) - F* <= (L/2)(||x - x*||^2 - ||y1 - x*||^2) + slack.
 
-    return _least("mgprox-sufficient-descent", map(margin, trace.cycles, trace.objectives),
+    ``distances`` holds each cycle's (||x - x*||, ||y1 - x*||), as
+    :func:`certify_run` records them.
+    """
+    return _least("mgprox-sufficient-descent",
+                  (0.5 * ct.L_first * (dx**2 - dy**2) - (F - F_star) + MGPROX_DESCENT_SLACK
+                   for ct, (dx, dy), F in zip(trace.cycles, distances, trace.objectives)),
                   f"slack={MGPROX_DESCENT_SLACK:g}")
 
 
-def check_one_over_k(trace: SolverTrace, x_star: np.ndarray, F_star: float,
+def check_one_over_k(trace: SolverTrace, distances: list[tuple], F_star: float,
                      L: float) -> CertificateResult:
     """k * (F(x^k) - F*) stays under the max(8 delta^2 L, initial gap) envelope.
 
-    delta is the largest recorded distance of any iterate (or first smoothing
-    point) to the reference, a computable stand-in for the sublevel-set
-    diameter the bound is stated with.
+    delta is the largest of the cycles' ``distances`` (see
+    :func:`check_mgprox_sufficient_descent`): of any iterate or first
+    smoothing point to the reference, a computable stand-in for the
+    sublevel-set diameter the bound is stated with.
     """
-    delta = max((float(np.linalg.norm(v - x_star))
-                 for ct in trace.cycles for v in (ct.x_entry, ct.y_first)), default=0.0)
+    delta = max((d for pair in distances for d in pair), default=0.0)
     envelope = max(8.0 * delta * delta * L, trace.objective_initial - F_star)
     return _least("one-over-k-envelope",
                   (envelope / k - (F - F_star) + ONE_OVER_K_SLACK
@@ -256,14 +263,36 @@ def check_converged(trace: SolverTrace, rel_tol: float, name: str) -> Certificat
                              f"relative |G| {rel:.3e} after {trace.iterations} iterations")
 
 
-def certify_run(trace: SolverTrace, stack: LevelStack, x_star: np.ndarray,
-                F_star: float) -> list[CertificateResult]:
-    """The cycle certificates of an ``mgprox`` run on ``stack``."""
-    return [check_stage_monotonicity(trace), check_angle_condition(trace),
-            check_smoothing_descent(trace),
-            check_mgprox_sufficient_descent(trace, x_star, F_star),
-            check_one_over_k(trace, x_star, F_star, stack.fine.L_est),
-            check_work_units(trace, len(stack), stack.n_smooth)]
+def certify_run(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
+                ref: Reference) -> tuple[SolverTrace, list[CertificateResult]]:
+    """An ``mgprox`` solve of ``stack`` from x0, and its cycle certificates
+    against the reference ``ref``; returns (trace, certificates).
+
+    The solve is ``mgprox_solve``'s, put together from the same parts, with
+    a step that also records each cycle's distances (||x - x*||,
+    ||y1 - x*||).  y1, the first fine smoothing step's output, is rebuilt
+    from the cycle's x, its pair (f, grad f) and the L that step accepted:
+    at the finest level there is no tilt, and the step's descent is
+    ``prox_grad_step`` at that L, so y1 comes out with the step's bytes.
+    """
+    config = CycleConfig()
+    work = workspace(stack, config.step_mode)
+    distances = []
+
+    def step(x, fg):
+        x_next, fg_next, ct = vcycle(stack, x, config, fg, work)
+        y_first = prox_grad_step(work[0].problem, None, x, ct.L_first, fg[1])
+        distances.append((float(np.linalg.norm(x - ref.x)),
+                          float(np.linalg.norm(y_first - ref.x))))
+        return x_next, fg_next, ct
+
+    trace = SolverTrace(algorithm=config.variant)
+    iterate(trace, stack.fine.problem, x0, stop, step)
+    return trace, [check_stage_monotonicity(trace), check_angle_condition(trace),
+                   check_smoothing_descent(trace),
+                   check_mgprox_sufficient_descent(trace, distances, ref.objective),
+                   check_one_over_k(trace, distances, ref.objective, stack.fine.L_est),
+                   check_work_units(trace, len(stack), stack.n_smooth)]
 
 
 # The verification suite: one function per ``proxmg verify`` scope.
@@ -348,10 +377,9 @@ def verify_mgprox(seed: int) -> list[CertificateResult]:
     cycles = []
     starts = start_points(seed, stack.fine.problem.dim)
     while len(cycles) < 3 or sum(cycles) < 40:
-        _, trace = mgprox_solve(stack, next(starts), StoppingRule(400, 1e-10))
+        trace, certs = certify_run(stack, next(starts), StoppingRule(400, 1e-10), ref)
         cycles.append(trace.iterations)
-        runs.append([check_converged(trace, 1e-10, "mgprox-converged"),
-                     *certify_run(trace, stack, ref.x, ref.objective)])
+        runs.append([check_converged(trace, 1e-10, "mgprox-converged"), *certs])
     spare = sum(cycles) - 40
     results = _worst(runs)
     results.insert(1, _least("mgprox-cycles", [spare], f"{' + '.join(map(str, cycles))} = "

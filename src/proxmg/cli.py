@@ -149,8 +149,7 @@ def _write_csv(path: str, trace, wall_time: bool):
         fh.write("iter,time_s,objective,rel_prox_grad_norm,coarse_alpha\n")
         for k in range(trace.iterations):
             t = f"{trace.times[k]:.6f}" if wall_time else ""
-            alpha = trace.coarse_alphas[k]
-            a = "" if alpha is None else f"{alpha:.15e}"
+            a = f"{trace.cycles[k].alphas[0]:.15e}" if trace.cycles else ""
             fh.write(f"{k + 1},{t},{trace.objectives[k]:.15e},"
                      f"{trace.rel_g_norms[k]:.15e},{a}\n")
 

@@ -21,13 +21,15 @@ starts L at 1 below a cap of a few times the certified bound; a fixed step
 is the backtracking step started at its cap, L = L_cap = the certified bound.
 
 Every cycle returns its output, the fine pair (f, grad f) there, and a
-trace carrying the descent certificates: objective values at the stage
-boundaries, the inner product of the fine subgradient with the correction
-direction, line-search steps, mask sizes, and the first smoothing step's
-input/output for the sufficient-descent inequality.  That triple is the
-step protocol of the one iteration driver (:func:`iterate`), so a cycle is
-``mgprox``'s step as it stands; the driver, not the step, forms the fine
-objective F = f + g that a solve records.
+trace of Python numbers carrying the descent certificates: objective values
+at the stage boundaries, the inner product of the fine subgradient with the
+correction direction, line-search steps, mask sizes, and the first smoothing
+step's L, ||G||^2 and output objective for the sufficient-descent
+inequality.  The trace keeps no point, so a solve's memory does not grow
+with its cycles.  That triple is the step protocol of the one iteration
+driver (:func:`iterate`), so a cycle is ``mgprox``'s step as it stands; the
+driver, not the step, forms the fine objective F = f + g that a solve
+records.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class CycleConfig:
 
 @dataclass
 class CycleTrace:
-    """Per-cycle record; sized by the number of levels."""
+    """Per-cycle record of Python numbers; sized by the number of levels."""
 
     stage_objectives: list[float]      # fine F at [entry, pre-smoothed, corrected, exit]
     alphas: list[float]                # accepted line-search step per level
@@ -77,10 +79,9 @@ class CycleTrace:
     mask_counts: list[int]
     coarse_moves: list[float]          # ||w - entry||_inf of each sub-level solve
     smoothing_steps: list[int]
-    x_entry: np.ndarray | None = None
-    y_first: np.ndarray | None = None
-    F_y_first: float = 0.0
-    L_first: float = 0.0
+    G_first_sq: float = 0.0            # ||L_first (x - y1)||^2 of the first fine step
+    F_y_first: float = 0.0             # F(y1), that step's output
+    L_first: float = 0.0               # that step's L
 
     @classmethod
     def empty(cls, num_levels: int) -> "CycleTrace":
@@ -134,7 +135,8 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
         return pre.x, pre.fg
     y, fg_y = pre.x, pre.fg
     if ell == 0:
-        trace.x_entry, trace.y_first, trace.L_first = x, pre.y_first, pre.L_first
+        G = pre.L_first * (x - pre.y_first)
+        trace.G_first_sq, trace.L_first = float(G @ G), pre.L_first
         trace.F_y_first = tilted_objective(problem, tau, pre.y_first, pre.f_first)
         trace.stage_objectives += [tilted_objective(problem, tau, x, fg_x[0]),
                                    tilted_objective(problem, tau, y, fg_y[0])]
@@ -239,7 +241,6 @@ class SolverTrace:
     objectives: list[float] = field(default_factory=list)
     g_norms: list[float] = field(default_factory=list)
     rel_g_norms: list[float] = field(default_factory=list)
-    coarse_alphas: list[float | None] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
     cycles: list[CycleTrace] = field(default_factory=list)
     converged: bool = False
@@ -309,7 +310,6 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
         trace.objectives.append(problem.objective(x, fg[0]))
         trace.g_norms.append(gn)
         trace.rel_g_norms.append(rel(gn))
-        trace.coarse_alphas.append(None if cycle is None else cycle.alphas[0])
         trace.times.append(time.perf_counter() - t0)
         if cycle is not None:
             trace.cycles.append(cycle)

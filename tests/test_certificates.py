@@ -5,6 +5,8 @@ strict), reports the least of them, and holds at margin 0 when a run gives
 it nothing to check.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from proxmg.certificates import (_least, check_angle_condition, check_fast_certi
                                  check_work_units)
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import SolverTrace, StoppingRule, mgprox_solve
+from proxmg.oracles import reference_solution
 from proxmg.problems import start_points
 
 
@@ -35,13 +38,12 @@ def test_least_holds_when_every_margin_does(margins, strict, passed, least):
 def test_an_empty_run_holds_every_reducing_certificate_at_zero():
     stack = build_obstacle_hierarchy(7, 1e-6, 2, 5)
     x0 = next(start_points(0, stack.fine.problem.dim))
-    x_star = np.zeros_like(x0)
     _, mg = mgprox_solve(stack, x0, StoppingRule(0, 1e-10))
     _, fast = fastmgprox_solve(stack, x0, StoppingRule(0, 1e-10))
     assert mg.iterations == fast.iterations == 0
     results = [check_stage_monotonicity(mg), check_angle_condition(mg),
-               check_smoothing_descent(mg), check_mgprox_sufficient_descent(mg, x_star, 0.0),
-               check_one_over_k(mg, x_star, 0.0, stack.fine.L_est),
+               check_smoothing_descent(mg), check_mgprox_sufficient_descent(mg, [], 0.0),
+               check_one_over_k(mg, [], 0.0, stack.fine.L_est),
                check_linear_rate(mg, 0.0, 1.0, stack.fine.L_est),
                check_work_units(mg, len(stack), stack.n_smooth),
                *check_fast_certificates(fast, fast.meta["gamma0"], stack.fine.L_est)]
@@ -64,11 +66,38 @@ def test_a_run_without_iterations_is_judged_at_its_start():
 
 
 def test_the_mgprox_scope_draws_further_starts_until_the_runs_total_40_cycles(monkeypatch):
-    def five_cycles(stack, x0, stop, config=None):
-        return mgprox_solve(stack, x0, StoppingRule(min(stop.max_iters, 5), stop.rel_tol),
-                            config)
+    certify_run = certificates.certify_run
 
-    monkeypatch.setattr(certificates, "mgprox_solve", five_cycles)
+    def five_cycles(stack, x0, stop, ref):
+        return certify_run(stack, x0, StoppingRule(min(stop.max_iters, 5), stop.rel_tol), ref)
+
+    monkeypatch.setattr(certificates, "certify_run", five_cycles)
     (cycles,) = [r for r in certificates.verify_mgprox(0) if r.name == "mgprox-cycles"]
     assert cycles.passed
     assert cycles.detail == "5 + 5 + 5 + 5 + 5 + 5 + 5 + 5 = 40 cycles, 40 required"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certify_run_solves_as_mgprox_solve_does(seed, monkeypatch):
+    # certify_run puts the solve together from mgprox_solve's parts; on the
+    # mgprox scope's stack both must give the same bytes, cycle by cycle
+    stack = build_obstacle_hierarchy(15, 1e-6, 3)
+    ref = reference_solution(stack, seed)
+    x0 = next(start_points(seed, stack.fine.problem.dim))
+    stop = StoppingRule(400, 1e-10)
+    ends, iterate = [], certificates.iterate
+
+    def record(*args):
+        ends.append(iterate(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(certificates, "iterate", record)
+    trace, results = certificates.certify_run(stack, x0, stop, ref)
+    x, solved = mgprox_solve(stack, x0, stop)
+    assert ends[0].tobytes() == x.tobytes()
+    assert trace.converged and trace.iterations == solved.iterations > 0
+    assert repr(trace.objectives) == repr(solved.objectives)
+    assert repr(trace.rel_g_norms) == repr(solved.rel_g_norms)
+    assert ([repr(dataclasses.asdict(ct)) for ct in trace.cycles]
+            == [repr(dataclasses.asdict(ct)) for ct in solved.cycles])
+    assert len(results) == 6 and all(r.passed for r in results), [r.line() for r in results]

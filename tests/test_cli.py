@@ -234,7 +234,7 @@ def test_solve_and_verify_start_from_the_same_array(seed, monkeypatch):
         raise Started
 
     monkeypatch.setattr(cli, "mgprox_solve", record)
-    monkeypatch.setattr(certificates, "mgprox_solve", record)
+    monkeypatch.setattr(certificates, "certify_run", record)
     with pytest.raises(Started):
         main(["solve", "--n-exp", "4", "--levels", "3", "--seed", str(seed)])
     with pytest.raises(Started):

@@ -39,7 +39,7 @@ def x0():
 def _assert_series_lengths(name, trace):
     k = trace.iterations
     for series in (trace.objectives, trace.g_norms, trace.rel_g_norms,
-                   trace.coarse_alphas, trace.times):
+                   trace.times):
         assert len(series) == k
     assert len(trace.cycles) == (k if name in MULTIGRID else 0)
 

@@ -37,14 +37,13 @@ SOLVERS = {
 def _fingerprint(x, trace):
     """Bytes of x and of every recorded number of the trace but wall times."""
     series = [trace.objective_initial, trace.g_norm_initial, *trace.objectives,
-              *trace.g_norms, *trace.rel_g_norms,
-              *(a for a in trace.coarse_alphas if a is not None)]
+              *trace.g_norms, *trace.rel_g_norms]
     for key in sorted(trace.extras):
         series += trace.extras[key]
     for ct in trace.cycles:
         series += [*ct.stage_objectives, *ct.alphas, *ct.angle_products,
                    *ct.correction_norms, *ct.mask_counts, *ct.coarse_moves,
-                   *ct.smoothing_steps, ct.F_y_first, ct.L_first]
+                   *ct.smoothing_steps, ct.G_first_sq, ct.F_y_first, ct.L_first]
     return x.tobytes(), np.array(series, dtype=np.float64).tobytes()
 
 
