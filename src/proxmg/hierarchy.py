@@ -114,37 +114,23 @@ def workspace(stack: LevelStack, step_mode: str) -> list[LevelWork]:
     return [LevelWork(lev.problem, lev.L_est, lev.L_est) for lev in stack.levels]
 
 
-def build_tau(fine_problem: CompositeProblem, coarse_problem: CompositeProblem,
-              transfer: TransferPair, mask: np.ndarray,
-              y_fine: np.ndarray, y_coarse: np.ndarray,
-              upstream_tau: np.ndarray | None = None,
-              subgradients: bool = True, *,
-              grad_fine: np.ndarray, grad_coarse: np.ndarray) -> np.ndarray:
-    """Linear correction for the coarse objective, from matched points.
+def build_tau(transfer: TransferPair, mask: np.ndarray, fine_side: np.ndarray,
+              coarse_side: np.ndarray) -> np.ndarray:
+    """Linear correction for the coarse objective, from its two sides.
 
-    tau = [grad f_c(y_c) + s_c] - R_adaptive [grad f_f(y_f) + s_f - upstream_tau]
+    tau = coarse_side - R_adaptive fine_side
 
-    where s are the least-magnitude subgradients of the nonsmooth parts
-    (``SeparableNonsmooth.subgradient``) and the adaptive
-    restriction zeroes the masked (set-valued) fine coordinates.  The upstream
-    tau makes the fine-side term the subgradient of the *tilted* objective the
-    fine level is actually minimizing, so the fixed-point property chains
-    through all levels.
-
-    ``subgradients=False`` drops the subgradient terms altogether (s = 0 on both
-    sides), which is the classical smooth-problem correction; the ``kocvara3``
-    variant runs on it.  The exact fixed-point property is then lost up to
-    O(lam).
-
-    ``grad_fine`` and ``grad_coarse``, the smooth gradients at y_fine and
-    y_coarse, are required: the cycle has both already.
+    where the adaptive restriction zeroes the masked (set-valued) fine
+    coordinates.  The caller builds both sides at matched points y and
+    x_c = R y: for ``mgprox`` the fine side is grad f(y) + s(y) - tau_up, the
+    subgradient of the *tilted* objective the fine level is minimizing, and
+    the coarse side is grad f_c(x_c) + s_c(x_c), with s the least-magnitude
+    subgradients (``SeparableNonsmooth.subgradient``), so the fixed-point
+    property chains through all levels.  The ``kocvara3`` variant passes the
+    smooth sides grad f(y) - tau_up and grad f_c(x_c) with an empty mask, the
+    classical smooth-problem correction, whose fixed-point property holds
+    only up to O(lam).
     """
-    fine_side, coarse_side = grad_fine, grad_coarse
-    if subgradients:
-        fine_side = fine_side + fine_problem.nonsmooth.subgradient(y_fine)
-        coarse_side = coarse_side + coarse_problem.nonsmooth.subgradient(y_coarse)
-    if upstream_tau is not None:
-        fine_side = fine_side - upstream_tau
     return coarse_side - restrict_adaptive(transfer, mask, fine_side)
 
 

@@ -35,6 +35,7 @@ records.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
@@ -141,19 +142,26 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
         trace.stage_objectives += [tilted_objective(problem, tau, x, fg_x[0]),
                                    tilted_objective(problem, tau, y, fg_y[0])]
 
-    g = problem.nonsmooth
-    kocvara = config.variant == "kocvara3"
-    # kocvara3: no masking, and the subdifferential terms of tau are zeroed out
-    mask = np.zeros(problem.dim, dtype=bool) if kocvara else adaptive_mask(g, y)
-    trace.mask_counts[ell] = int(np.count_nonzero(mask))
-
     transfer = level.transfer_down
     x_coarse = transfer.restrict @ y  # variables restrict with the full operator
     coarse_problem = work[ell + 1].problem
     fg_coarse = coarse_problem.smooth.value_and_grad(x_coarse)
-    tau_next = build_tau(problem, coarse_problem, transfer, mask,
-                         y, x_coarse, upstream_tau=tau, subgradients=not kocvara,
-                         grad_fine=fg_y[1], grad_coarse=fg_coarse[1])
+    # s_hat, the tilted subgradient at y, is the angle-condition witness of
+    # both variants and mgprox's fine side of tau
+    s_hat = fg_y[1] + problem.nonsmooth.subgradient(y)
+    if tau is not None:
+        s_hat = s_hat - tau
+    if config.variant == "kocvara3":
+        # no masking, and tau drops the subdifferential terms on both sides
+        mask = np.zeros(problem.dim, dtype=bool)
+        fine_side = fg_y[1] if tau is None else fg_y[1] - tau
+        coarse_side = fg_coarse[1]
+    else:
+        mask = adaptive_mask(problem.nonsmooth, y)
+        fine_side = s_hat
+        coarse_side = fg_coarse[1] + coarse_problem.nonsmooth.subgradient(x_coarse)
+    trace.mask_counts[ell] = int(np.count_nonzero(mask))
+    tau_next = build_tau(transfer, mask, fine_side, coarse_side)
     if config.tau_hook is not None:
         tau_next = config.tau_hook(tau_next, ell + 1)
 
@@ -163,11 +171,6 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     trace.coarse_moves[ell] = float(np.max(np.abs(move)))
 
     p = prolong_adaptive(transfer, mask, move)
-    # angle-condition witness: any valid subgradient works, so take the one
-    # the tau correction uses
-    s_hat = fg_y[1] + g.subgradient(y)
-    if tau is not None:
-        s_hat = s_hat - tau
     trace.angle_products[ell] = float(s_hat.dot(p))
     trace.correction_norms[ell] = math.sqrt(p.dot(p))
 
@@ -225,8 +228,9 @@ class StoppingRule:
     rel_tol: float
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        # a fractional or NaN budget is never reached
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not self.rel_tol >= 0.0:  # NaN compares false
             raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
 

@@ -54,10 +54,12 @@ class SeparableNonsmooth:
             raise ValueError(f"penalty weight must be finite and >= 0, got {self.lam}")
         if self.kind == "hinge" and self.obstacle is None:
             raise ValueError("hinge penalty needs an obstacle vector")
+        if self.obstacle is not None:
+            object.__setattr__(self, "obstacle", np.asarray(self.obstacle, dtype=np.float64))
 
     @classmethod
     def hinge(cls, lam: float, obstacle: np.ndarray) -> "SeparableNonsmooth":
-        return cls("hinge", lam, np.asarray(obstacle, dtype=np.float64))
+        return cls("hinge", lam, obstacle)
 
     @classmethod
     def l1(cls, lam: float) -> "SeparableNonsmooth":

@@ -35,6 +35,23 @@ def test_every_tracer_target_resolves_in_its_module(target):
         assert callable(getattr(home, attr))
 
 
+# names benches/selftest.py reads off modules that import them, with their
+# home modules: if a refactor drops one of these imports, the selftest
+# stops with an AttributeError
+IMPORTED_BY_NAME = [("baselines", "backtrack_L", "smoothing"),
+                    ("multigrid", "run_smoothing", "smoothing"),
+                    ("accelerated", "vcycle", "multigrid"),
+                    ("hierarchy", "restrict_adaptive", "transfer")]
+
+
+@pytest.mark.parametrize("user, attr, home", IMPORTED_BY_NAME,
+                         ids=[f"{u}.{a}" for u, a, _ in IMPORTED_BY_NAME])
+def test_selftest_names_resolve_to_their_home_functions(user, attr, home):
+    user_mod = importlib.import_module(f"proxmg.{user}")
+    home_mod = importlib.import_module(f"proxmg.{home}")
+    assert getattr(user_mod, attr) is getattr(home_mod, attr)
+
+
 def test_smoothing_spans_are_attributed_to_levels():
     stack = build_obstacle_hierarchy(15, 1e-6, 3)
     x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, stack.fine.problem.dim)

@@ -101,6 +101,19 @@ def test_a_nan_or_negative_tolerance_is_rejected(rel_tol):
         StoppingRule(10, rel_tol)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, float("nan")])
+def test_a_budget_that_is_not_an_integer_is_rejected(max_iters):
+    # iterate stops on iterations == max_iters, which such a budget never meets
+    with pytest.raises(ValueError, match="max_iters"):
+        StoppingRule(max_iters, 0.0)
+
+
+def test_a_numpy_integer_budget_is_accepted(stack):
+    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, stack.fine.problem.dim)
+    _, trace = proxgrad_solve(stack.fine.problem, x0, StoppingRule(np.int64(3), 0.0))
+    assert trace.iterations == 3
+
+
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_a_zero_tolerance_runs_the_whole_budget_at_the_minimizer(name):
     # |b_i| <= 1 < lam, so the minimizer is x = 0 and |G| reaches exactly 0

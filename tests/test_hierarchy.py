@@ -59,8 +59,8 @@ def test_tau_vanishes_for_identical_problems_with_identity_transfer():
     rng = np.random.Generator(np.random.PCG64(0))
     y = rng.standard_normal(16)
     mask = np.zeros(16, dtype=bool)
-    grad = problem.smooth.grad(y)
-    tau = build_tau(problem, problem, t, mask, y, y, grad_fine=grad, grad_coarse=grad)
+    side = problem.smooth.grad(y) + problem.nonsmooth.subgradient(y)
+    tau = build_tau(t, mask, side, side)
     np.testing.assert_allclose(tau, 0.0, atol=1e-14)
 
 
@@ -73,8 +73,8 @@ def test_tau_reduces_to_classical_form_without_nonsmooth_part():
     y = rng.uniform(0, 1, size=49)
     y_c = t.restrict @ y
     mask = np.zeros(49, dtype=bool)
-    tau = build_tau(fine, coarse, t, mask, y, y_c, grad_fine=fine.smooth.grad(y),
-                    grad_coarse=coarse.smooth.grad(y_c))
+    tau = build_tau(t, mask, fine.smooth.grad(y) + fine.nonsmooth.subgradient(y),
+                    coarse.smooth.grad(y_c) + coarse.nonsmooth.subgradient(y_c))
     classical = coarse.smooth.grad(y_c) - t.restrict @ fine.smooth.grad(y)
     np.testing.assert_allclose(tau, classical, atol=1e-13)
 
@@ -101,9 +101,9 @@ def test_fixed_point_certificate_of_tau():
     g = fine.problem.nonsmooth
     mask = g.subdiff(y).set_valued()
     y_c = t.restrict @ y
-    tau = build_tau(fine.problem, coarse.problem, t, mask, y, y_c,
-                    grad_fine=fine.problem.smooth.grad(y),
-                    grad_coarse=coarse.problem.smooth.grad(y_c))
+    tau = build_tau(t, mask, fine.problem.smooth.grad(y) + g.subgradient(y),
+                    coarse.problem.smooth.grad(y_c)
+                    + coarse.problem.nonsmooth.subgradient(y_c))
     s_c = select_subgradient(coarse.problem.nonsmooth.subdiff(y_c))
     residual = coarse.problem.smooth.grad(y_c) + s_c - tau
     assert np.linalg.norm(residual) <= 1e-6 * coarse.L_est

@@ -292,3 +292,25 @@ def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
         monkeypatch.setattr(MembraneEnergy, name, counted)
     vcycle(stack, x, CycleConfig(step_mode="fixed"), fg_x)
     assert counts == {"grad": {15: 39, 7: 39, 3: 19}, "value_and_grad": {15: 2, 7: 2, 3: 1}}
+
+
+@pytest.mark.parametrize("lam", [1e-6, 100.0])
+@pytest.mark.parametrize("variant, expected", [
+    ("mgprox", {225: 1, 49: 2, 9: 1}),
+    ("kocvara3", {225: 1, 49: 1}),
+])
+def test_each_tau_side_takes_one_subgradient(monkeypatch, lam, variant, expected):
+    # each non-coarsest level evaluates its tilted subgradient once, for the
+    # fine side of tau and the angle witness alike; mgprox adds one for the
+    # coarse side, while kocvara3's coarse side is smooth
+    stack = build_obstacle_hierarchy(15, lam, 3)
+    x = np.random.Generator(np.random.PCG64(0)).uniform(0, 1, size=stack.fine.problem.dim)
+    counts = {}
+    orig = SeparableNonsmooth.subgradient
+
+    def counted(self, u):
+        counts[len(u)] = counts.get(len(u), 0) + 1
+        return orig(self, u)
+    monkeypatch.setattr(SeparableNonsmooth, "subgradient", counted)
+    vcycle(stack, x, CycleConfig(variant=variant, step_mode="fixed"))
+    assert counts == expected

@@ -70,6 +70,14 @@ def test_errors():
         IntervalVec(np.array([1.0]), np.array([0.0]))
 
 
+def test_an_obstacle_given_as_a_list_is_stored_as_float64():
+    # a list obstacle works through the constructor as through hinge()
+    for g in (SeparableNonsmooth("hinge", 1.0, [0, 1]), SeparableNonsmooth.hinge(1.0, [0, 1])):
+        assert g.obstacle.dtype == np.float64
+        assert g.value([-1.0, 1.0]) == 1.0
+        np.testing.assert_array_equal(g.prox(np.array([-1.0, 2.0]), 0.5), [-0.5, 2.0])
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
 def test_a_weight_that_is_not_a_finite_nonnegative_number_is_rejected(lam):
     # every penalty is real-valued, and NaN slips past a plain lam < 0 test
