@@ -23,6 +23,7 @@ correction absorbs the fine/coarse mismatch to first order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class LevelStack:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("empty stack")
-        if self.n_smooth < 1:
-            raise ValueError("smoothing budget must be at least 1")
+        # a fractional or NaN budget would reach range() in run_smoothing
+        if not isinstance(self.n_smooth, numbers.Integral) or self.n_smooth < 1:
+            raise ValueError(f"n_smooth must be an integer of at least 1, got {self.n_smooth!r}")
         for lev in self.levels[:-1]:
             if lev.transfer_down is None:
                 raise ValueError("non-coarsest level lacks a transfer pair")

@@ -124,8 +124,10 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     level's smooth part.  Returns the level's output with the pair there;
     only the finest level evaluates that pair, and a coarser one returns
     whatever its last smoothing step left (None when it computed none).
-    The level's step estimate lives in its workspace, and the smoothing
-    steps grow it there (see ``smoothing.backtrack_L``)."""
+    The pair at the corrected point z is evaluated once, for the finest
+    stage record and the first post-smoothing step alike.  The level's step
+    estimate lives in its workspace, and the smoothing steps grow it there
+    (see ``smoothing.backtrack_L``)."""
     level, lw = stack[ell], work[ell]
     problem = lw.problem
     coarsest = ell == len(stack) - 1
@@ -177,10 +179,11 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     z, alpha = naive_line_search(problem, tau, y, p)
     trace.alphas[ell] = alpha
 
-    post = run_smoothing(lw, tau, z, stack.n_smooth, pair=ell == 0)
+    fg_z = problem.smooth.value_and_grad(z)
+    post = run_smoothing(lw, tau, z, stack.n_smooth, fg_z, pair=ell == 0)
     trace.smoothing_steps[ell] += stack.n_smooth
     if ell == 0:
-        trace.stage_objectives += [tilted_objective(problem, tau, z),
+        trace.stage_objectives += [tilted_objective(problem, tau, z, fg_z[0]),
                                    tilted_objective(problem, tau, post.x, post.fg[0])]
     return post.x, post.fg
 
@@ -286,7 +289,8 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
     once that norm falls below ``rel_tol`` times its value at x0, so
     ``rel_tol`` 0 runs all ``max_iters`` iterations even where the norm
     reaches 0; a run that spends its budget without meeting it is reported
-    on the trace, not raised.
+    on the trace, not raised.  A start point with a non-finite entry is
+    refused with a ``ValueError`` before anything is evaluated.
     """
     L = problem.lipschitz
 
@@ -295,6 +299,8 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
         return math.sqrt(G.dot(G))
 
     x = np.asarray(x0, dtype=np.float64)
+    if not np.all(np.isfinite(x)):  # |G(x0)| would be NaN and the rule never hold
+        raise ValueError("the start point x0 has a non-finite entry")
     fg = problem.smooth.value_and_grad(x)
     gn = gn0 = trace.g_norm_initial = g_norm(x, fg)
     trace.objective_initial = problem.objective(x, fg[0])

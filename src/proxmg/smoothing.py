@@ -11,6 +11,8 @@ Every smoothing step is a backtracking step bounded by a cap L_cap: the
 estimate doubles until the descent model holds or the cap is reached.  A
 fixed step 1/L is the backtracking step started at its cap (L = L_cap), the
 constant-step special case of backtracking in Beck and Teboulle's FISTA.
+Every step returns the pair (f, grad f) at its output except that one: a
+step started at or above its cap evaluates only grad f(x).
 
 The steps take the level's share of a solve's workspace (``work``, a
 ``hierarchy.LevelWork``): its problem and its estimate ``L`` with the cap
@@ -92,9 +94,10 @@ def backtrack_L(work, tau, x: np.ndarray,
     inequality is certified analytically for any L above the true curvature,
     so workspaces cap the estimate at a small multiple of the level's bound to
     stop it from ratcheting without bound (``math.inf`` leaves it uncapped).
-    A step accepted there never evaluates f(y), and fg_y is None.  A step
-    started at or above its cap is therefore the fixed step 1/L_cap, and
-    costs one gradient.
+    A step that doubles up to its cap has evaluated f(y) with the rest of
+    its trials and returns the pair.  Only a step started at or above its
+    cap returns fg_y = None: it is the fixed step 1/L_cap, and costs one
+    gradient.
     """
     problem, L, L_cap = work.problem, work.L, work.L_cap
     if L >= L_cap:
@@ -108,12 +111,9 @@ def backtrack_L(work, tau, x: np.ndarray,
     slack = 1e-15 * abs(fx)
     for _ in range(MAX_DOUBLINGS + 1):
         y = _descend(problem, x, gt, L)
-        if L >= L_cap:
-            work.L = L
-            return y, None
         d = y - x
         fg_y = f.value_and_grad(y)
-        if fg_y[0] <= fx + float(gx.dot(d)) + 0.5 * L * float(d.dot(d)) + slack:
+        if L >= L_cap or fg_y[0] <= fx + float(gx.dot(d)) + 0.5 * L * float(d.dot(d)) + slack:
             work.L = L
             return y, fg_y
         L = min(2.0 * L, L_cap)
@@ -138,7 +138,7 @@ def run_smoothing(work, tau, x: np.ndarray, n_steps: int,
 
     ``fg_x`` is (f(x), grad f(x)) when the caller already has it; each step
     hands the pair at its output to the next.  The pair at the block's
-    output is evaluated once at the end when the last step, accepted at its
+    output is evaluated once at the end when the last step, started at its
     cap, left it unset, so a fixed step still costs one gradient.  A caller
     that does not read the pair passes ``pair=False``, and then gets the
     pair only when the last step computed it (None otherwise).

@@ -18,15 +18,18 @@ sums of R are 2 away from the free edges, 5/2 on the rows with I = 1 or
 J = 1 alone, and 25/8 at I = J = 1.
 
 Both builders, this full weighting and the chain's line weighting, write
-R directly as CSR arrays, and one helper derives P from those arrays.
-Row (J - 1) n_c + (I - 1) of the full weighting holds 9 entries,
-(1/8) w_j w_i for the legs j of J and i of I, with w = [1, 2, 1]
-([2, 2, 1] at the first coarse index); they are stored sorted by fine
-column (j - 1) n + (i - 1), j-major.  Row I of the line weighting (0-based)
-holds (1/4) [1, 2, 1] at fine indices 2I, 2I + 1, 2I + 2, less the leg
-past the end of an even chain.  So no zero is stored and the indices are
-sorted.  P is exactly 2 * R^T: row k of P holds column k of R, doubled, in
-ascending coarse row.
+R directly as CSR arrays.  Row (J - 1) n_c + (I - 1) of the full weighting
+holds 9 entries, (1/8) w_j w_i for the legs j of J and i of I, with
+w = [1, 2, 1] ([2, 2, 1] at the first coarse index); they are stored sorted
+by fine column (j - 1) n + (i - 1), j-major.  Row I of the line weighting
+(0-based) holds (1/4) [1, 2, 1] at fine indices 2I, 2I + 1, 2I + 2, less
+the leg past the end of an even chain.  So no zero is stored and the
+indices are sorted.
+
+A ``TransferPair`` holds R alone and derives P = 2 R^T from it, as the CSC
+view of R's doubled CSR arrays, so no pair carries a P that disagrees with
+its R.  Its matvec adds each fine point's products in ascending coarse
+index, as a CSR P's would, so P @ v has the bytes of the CSR product.
 
 The adaptive variants zero out fine coordinates where the nonsmooth term's
 subdifferential is set-valued: columns of R when restricting subgradients (so
@@ -37,7 +40,7 @@ variables always restrict with the full R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,10 +54,13 @@ PROLONG_SCALE = 2.0
 
 @dataclass(frozen=True)
 class TransferPair:
-    """Restriction and its matching prolongation P = PROLONG_SCALE * R^T."""
+    """Restriction R and the prolongation P = PROLONG_SCALE * R^T it implies."""
 
     restrict: sp.csr_array
-    prolong: sp.csr_array
+    prolong: sp.csc_array = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "prolong", (PROLONG_SCALE * self.restrict).T)
 
     @property
     def n_coarse(self) -> int:
@@ -67,18 +73,12 @@ class TransferPair:
 
 def _csr_pair(vals: np.ndarray, cols: np.ndarray, width: int, n_coarse: int,
               n_fine: int) -> TransferPair:
-    """R whose row I holds entries width I, ..., width (I + 1) - 1 of
-    (vals, cols), columns ascending and the last row possibly short, and
-    P = PROLONG_SCALE * R^T built from the same arrays."""
+    """The pair of the R whose row I holds entries width I, ...,
+    width (I + 1) - 1 of (vals, cols), columns ascending and the last row
+    possibly short."""
     indptr = np.arange(0, width * n_coarse + 1, width)
     indptr[-1] = cols.size
-    R = sp.csr_array((vals, cols, indptr), shape=(n_coarse, n_fine))
-    # a stable sort by column keeps each column's rows ascending
-    order = np.argsort(cols, kind="stable")
-    indptr_P = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_fine))))
-    P = sp.csr_array((PROLONG_SCALE * vals[order], order // width, indptr_P),
-                     shape=(n_fine, n_coarse))
-    return TransferPair(R, P)
+    return TransferPair(sp.csr_array((vals, cols, indptr), shape=(n_coarse, n_fine)))
 
 
 def build_full_weighting(fine: GridLevel) -> TransferPair:

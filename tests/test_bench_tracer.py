@@ -20,6 +20,7 @@ from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benches"))
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 LEVELLED_SMOOTHING = ("smoothing.run_smoothing", "smoothing.backtrack_L")
 
@@ -64,3 +65,27 @@ def test_smoothing_spans_are_attributed_to_levels():
         levels = {lev for (nm, lev), calls in stats.calls.items() if nm == name and calls}
         assert levels == {0, 1, 2}, name
         assert stats.total(stats.calls, name, tracer.NO_LEVEL) == 0, name
+
+
+# the four solves of benches/selftest.py's TINY workload, from its start at
+# seed 3: backtracking mgprox to tolerance, fixed-step fastmgprox, fista and
+# proxgrad, all at n = 15 and lam = 100
+SELFTEST_TINY = workloads.Workload((
+    workloads.Solve("mgprox", 15, 100.0, 3, 200, 1e-8, "backtracking"),
+    workloads.Solve("fastmgprox", 15, 100.0, 3, 10, 0.0, "fixed"),
+    workloads.Solve("fista", 15, 100.0, 1, 20, 0.0, "backtracking"),
+    workloads.Solve("proxgrad", 15, 100.0, 1, 20, 0.0, "backtracking"),
+), starts=2)
+
+
+def test_the_selftest_solves_reach_every_wrapped_function_but_subdiff():
+    # the selftest's "every wrapped function was reached" check already
+    # fails on nonsmooth.subdiff, so a library change that stops reaching
+    # another target would add no failure there; this pins the unreached set
+    x0 = SELFTEST_TINY.start_points(3)[0]
+    tr = tracer.Tracer(SELFTEST_TINY.solves[0].level_of_dim())
+    with tr.patched():
+        for solve in SELFTEST_TINY.solves:
+            workloads.run_solve(solve, x0)
+    called = {name for name, _ in tr.collect()[0].calls}
+    assert {t[2] for t in tracer.TARGETS} - called == {"nonsmooth.subdiff"}

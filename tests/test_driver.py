@@ -12,6 +12,7 @@ import pytest
 from proxmg.accelerated import fastmgprox_solve
 from proxmg.baselines import fista_solve, proxgrad_solve
 from proxmg.hierarchy import build_obstacle_hierarchy
+from proxmg.membrane import MembraneEnergy
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
 from proxmg.oracles import build_chain_hierarchy
 
@@ -112,6 +113,21 @@ def test_a_numpy_integer_budget_is_accepted(stack):
     x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, stack.fine.problem.dim)
     _, trace = proxgrad_solve(stack.fine.problem, x0, StoppingRule(np.int64(3), 0.0))
     assert trace.iterations == 3
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_a_start_with_a_non_finite_entry_is_rejected(name, bad, stack, x0, monkeypatch):
+    # |G(x0)| would be NaN, so the rule could never hold and the solve would
+    # spend its whole budget on NaNs; the driver refuses before evaluating
+    def evaluated(self, u):
+        raise AssertionError("evaluated a non-finite start")
+    for method in ("value", "grad", "value_and_grad"):
+        monkeypatch.setattr(MembraneEnergy, method, evaluated)
+    start = x0.copy()
+    start[7] = bad
+    with pytest.raises(ValueError, match="start point"):
+        SOLVERS[name](stack, start, StoppingRule(400, 1e-10))
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))

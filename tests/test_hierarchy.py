@@ -49,8 +49,7 @@ def test_coarse_obstacle_aligns_with_fine_points():
 
 
 def _identity_transfer(n):
-    eye = sp.csr_array(sp.identity(n))
-    return TransferPair(eye, eye)
+    return TransferPair(sp.csr_array(sp.identity(n)))
 
 
 def test_tau_vanishes_for_identical_problems_with_identity_transfer():
@@ -136,6 +135,13 @@ def test_stack_validation():
     stack = build_obstacle_hierarchy(7, 1e-6, 2)
     with pytest.raises(ValueError):
         LevelStack(stack.levels, 0)
+    # a fractional or NaN budget is refused at the build, not in range()
+    for budget in (2.5, float("nan"), 2.0):
+        with pytest.raises(ValueError, match="n_smooth"):
+            LevelStack(stack.levels, budget)
+    with pytest.raises(ValueError, match="n_smooth"):
+        build_obstacle_hierarchy(7, 1e-6, 2, 2.5)
+    assert build_obstacle_hierarchy(7, 1e-6, 2, np.int64(3)).n_smooth == 3
 
 
 def test_stack_is_immutable():

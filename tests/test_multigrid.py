@@ -275,23 +275,39 @@ def test_kocvara3_descends_but_lags_mgprox_on_the_obstacle():
     assert (not t_k.converged) or t_k.iterations > t_mg.iterations
 
 
-def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
-    # a fixed step costs one gradient; the pair (f, grad f) is completed once
-    # per smoothing block, not once per step, and only where the cycle reads
-    # it: after pre-smoothing above the coarsest level, and after the finest
-    # post-smoothing
+def _cycle_evaluations_per_level(monkeypatch, step_mode):
+    """MembraneEnergy calls per grid side over one cycle on the n = 15,
+    3-level stack from seed 0's start, with the entry pair given."""
     stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.uniform(0, 1, size=stack.fine.problem.dim)
     fg_x = stack.fine.problem.smooth.value_and_grad(x)
-    counts = {"grad": {}, "value_and_grad": {}}
+    counts = {"grad": {}, "value_and_grad": {}, "value": {}}
     for name in counts:
         def counted(self, u, _name=name, _orig=getattr(MembraneEnergy, name)):
             counts[_name][self._n] = counts[_name].get(self._n, 0) + 1
             return _orig(self, u)
         monkeypatch.setattr(MembraneEnergy, name, counted)
-    vcycle(stack, x, CycleConfig(step_mode="fixed"), fg_x)
-    assert counts == {"grad": {15: 39, 7: 39, 3: 19}, "value_and_grad": {15: 2, 7: 2, 3: 1}}
+    vcycle(stack, x, CycleConfig(step_mode=step_mode), fg_x)
+    return counts
+
+
+def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
+    # a fixed step costs one gradient; the pair (f, grad f) is completed once
+    # per smoothing block, not once per step, and only where the cycle reads
+    # it: after pre-smoothing above the coarsest level, at the corrected
+    # point (for the finest stage record and the first post-smoothing step
+    # alike), and after the finest post-smoothing.  The one value call left
+    # is the first fine step's F(y1) record
+    assert _cycle_evaluations_per_level(monkeypatch, "fixed") == {
+        "grad": {15: 38, 7: 38, 3: 19}, "value_and_grad": {15: 3, 7: 3, 3: 1},
+        "value": {15: 1}}
+
+
+def test_backtracking_cycle_evaluations_per_level(monkeypatch):
+    # every backtracking step returns its pair, so no stage record evaluates f
+    assert _cycle_evaluations_per_level(monkeypatch, "backtracking") == {
+        "grad": {}, "value_and_grad": {15: 51, 7: 50, 3: 27}, "value": {}}
 
 
 @pytest.mark.parametrize("lam", [1e-6, 100.0])

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from proxmg.grid import GridLevel, ij_to_k
 from proxmg.membrane import obstacle_values
 from proxmg.nonsmooth import SeparableNonsmooth
-from proxmg.transfer import (PROLONG_SCALE, adaptive_mask, build_full_weighting,
-                             build_line_weighting, prolong_adaptive,
-                             restrict_adaptive)
+from proxmg.transfer import (PROLONG_SCALE, TransferPair, adaptive_mask,
+                             build_full_weighting, build_line_weighting,
+                             prolong_adaptive, restrict_adaptive)
 
 
 def dense_weighting_oracle(n_fine):
@@ -92,8 +92,21 @@ def test_full_weighting_matches_stencil_oracle():
 @pytest.mark.parametrize("n_side", [3, 7, 15, 31, 63, 127])
 def test_full_weighting_has_the_bytes_of_the_kron_construction(n_side):
     t = build_full_weighting(GridLevel(n_side))
-    for got, want in zip((t.restrict, t.prolong), kron_weighting_oracle(n_side)):
+    R, P = kron_weighting_oracle(n_side)
+    for got, want in zip((t.restrict, sp.csr_array(t.prolong)), (R, P)):
         assert_same_csr_bytes(got, want)
+    # the CSC view of the scaled R multiplies with the bytes of a CSR P
+    v = np.random.Generator(np.random.PCG64(n_side)).standard_normal(t.n_coarse)
+    assert (t.prolong @ v).tobytes() == (P @ v).tobytes()
+
+
+def test_a_pair_takes_no_prolongation_of_its_own():
+    # P is derived from R, so no pair can carry a P that disagrees with it
+    t = build_full_weighting(GridLevel(7))
+    with pytest.raises(TypeError):
+        TransferPair(t.restrict, t.prolong)
+    with pytest.raises(TypeError):
+        TransferPair(restrict=t.restrict, prolong=t.prolong)
 
 
 @pytest.mark.parametrize("n_side", [3, 7, 15, 31, 63, 127])
@@ -220,7 +233,8 @@ def test_line_weighting():
 def test_line_weighting_has_the_bytes_of_the_loop_construction():
     for n_fine in range(2, 130):  # odd and even chains, down to one coarse point
         t = build_line_weighting(n_fine)
-        for got, want in zip((t.restrict, t.prolong), line_weighting_oracle(n_fine)):
+        for got, want in zip((t.restrict, sp.csr_array(t.prolong)),
+                             line_weighting_oracle(n_fine)):
             assert_same_csr_bytes(got, want)
 
 
