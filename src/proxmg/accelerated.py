@@ -101,8 +101,8 @@ def solve_alpha(L: float, gamma: float) -> float:
     Evaluated as 2 gamma / (gamma + sqrt(gamma^2 + 4 L gamma)), the
     cancellation-free form of (-gamma + sqrt(gamma^2 + 4 L gamma)) / (2 L).
     """
-    if L <= 0 or gamma <= 0:
-        raise ValueError("L and gamma must be positive")
+    if not L > 0 or not gamma > 0:  # NaN compares false
+        raise ValueError(f"L and gamma must be positive, got L={L}, gamma={gamma}")
     return 2.0 * gamma / (gamma + math.sqrt(gamma * gamma + 4.0 * L * gamma))
 
 
@@ -112,8 +112,8 @@ def lambda_rate_bound(k: int, gamma0: float, L: float) -> float:
     Lemma 2.2.4 of Nesterov's *Introductory Lectures* with mu = 0; it is 1 at
     k = 0 and holds for every L and gamma0.
     """
-    if gamma0 <= 0 or L <= 0:
-        raise ValueError("gamma0 and L must be positive")
+    if not gamma0 > 0 or not L > 0:  # NaN compares false
+        raise ValueError(f"gamma0 and L must be positive, got gamma0={gamma0}, L={L}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return 4.0 * L / (2.0 * math.sqrt(L) + k * math.sqrt(gamma0)) ** 2

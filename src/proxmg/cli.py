@@ -121,27 +121,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _setup(args):
-    """The level stack of the requested problem."""
+    """The level stack of the requested problem and the seed's start point
+    (the first draw of ``problems.start_points``), which every run begins at."""
     if args.problem == "eop":
-        return build_obstacle_hierarchy(2**args.n_exp - 1, args.lam, args.levels,
-                                        args.smoothing)
-    return build_chain_hierarchy(2**args.n_exp, args.lam, args.levels, args.smoothing,
-                                 seed=args.seed)
+        stack = build_obstacle_hierarchy(2**args.n_exp - 1, args.lam, args.levels,
+                                         args.smoothing)
+    else:
+        stack = build_chain_hierarchy(2**args.n_exp, args.lam, args.levels, args.smoothing,
+                                      seed=args.seed)
+    return stack, next(start_points(args.seed, stack.fine.problem.dim))
 
 
 def _run_algorithm(algo: str, stack, x0, args):
     stop = StoppingRule(args.max_iters, args.tol)
-    if algo in ("mgprox", "kocvara3", "fastmgprox"):
-        cycle_cfg = CycleConfig(variant="kocvara3" if algo == "kocvara3" else "mgprox",
-                                step_mode=args.step_mode)
-        if algo == "fastmgprox":
-            return fastmgprox_solve(stack, x0, stop, cycle_cfg)
-        return mgprox_solve(stack, x0, stop, cycle_cfg)
-    if algo == "proxgrad":
-        return proxgrad_solve(stack.fine.problem, x0, stop)
-    if algo == "fista":
-        return fista_solve(stack.fine.problem, x0, stop)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if algo in ("proxgrad", "fista"):
+        solve = proxgrad_solve if algo == "proxgrad" else fista_solve
+        return solve(stack.fine.problem, x0, stop)
+    cycle_cfg = CycleConfig(variant="kocvara3" if algo == "kocvara3" else "mgprox",
+                            step_mode=args.step_mode)
+    solve = fastmgprox_solve if algo == "fastmgprox" else mgprox_solve
+    return solve(stack, x0, stop, cycle_cfg)
 
 
 def _write_csv(path: str, trace, wall_time: bool):
@@ -155,9 +154,8 @@ def _write_csv(path: str, trace, wall_time: bool):
 
 
 def cmd_solve(args) -> int:
-    stack = _setup(args)
+    stack, x0 = _setup(args)
     problem = stack.fine.problem
-    x0 = next(start_points(args.seed, problem.dim))
     x, trace = _run_algorithm(args.algo, stack, x0, args)
     if args.out:
         _write_csv(args.out, trace, args.wall_time)
@@ -171,9 +169,8 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     # solvers keep their per-solve state in workspaces of their own, so they
     # share one stack and no row depends on the run order
-    stack = _setup(args)
+    stack, x0 = _setup(args)
     problem = stack.fine.problem
-    x0 = next(start_points(args.seed, problem.dim))
     results = {}
     for algo in ALGORITHMS:
         start = time.perf_counter()

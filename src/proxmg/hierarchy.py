@@ -144,8 +144,8 @@ def build_obstacle_hierarchy(n_side: int, lam: float = 1e-6, num_levels: int = 2
     analytically at each level's own points (which coincide with the aligned
     fine points), and the penalty weight is the same on every level.
     """
-    if num_levels < 1:
-        raise ValueError("need at least one level")
+    if not isinstance(num_levels, numbers.Integral) or num_levels < 1:
+        raise ValueError(f"num_levels must be an integer of at least 1, got {num_levels!r}")
     if n_side < 2**num_levels - 1:
         raise ValueError(
             f"n_side={n_side} too small for {num_levels} levels (need >= {2**num_levels - 1})"

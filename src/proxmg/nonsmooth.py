@@ -110,7 +110,7 @@ class SeparableNonsmooth:
         the tests hold the two to the same bytes.  A NaN in v propagates to
         the output.
         """
-        if step <= 0:
+        if not step > 0:  # NaN compares false
             raise ValueError(f"prox step must be positive, got {step}")
         v = self._vector(v)
         lam = step * self.lam

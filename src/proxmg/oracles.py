@@ -1,9 +1,10 @@
 """Independent oracles for tests and verification, plus the synthetic problem.
 
 The oracles re-derive what they check by other means: gradients by central
-differences, prox outputs by golden-section search, and the synthetic
-problem's curvature constants by power iteration.  The reference solution
-is the exception: it is one run of the library's FISTA solver, a
+differences and prox outputs by golden-section search.  Of the synthetic
+problem's curvature constants, L is the problem's own bound and only mu is
+computed again, by power iteration on the shifted matrix.  The reference
+solution is the exception: it is one run of the library's FISTA solver, a
 single-level method that shares no coarse correction with the multigrid
 solvers the certificates check, down to a relative prox-gradient norm of
 ``REFERENCE_TOL``.  It raises rather than return a point short of that.
@@ -12,16 +13,18 @@ solvers the certificates check, down to a relative prox-gradient norm of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .baselines import fista_solve
 from .hierarchy import Level, LevelStack
 from .multigrid import StoppingRule
 from .nonsmooth import SeparableNonsmooth
-from .problems import (CompositeProblem, QuadraticForm, extreme_eigenvalues, laplacian_1d,
-                       power_iteration, start_points)
+from .problems import (CompositeProblem, QuadraticForm, laplacian_1d, power_iteration,
+                       start_points)
 from .transfer import build_line_weighting
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -91,24 +94,34 @@ def brute_force_prox(g_scalar, v: float, step: float,
     return golden_section(h, lo, hi)
 
 
+def _chain_level(b: np.ndarray, lam: float) -> CompositeProblem:
+    """The chain problem with load ``b``: A = tridiag(-1, 2, -1) at b's size,
+    L its power-iteration bound, and the l1 term lam * ||x||_1."""
+    A = laplacian_1d(b.shape[0])
+    return CompositeProblem(QuadraticForm(A, b, power_iteration(A)), SeparableNonsmooth.l1(lam))
+
+
 def make_chain_problem(n: int, lam: float = 0.01, seed: int = 0) -> CompositeProblem:
     """Quadratic + l1 test problem: f = 0.5 x'Ax - b'x with A = tridiag(-1,2,-1).
 
     The curvature bound L is computed numerically (power iteration), and
-    :func:`chain_constants` re-derives (mu, L) for the rate certificates; b
-    is drawn from a seeded PCG64 stream for reproducibility.
+    :func:`chain_constants` reads it back with the mu it computes for the
+    rate certificates; b is drawn from a seeded PCG64 stream for
+    reproducibility.
     """
-    A = laplacian_1d(n)
     rng = np.random.Generator(np.random.PCG64(seed))
-    b = rng.uniform(-1.0, 1.0, size=n)
-    smooth = QuadraticForm(A, b, power_iteration(A))
-    problem = CompositeProblem(smooth, SeparableNonsmooth.l1(lam))
-    return problem
+    return _chain_level(rng.uniform(-1.0, 1.0, size=n), lam)
 
 
 def chain_constants(problem: CompositeProblem) -> tuple[float, float]:
-    """(mu, L) of the quadratic part, re-derived from the matrix."""
-    return extreme_eigenvalues(problem.smooth.A)
+    """(mu, L) of the quadratic part.
+
+    L is the problem's own bound, ``problem.lipschitz``.  mu is L minus the
+    largest eigenvalue of the shifted matrix L*I - A, by the same power
+    iteration that gave L.
+    """
+    A, L = problem.smooth.A, problem.lipschitz
+    return L - power_iteration(sp.csr_array(sp.identity(A.shape[0]) * L - A)), L
 
 
 def build_chain_hierarchy(n: int, lam: float = 0.01, num_levels: int = 2,
@@ -119,20 +132,15 @@ def build_chain_hierarchy(n: int, lam: float = 0.01, num_levels: int = 2,
     the halved size, the load is the restricted fine load, the penalty weight
     is unchanged.
     """
-    if num_levels < 1:
-        raise ValueError("need at least one level")
-    problems = [make_chain_problem(n, lam, seed)]
-    transfers = []
-    size = n
+    if not isinstance(num_levels, numbers.Integral) or num_levels < 1:
+        raise ValueError(f"num_levels must be an integer of at least 1, got {num_levels!r}")
+    problem = make_chain_problem(n, lam, seed)
+    levels = []
     for _ in range(num_levels - 1):
-        transfer = build_line_weighting(size)
-        size = transfer.n_coarse
-        A_c = laplacian_1d(size)
-        b_c = transfer.restrict @ problems[-1].smooth.b
-        problems.append(CompositeProblem(QuadraticForm(A_c, b_c, power_iteration(A_c)),
-                                         SeparableNonsmooth.l1(lam)))
-        transfers.append(transfer)
-    levels = [Level(p, t) for p, t in zip(problems, transfers + [None])]
+        transfer = build_line_weighting(problem.dim)
+        levels.append(Level(problem, transfer))
+        problem = _chain_level(transfer.restrict @ problem.smooth.b, lam)
+    levels.append(Level(problem))
     return LevelStack(levels, n_smooth=n_smooth)
 
 

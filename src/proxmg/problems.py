@@ -146,15 +146,3 @@ def power_iteration(A) -> float:
         lam = lam_new
     return lam
 
-
-def extreme_eigenvalues(A) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue estimates of symmetric PSD ``A``.
-
-    The smallest is obtained by power iteration on the shifted matrix
-    ``L*I - A``, so both estimates come from the same numerical primitive.
-    """
-    L = power_iteration(A)
-    n = A.shape[0]
-    shifted = sp.csr_array(sp.identity(n) * L - A)
-    mu = L - power_iteration(shifted)
-    return mu, L

@@ -48,7 +48,7 @@ def _descend(problem: CompositeProblem, x: np.ndarray, gt: np.ndarray,
 
 
 def _check_L(L: float) -> None:
-    if L <= 0:
+    if not L > 0:  # NaN compares false
         raise ValueError(f"L must be positive, got {L}")
 
 

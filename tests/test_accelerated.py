@@ -27,6 +27,14 @@ def test_alpha_closed_form_values():
         solve_alpha(1.0, -1.0)
 
 
+def test_alpha_rejects_a_nan_constant():
+    # NaN slips past a plain `<= 0` test, and the root came back NaN
+    with pytest.raises(ValueError, match="L and gamma must be positive"):
+        solve_alpha(math.nan, 1.0)
+    with pytest.raises(ValueError, match="L and gamma must be positive"):
+        solve_alpha(1.0, math.nan)
+
+
 @settings(max_examples=80, deadline=None)
 @given(L=st.floats(1e-3, 1e6), gamma=st.floats(1e-9, 1e6))
 def test_alpha_solves_its_equation_in_the_unit_interval(L, gamma):
@@ -44,6 +52,14 @@ def test_lambda_rate_bound_examples():
         lambda_rate_bound(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         lambda_rate_bound(-1, 1.0, 1.0)
+
+
+def test_lambda_rate_bound_rejects_a_nan_constant():
+    # NaN slips past a plain `<= 0` test, and the bound came back NaN
+    with pytest.raises(ValueError, match="gamma0 and L must be positive"):
+        lambda_rate_bound(1, math.nan, 1.0)
+    with pytest.raises(ValueError, match="gamma0 and L must be positive"):
+        lambda_rate_bound(1, 1.0, math.nan)
 
 
 def test_lambda_recursion_stays_under_the_bound_for_unit_constants():

@@ -1,7 +1,8 @@
 """Fixed-seed CSV bytes stay the same across changes, not only across runs.
 
-``proxmg compare`` is run at both step modes, without contact (lam = 1e-6)
-and in contact (lam = 100), and each solver's CSV is compared with the
+``proxmg compare`` is run on the obstacle problem at both step modes,
+without contact (lam = 1e-6) and in contact (lam = 100), and on the
+synthetic chain at its defaults, and each solver's CSV is compared with the
 SHA-256 recorded for it.  A change that moves any iterate by one ulp moves a
 digest, so a refactor that is meant to keep the bytes is checked here.  The
 digests were recorded with numpy 2.4 and scipy 1.17 on x86-64; a different
@@ -12,7 +13,7 @@ import hashlib
 
 import pytest
 
-from proxmg.cli import main
+from proxmg.cli import ALGORITHMS, main
 
 ARGS = ["compare", "--n-exp", "4", "--levels", "3", "--max-iters", "60", "--seed", "1"]
 
@@ -48,12 +49,30 @@ DIGESTS = {
 }
 
 
+def _csv_digests(args, tmp_path, capsys):
+    assert main([*args, "--out-prefix", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    return {algo: hashlib.sha256((tmp_path / f"c_{algo}.csv").read_bytes()).hexdigest()
+            for algo in ALGORITHMS}
+
+
 @pytest.mark.parametrize("step_mode, lam", sorted(DIGESTS))
 def test_compare_csvs_match_their_recorded_digests(step_mode, lam, tmp_path, capsys):
-    prefix = tmp_path / "c"
-    assert main([*ARGS, "--step-mode", step_mode, "--lam", lam,
-                 "--out-prefix", str(prefix)]) == 0
-    capsys.readouterr()
-    got = {algo: hashlib.sha256((tmp_path / f"c_{algo}.csv").read_bytes()).hexdigest()
-           for algo in DIGESTS[step_mode, lam]}
+    got = _csv_digests([*ARGS, "--step-mode", step_mode, "--lam", lam], tmp_path, capsys)
     assert got == DIGESTS[step_mode, lam]
+
+
+SYNTHETIC_ARGS = ["compare", "--problem", "synthetic", "--n-exp", "5", "--levels", "2",
+                  "--max-iters", "60", "--seed", "1"]
+
+SYNTHETIC_DIGESTS = {
+    "mgprox": "757e47e8b49a551a96a2a57db0c6699bebee6967d27f78988af753a2f0a6299f",
+    "fastmgprox": "92df60860f6964c4b6d26f687c79147ce8525adfc831d93f659ded2ba8f1b5a1",
+    "proxgrad": "78d8e380c5966f9205a60e8002aae5b05f83f82c94cf5cdec88a00a30a7af5fc",
+    "fista": "79f8034a27a1f3547c8a315a568893b0787973ea1695a48cf032d3d0966ce45c",
+    "kocvara3": "4d2df7a19c6f7f1e81274b6891c0a0e851e3c92bdd586b0d4e51040333d97a0a",
+}
+
+
+def test_synthetic_compare_csvs_match_their_recorded_digests(tmp_path, capsys):
+    assert _csv_digests(SYNTHETIC_ARGS, tmp_path, capsys) == SYNTHETIC_DIGESTS

@@ -9,7 +9,7 @@ from proxmg.hierarchy import (LevelStack, build_obstacle_hierarchy, build_tau)
 from proxmg.membrane import obstacle_values
 from proxmg.multigrid import vcycle
 from proxmg.nonsmooth import SeparableNonsmooth, select_subgradient
-from proxmg.oracles import make_chain_problem, reference_solution
+from proxmg.oracles import build_chain_hierarchy, make_chain_problem, reference_solution
 from proxmg.problems import CompositeProblem, tilted_objective
 from proxmg.transfer import TransferPair
 
@@ -142,6 +142,16 @@ def test_stack_validation():
     with pytest.raises(ValueError, match="n_smooth"):
         build_obstacle_hierarchy(7, 1e-6, 2, 2.5)
     assert build_obstacle_hierarchy(7, 1e-6, 2, np.int64(3)).n_smooth == 3
+
+
+@pytest.mark.parametrize("build, n", [(build_obstacle_hierarchy, 15),
+                                      (build_chain_hierarchy, 16)])
+def test_a_level_count_that_is_not_a_positive_integer_is_rejected(build, n):
+    # a fractional count used to die inside range() with a TypeError
+    for num_levels in (2.5, 2.0, float("nan"), 0, -1):
+        with pytest.raises(ValueError, match="num_levels"):
+            build(n, 1e-6, num_levels)
+    assert len(build(n, 1e-6, np.int64(3))) == 3
 
 
 def test_stack_is_immutable():

@@ -78,6 +78,14 @@ def test_an_obstacle_given_as_a_list_is_stored_as_float64():
         np.testing.assert_array_equal(g.prox(np.array([-1.0, 2.0]), 0.5), [-0.5, 2.0])
 
 
+@pytest.mark.parametrize("g", [SeparableNonsmooth.l1(1.0),
+                               SeparableNonsmooth.hinge(1.0, np.zeros(2))])
+def test_a_nan_prox_step_is_rejected(g):
+    # NaN slips past a plain step <= 0 test and returned an all-NaN output
+    with pytest.raises(ValueError, match="step must be positive"):
+        g.prox(np.array([-1.0, 2.0]), float("nan"))
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
 def test_a_weight_that_is_not_a_finite_nonnegative_number_is_rejected(lam):
     # every penalty is real-valued, and NaN slips past a plain lam < 0 test

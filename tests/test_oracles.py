@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from proxmg import oracles
+from proxmg import oracles, problems
 from proxmg.certificates import check_stage_monotonicity
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
 from proxmg.oracles import (brute_force_prox, build_chain_hierarchy,
                             chain_constants, fd_gradient, make_chain_problem,
                             reference_solution)
-from proxmg.problems import extreme_eigenvalues, laplacian_1d, start_points
+from proxmg.problems import laplacian_1d, power_iteration, start_points
 
 
 def test_fd_gradient_on_simple_functions():
@@ -28,11 +28,27 @@ def test_brute_force_prox_reproduces_hinge_cases():
 
 
 def test_power_iteration_against_dense_eigenvalues():
-    A = laplacian_1d(64)
-    mu, L = extreme_eigenvalues(A)
-    w = np.linalg.eigvalsh(A.toarray())
+    problem = make_chain_problem(64)
+    mu, L = chain_constants(problem)
+    w = np.linalg.eigvalsh(problem.smooth.A.toarray())
     assert L == pytest.approx(w[-1], rel=1e-8)
     assert mu == pytest.approx(w[0], rel=1e-6, abs=1e-9)
+
+
+def test_chain_constants_take_L_from_the_problem(monkeypatch):
+    # L is the problem's own bound, so only mu's shifted iteration runs
+    problem = make_chain_problem(64)
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return power_iteration(A)
+
+    monkeypatch.setattr(problems, "power_iteration", counted)
+    monkeypatch.setattr(oracles, "power_iteration", counted)
+    mu, L = chain_constants(problem)
+    assert calls == [(64, 64)]
+    assert np.float64(L).tobytes() == np.float64(problem.lipschitz).tobytes()
 
 
 def test_constants_bracket_sampled_rayleigh_quotients():

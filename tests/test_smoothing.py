@@ -117,7 +117,9 @@ def test_run_smoothing_validation():
         backtrack_L(LevelWork(p, -1.0, math.inf), None, np.array([1.0]))
 
 
-@pytest.mark.parametrize("L", [0.0, -1.0])
+# NaN compares false with 0 too, so a plain `L <= 0` let it through: the step
+# returned an all-NaN iterate and backtracking doubled NaN until it gave up
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
 def test_backtracking_rejects_a_nonpositive_estimate(L):
     p = make_obstacle_problem(7, 1.0)
     x = np.full(p.dim, 0.5)
