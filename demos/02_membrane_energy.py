@@ -6,15 +6,15 @@ grid point contributes sqrt(1 + 0 + 0)); bending costs more.  The gradient
 has a closed form through the chain rule, which we check here against central
 finite differences.  The curvature bound 8 / h^2 is what the solvers use for
 their fixed 1/L smoothing steps: the Hessian never exceeds D^T D + E^T E,
-whose largest eigenvalue (by power iteration here) it exceeds by less than
-5 % from n = 7 on.
+whose largest eigenvalue (from numpy's dense symmetric eigensolver here) it
+exceeds by less than 5 % from n = 7 on.
 """
 
 import numpy as np
 
 from proxmg import (GridLevel, build_difference_operators, fd_gradient,
                     lipschitz_upper_bound, make_obstacle_problem,
-                    obstacle_values, power_iteration)
+                    obstacle_values)
 
 grid = GridLevel(7)
 D, E = build_difference_operators(grid)
@@ -41,7 +41,7 @@ print("\ncurvature bound 8 / h^2 against lambda_max(D^T D + E^T E):")
 for n_side in (3, 7, 15):
     Dn, En = build_difference_operators(GridLevel(n_side))
     print(f"  n = {n_side:>2}: {lipschitz_upper_bound(GridLevel(n_side)):7.1f} "
-          f">= {power_iteration(Dn.T @ Dn + En.T @ En):7.1f}")
+          f">= {np.linalg.eigvalsh((Dn.T @ Dn + En.T @ En).toarray())[-1]:7.1f}")
 
 phi = obstacle_values(7)
 print("\nobstacle heights over the grid (two sine bumps, clamped at zero):")

@@ -33,7 +33,7 @@ from .multigrid import (WORK_RATIO, CycleConfig, SolverTrace, StoppingRule,
 from .nonsmooth import SeparableNonsmooth
 from .oracles import (Reference, brute_force_prox, build_chain_hierarchy,
                       chain_constants, fd_gradient, reference_solution)
-from .problems import power_iteration, start_points
+from .problems import start_points
 from .smoothing import prox_grad_step
 
 # Tolerances of the checks.  A slack is added to the side of an inequality
@@ -178,30 +178,39 @@ def check_fast_certificates(trace: SolverTrace, gamma0: float,
     The iterations after which the run restarted its estimate sequence are
     ``trace.meta["restarts"]``.  A restart resets gamma and lambda together
     and phi_bar to F(x+), so only the decay bound needs the epochs; the
-    other four hold per iteration.
+    other four hold per iteration.  A certificate fails at margin -inf, and
+    names the series, when a series it reads from ``trace.extras`` does not
+    hold one entry per iteration.
     """
     ex = trace.extras
     lam = ex.get("lam", [])
     restarts = trace.meta.get("restarts", [])
+
+    def least(name, keys, margins, detail, strict=False):
+        short = "; ".join(f"{k} holds {len(ex.get(k, []))} of {trace.iterations} entries"
+                          for k in keys if len(ex.get(k, [])) != trace.iterations)
+        return (CertificateResult(name, False, float("-inf"), short) if short
+                else _least(name, margins, detail, strict))
+
     return [
-        _least("lambda-decay-bound", _lambda_decay_margins(lam, restarts, gamma0, L),
-               f"{len(lam)} iterations", strict=True),
-        _least("estimate-sequence-bound",
-               ((p - F) / max(1.0, abs(p)) + FAST_REL_SLACK
-                for F, p in zip(trace.objectives, ex.get("phi_bar", []))),
-               f"F(x^k) <= phi_bar^k, {len(restarts)} restarts"),
-        _least("gamma-lambda-identity",
-               (1e-12 - abs(g - l * gamma0) / max(1.0, g)
-                for _, g, l in zip(ex.get("alpha", []), ex.get("gamma", []), lam)),
-               "gamma^k = lambda^k gamma0"),
-        _least("alpha-equation",
-               (1e-14 - r / (gamma0 * l) for r, l in zip(ex.get("alpha_residual", []), lam)),
-               "L a^2 = (1 - a) gamma, relative to gamma0 lambda^k"),
-        _least("accelerated-descent",
-               (F_y - gny * gny / (2.0 * L) + 1e-10 * max(1.0, abs(F_y)) - F_next
-                for F_y, gny, F_next in zip(ex.get("F_y", []), ex.get("g_norm_y", []),
-                                            trace.objectives)),
-               "F(x+) <= F(y) - ||G(y)||^2/2L"),
+        least("lambda-decay-bound", ["lam"], _lambda_decay_margins(lam, restarts, gamma0, L),
+              f"{len(lam)} iterations", strict=True),
+        least("estimate-sequence-bound", ["phi_bar"],
+              ((p - F) / max(1.0, abs(p)) + FAST_REL_SLACK
+               for F, p in zip(trace.objectives, ex.get("phi_bar", []))),
+              f"F(x^k) <= phi_bar^k, {len(restarts)} restarts"),
+        least("gamma-lambda-identity", ["gamma", "lam"],
+              (1e-12 - abs(g - l * gamma0) / max(1.0, g)
+               for g, l in zip(ex.get("gamma", []), lam)),
+              "gamma^k = lambda^k gamma0"),
+        least("alpha-equation", ["alpha_residual", "lam"],
+              (1e-14 - r / (gamma0 * l) for r, l in zip(ex.get("alpha_residual", []), lam)),
+              "L a^2 = (1 - a) gamma, relative to gamma0 lambda^k"),
+        least("accelerated-descent", ["F_y", "g_norm_y"],
+              (F_y - gny * gny / (2.0 * L) + 1e-10 * max(1.0, abs(F_y)) - F_next
+               for F_y, gny, F_next in zip(ex.get("F_y", []), ex.get("g_norm_y", []),
+                                           trace.objectives)),
+              "F(x+) <= F(y) - ||G(y)||^2/2L"),
     ]
 
 
@@ -239,15 +248,16 @@ def check_lipschitz_bound(stack: LevelStack) -> CertificateResult:
     That operator is the membrane energy's Hessian at u = 0 and bounds it
     everywhere (see ``lipschitz_upper_bound``), so a fixed 1/L_est step
     obeys the descent lemma only when this holds.  lambda_max comes from
-    power iteration on the sparse difference operators, not the stencil;
-    its Rayleigh quotient approaches lambda_max from below, so the check is
-    numerical and the proof is the bound's derivation.  The margin is the
-    least L_est - lambda_max over the levels, and the detail lists each.
+    ``numpy.linalg.eigvalsh`` on the dense form of the operator built from
+    the sparse difference operators, not from the stencil.  The dense form
+    takes n_side^4 doubles and n_side^6 operations, so this check is for
+    small grids such as ``verify``'s n = 15.  The margin is the least
+    L_est - lambda_max over the levels, and the detail lists each.
     """
     margins = []
     for lev in stack.levels:
         D, E = build_difference_operators(lev.problem.smooth.grid)
-        margins.append(lev.L_est - power_iteration(D.T @ D + E.T @ E))
+        margins.append(lev.L_est - np.linalg.eigvalsh((D.T @ D + E.T @ E).toarray())[-1])
     sides = "/".join(str(lev.problem.smooth.grid.n_side) for lev in stack.levels)
     return _least("lipschitz-bound", margins, f"margins at n = {sides}: "
                   + " / ".join(f"{m:.3e}" for m in margins))

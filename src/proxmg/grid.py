@@ -12,6 +12,7 @@ All floating-point work is IEEE double precision.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -23,19 +24,19 @@ def _is_pow2_minus_1(n: int) -> bool:
 class GridLevel:
     """Interior points of a uniform square grid at one resolution level.
 
-    ``n_side`` must equal ``2**m - 1`` for some ``m >= 1`` so that the next
-    coarser grid, with ``(n_side - 1) // 2`` points per side, has the same
-    form.  ``h`` is the algebraic mesh width ``1 / (n_side + 1)``; physical
-    coordinates enter only where a concrete domain is sampled.
+    ``n_side`` must be an integer (numpy's included) equal to ``2**m - 1``
+    for some ``m >= 1`` so that the next coarser grid, with
+    ``(n_side - 1) // 2`` points per side, has the same form.  ``h`` is the
+    algebraic mesh width ``1 / (n_side + 1)``; physical coordinates enter
+    only where a concrete domain is sampled.
     """
 
     n_side: int
 
     def __post_init__(self):
-        if not _is_pow2_minus_1(self.n_side):
-            raise ValueError(
-                f"n_side must be 2**m - 1 for some m >= 1, got {self.n_side}"
-            )
+        if not (isinstance(self.n_side, numbers.Integral) and _is_pow2_minus_1(self.n_side)):
+            raise ValueError(f"n_side must be an integer 2**m - 1 for some m >= 1, "
+                             f"got {self.n_side!r}")
 
     @property
     def h(self) -> float:

@@ -2,12 +2,13 @@
 
 The oracles re-derive what they check by other means: gradients by central
 differences and prox outputs by golden-section search.  Of the synthetic
-problem's curvature constants, L is the problem's own bound and only mu is
-computed again, by power iteration on the shifted matrix.  The reference
-solution is the exception: it is one run of the library's FISTA solver, a
-single-level method that shares no coarse correction with the multigrid
-solvers the certificates check, down to a relative prox-gradient norm of
-``REFERENCE_TOL``.  It raises rather than return a point short of that.
+problem's curvature constants, L is the problem's own bound, the matrix's
+largest absolute row sum, and mu is its smallest eigenvalue from numpy's
+dense symmetric eigensolver.  The reference solution is the exception: it
+is one run of the library's FISTA solver, a single-level method that
+shares no coarse correction with the multigrid solvers the certificates
+check, down to a relative prox-gradient norm of ``REFERENCE_TOL``.  It
+raises rather than return a point short of that.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .baselines import fista_solve
 from .hierarchy import Level, LevelStack
 from .multigrid import StoppingRule
 from .nonsmooth import SeparableNonsmooth
-from .problems import (CompositeProblem, QuadraticForm, laplacian_1d, power_iteration,
-                       start_points)
+from .problems import CompositeProblem, QuadraticForm, laplacian_1d, start_points
 from .transfer import build_line_weighting
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -96,18 +95,20 @@ def brute_force_prox(g_scalar, v: float, step: float,
 
 def _chain_level(b: np.ndarray, lam: float) -> CompositeProblem:
     """The chain problem with load ``b``: A = tridiag(-1, 2, -1) at b's size,
-    L its power-iteration bound, and the l1 term lam * ||x||_1."""
+    L = ||A||_inf (4 from three unknowns on, lambda_max itself below), and
+    the l1 term lam * ||x||_1."""
     A = laplacian_1d(b.shape[0])
-    return CompositeProblem(QuadraticForm(A, b, power_iteration(A)), SeparableNonsmooth.l1(lam))
+    L = float(abs(A).sum(axis=1).max())
+    return CompositeProblem(QuadraticForm(A, b, L), SeparableNonsmooth.l1(lam))
 
 
 def make_chain_problem(n: int, lam: float = 0.01, seed: int = 0) -> CompositeProblem:
     """Quadratic + l1 test problem: f = 0.5 x'Ax - b'x with A = tridiag(-1,2,-1).
 
-    The curvature bound L is computed numerically (power iteration), and
-    :func:`chain_constants` reads it back with the mu it computes for the
-    rate certificates; b is drawn from a seeded PCG64 stream for
-    reproducibility.
+    The curvature bound L is A's largest absolute row sum, which bounds
+    every eigenvalue, and :func:`chain_constants` reads it back with the mu
+    it computes for the rate certificates; b is drawn from a seeded PCG64
+    stream for reproducibility.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     return _chain_level(rng.uniform(-1.0, 1.0, size=n), lam)
@@ -116,12 +117,10 @@ def make_chain_problem(n: int, lam: float = 0.01, seed: int = 0) -> CompositePro
 def chain_constants(problem: CompositeProblem) -> tuple[float, float]:
     """(mu, L) of the quadratic part.
 
-    L is the problem's own bound, ``problem.lipschitz``.  mu is L minus the
-    largest eigenvalue of the shifted matrix L*I - A, by the same power
-    iteration that gave L.
+    L is the problem's own bound, ``problem.lipschitz``.  mu is the
+    smallest eigenvalue of A by ``numpy.linalg.eigvalsh`` on its dense form.
     """
-    A, L = problem.smooth.A, problem.lipschitz
-    return L - power_iteration(sp.csr_array(sp.identity(A.shape[0]) * L - A)), L
+    return float(np.linalg.eigvalsh(problem.smooth.A.toarray())[0]), problem.lipschitz
 
 
 def build_chain_hierarchy(n: int, lam: float = 0.01, num_levels: int = 2,

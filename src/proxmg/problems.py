@@ -21,9 +21,6 @@ import scipy.sparse as sp
 
 from .nonsmooth import SeparableNonsmooth
 
-POWER_TOL = 1e-13          # power_iteration: relative change of the Rayleigh quotient
-POWER_MAX_ITERS = 200000   # power_iteration: iteration cap
-
 
 @dataclass(frozen=True)
 class CompositeProblem:
@@ -118,31 +115,5 @@ def start_points(seed: int, dim: int):
 
 def laplacian_1d(n: int) -> sp.csr_array:
     """The n x n tridiagonal (-1, 2, -1) matrix (unscaled 1-D Dirichlet Laplacian)."""
-    main = 2.0 * np.ones(n)
-    off = -1.0 * np.ones(n - 1)
-    return sp.csr_array(sp.diags_array([off, main, off], offsets=[-1, 0, 1]))
-
-
-def power_iteration(A) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by plain power iteration.
-
-    Iterates until the Rayleigh quotient changes by at most ``POWER_TOL``
-    (relative) or ``POWER_MAX_ITERS`` iterations have run.  Deterministic:
-    starts from a fixed ramp vector.
-    """
-    n = A.shape[0]
-    v = 1.0 + np.arange(n, dtype=np.float64) / n
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (A @ v))
-        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+    return sp.csr_array(sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n)))
 

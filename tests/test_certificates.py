@@ -52,6 +52,39 @@ def test_an_empty_run_holds_every_reducing_certificate_at_zero():
         assert r.passed and r.margin == 0.0 and np.copysign(1.0, r.margin) == 1.0, r.line()
 
 
+# the fast certificates that read each series of an accelerated trace
+FAST_READERS = {
+    "lam": {"lambda-decay-bound", "gamma-lambda-identity", "alpha-equation"},
+    "phi_bar": {"estimate-sequence-bound"},
+    "gamma": {"gamma-lambda-identity"},
+    "alpha_residual": {"alpha-equation"},
+    "F_y": {"accelerated-descent"},
+    "g_norm_y": {"accelerated-descent"},
+    "alpha": set(),
+}
+
+
+def test_fast_certificates_fail_on_a_missing_or_short_series():
+    stack = build_obstacle_hierarchy(15, 100.0, 3)
+    _, trace = fastmgprox_solve(stack, next(start_points(0, 225)), StoppingRule(20, 0.0))
+    gamma0, L = trace.meta["gamma0"], stack.fine.L_est
+    assert sorted(trace.extras) == sorted(FAST_READERS)
+    assert all(r.passed for r in check_fast_certificates(trace, gamma0, L))
+
+    def failed(extras):
+        results = check_fast_certificates(dataclasses.replace(trace, extras=extras), gamma0, L)
+        return {r.name: r for r in results if not r.passed}
+
+    for key, readers in FAST_READERS.items():
+        without = failed({k: v for k, v in trace.extras.items() if k != key})
+        assert set(without) == readers, key
+        for r in without.values():
+            assert r.margin == float("-inf") and f"{key} holds 0 of 20 entries" in r.detail
+    short = failed({**trace.extras, "phi_bar": trace.extras["phi_bar"][:3]})
+    assert set(short) == {"estimate-sequence-bound"}
+    assert short["estimate-sequence-bound"].detail == "phi_bar holds 3 of 20 entries"
+
+
 def test_a_run_without_iterations_is_judged_at_its_start():
     # the driver's relative |G| at the start is 1, so a failed certificate
     # cannot report a positive margin

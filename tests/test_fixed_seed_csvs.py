@@ -66,11 +66,11 @@ SYNTHETIC_ARGS = ["compare", "--problem", "synthetic", "--n-exp", "5", "--levels
                   "--max-iters", "60", "--seed", "1"]
 
 SYNTHETIC_DIGESTS = {
-    "mgprox": "757e47e8b49a551a96a2a57db0c6699bebee6967d27f78988af753a2f0a6299f",
-    "fastmgprox": "92df60860f6964c4b6d26f687c79147ce8525adfc831d93f659ded2ba8f1b5a1",
-    "proxgrad": "78d8e380c5966f9205a60e8002aae5b05f83f82c94cf5cdec88a00a30a7af5fc",
-    "fista": "79f8034a27a1f3547c8a315a568893b0787973ea1695a48cf032d3d0966ce45c",
-    "kocvara3": "4d2df7a19c6f7f1e81274b6891c0a0e851e3c92bdd586b0d4e51040333d97a0a",
+    "mgprox": "3adfadf63c5f8dc19956138c41731aaa168582dd3607da293eaafd5b78a980e4",
+    "fastmgprox": "98dd5ed30e7bacb89df50326df368dda047a7083ef9d0e86a46f7478ec4bf016",
+    "proxgrad": "4ffb50ea9544e60891bd85ba247fd36400e9d1fb423b02ae8ceae7c313614df2",
+    "fista": "e6f717f1af921727d74a6db16c61c659affe4b8a671e8598b312095a30ec3b2c",
+    "kocvara3": "43a35eddd34297d351a911e07db399954a5097b54ee84570c4f71460081b97ae",
 }
 
 

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from proxmg.grid import GridLevel, ij_to_k
+from proxmg.hierarchy import build_obstacle_hierarchy
 
 
 def test_flat_index_examples():
@@ -35,3 +37,12 @@ def test_grid_level_validation():
     for bad in (0, 2, 4, 5, 6, 8):
         with pytest.raises(ValueError):
             GridLevel(bad)
+
+
+def test_grid_level_refuses_a_side_that_is_not_an_integer():
+    for bad in (15.0, np.float64(15), "15"):
+        with pytest.raises(ValueError, match="n_side"):
+            GridLevel(bad)
+    with pytest.raises(ValueError, match="n_side"):
+        build_obstacle_hierarchy(15.0, 1e-6, 2)
+    assert GridLevel(np.int64(15)).n_total == 225

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from proxmg import oracles, problems
+from proxmg import oracles
 from proxmg.certificates import check_stage_monotonicity
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
 from proxmg.oracles import (brute_force_prox, build_chain_hierarchy,
                             chain_constants, fd_gradient, make_chain_problem,
                             reference_solution)
-from proxmg.problems import laplacian_1d, power_iteration, start_points
+from proxmg.problems import laplacian_1d, start_points
 
 
 def test_fd_gradient_on_simple_functions():
@@ -27,28 +27,26 @@ def test_brute_force_prox_reproduces_hinge_cases():
         brute_force_prox(lambda t: abs(t), 0.0, 1.0, bracket=(1.0, -1.0))
 
 
-def test_power_iteration_against_dense_eigenvalues():
+def test_chain_constants_against_dense_eigenvalues():
+    # L is a bound (||A||_inf = 4), 0.058 % above lambda_max at n = 64
     problem = make_chain_problem(64)
     mu, L = chain_constants(problem)
     w = np.linalg.eigvalsh(problem.smooth.A.toarray())
-    assert L == pytest.approx(w[-1], rel=1e-8)
-    assert mu == pytest.approx(w[0], rel=1e-6, abs=1e-9)
+    assert w[-1] <= L <= 1.001 * w[-1]
+    assert mu == w[0]
 
 
-def test_chain_constants_take_L_from_the_problem(monkeypatch):
-    # L is the problem's own bound, so only mu's shifted iteration runs
+def test_chain_constants_take_L_from_the_problem():
     problem = make_chain_problem(64)
-    calls = []
-
-    def counted(A):
-        calls.append(A.shape)
-        return power_iteration(A)
-
-    monkeypatch.setattr(problems, "power_iteration", counted)
-    monkeypatch.setattr(oracles, "power_iteration", counted)
     mu, L = chain_constants(problem)
-    assert calls == [(64, 64)]
     assert np.float64(L).tobytes() == np.float64(problem.lipschitz).tobytes()
+
+
+@pytest.mark.parametrize("n, levels", [(64, 4), (1024, 3)])
+def test_every_chain_level_bounds_its_curvature(n, levels):
+    for level in build_chain_hierarchy(n, 0.01, levels).levels:
+        lam_max = np.linalg.eigvalsh(level.problem.smooth.A.toarray())[-1]
+        assert level.problem.lipschitz >= lam_max, (level.problem.dim, lam_max)
 
 
 def test_constants_bracket_sampled_rayleigh_quotients():
