@@ -34,8 +34,7 @@ from .oracles import (Reference, brute_force_prox, build_chain_hierarchy,
                       make_chain_problem, reference_solution)
 from .problems import (CompositeProblem, QuadraticForm, laplacian_1d,
                        start_points, tilted_objective, tilted_value_change)
-from .smoothing import (SmoothResult, backtrack_L, prox_grad_map, prox_grad_step,
-                        run_smoothing)
+from .smoothing import backtrack_L, prox_grad_map, prox_grad_step, run_smoothing
 from .transfer import (TransferPair, adaptive_mask, build_full_weighting,
                        build_line_weighting, prolong_adaptive,
                        restrict_adaptive)

@@ -187,7 +187,9 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
 
     An iteration from x to x+ ends its epoch when F(x+) > F(x),
     <G(y), x+ - x> > 0 or ||x+ - x|| < ||x - x-||; the next epoch starts at
-    x+.  The iterations after which one started are
+    x+ the way the first one starts at x0: the next step builds its state
+    with z = x+, gamma = gamma0, lambda = 1 and phi_bar = F(x+) from the
+    driver's record.  The iterations after which one started are
     ``trace.meta["restarts"]``, and ``trace.meta["restart_reasons"]`` names,
     for each, the first of ``"function"``, ``"gradient"`` and ``"speed"``
     that fired.  The solve keeps its per-level state in a workspace of its
@@ -207,7 +209,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     def step(x, fg):
         nonlocal state, prev_sq
         F_x = trace.objectives[-1] if trace.objectives else trace.objective_initial
-        if state is None:  # z0 = x0 and phi_bar0 = F(x0)
+        if state is None:  # an epoch starts: z = x and phi_bar = F(x)
             state = FastState(z=x.copy(), gamma=L0, phi_bar=F_x)
         x_next, fg_next, state, diag = fast_step(stack, state, x, config, work)
         ctrace = diag.pop("cycle")
@@ -221,7 +223,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
                   "speed" if d_sq < prev_sq else None)
         prev_sq = d_sq
         if reason:
-            state = FastState(z=x_next, gamma=L0, phi_bar=F_next)
+            state = None
             trace.meta["restarts"].append(trace.iterations + 1)
             trace.meta["restart_reasons"].append(reason)
         return x_next, fg_next, ctrace

@@ -179,14 +179,19 @@ class MembraneEnergy:
         # the last i of each grid column has the zero boundary as its neighbour
         np.subtract(_ZERO, s.body_edge, out=eu_edge)
 
-    def _slopes(self, u: np.ndarray) -> MembraneScratch:
-        """Scratch holding Du, Eu and r = sqrt(1 + (Du)^2 + (Eu)^2), flat."""
+    def _squared_slopes(self, u: np.ndarray) -> MembraneScratch:
+        """Scratch holding Du, Eu and r^2 = 1 + (Du)^2 + (Eu)^2 in ``r``, flat."""
         s = self._scratch
         self._differences(u, s.du, s.eu, s.eu_edge)
         np.multiply(s.du, s.du, out=s.r)
         np.add(s.r, _ONE, out=s.r)
         np.multiply(s.eu, s.eu, out=s.tmp)
         np.add(s.r, s.tmp, out=s.r)
+        return s
+
+    def _slopes(self, u: np.ndarray) -> MembraneScratch:
+        """Scratch holding Du, Eu and r = sqrt(1 + (Du)^2 + (Eu)^2), flat."""
+        s = self._squared_slopes(u)
         np.sqrt(s.r, out=s.r)
         return s
 
@@ -226,7 +231,7 @@ class MembraneEnergy:
         """
         s = self._scratch
         self._differences(np.subtract(z, y), s.dd, s.ed, s.ed_edge)
-        self._differences(y, s.du, s.eu, s.eu_edge)
+        self._squared_slopes(y)  # r_y^2 in s.r
         np.add(s.du, s.du, out=s.tmp)
         np.add(s.tmp, s.dd, out=s.tmp)
         np.multiply(s.tmp, s.dd, out=s.dd)
@@ -234,10 +239,6 @@ class MembraneEnergy:
         np.add(s.tmp, s.ed, out=s.tmp)
         np.multiply(s.tmp, s.ed, out=s.ed)
         np.add(s.dd, s.ed, out=s.dd)  # q_z - q_y
-        np.multiply(s.du, s.du, out=s.r)
-        np.add(s.r, _ONE, out=s.r)
-        np.multiply(s.eu, s.eu, out=s.tmp)
-        np.add(s.r, s.tmp, out=s.r)  # r_y^2
         np.add(s.r, s.dd, out=s.tmp)  # r_z^2
         np.sqrt(s.r, out=s.r)
         np.sqrt(s.tmp, out=s.tmp)

@@ -19,6 +19,10 @@ working estimate L up to its cap L_cap, both kept in the solve's workspace
 the smoothing steps, which grow its estimate themselves.  Backtracking
 starts L at 1 below a cap of a few times the certified bound; a fixed step
 is the backtracking step started at its cap, L = L_cap = the certified bound.
+Every smoothing block returns its output with the pair (f, grad f) there,
+as a single step does.  The finest level takes its first pre-smoothing
+step on its own, since that step is the certificates' witness, and runs
+the rest of its budget as a block.
 
 Every cycle returns its output, the fine pair (f, grad f) there, and a
 trace of Python numbers carrying the descent certificates: objective values
@@ -44,7 +48,7 @@ import numpy as np
 
 from .hierarchy import LevelStack, LevelWork, build_tau, workspace
 from .problems import CompositeProblem, tilted_objective, tilted_value_change
-from .smoothing import prox_grad_map, run_smoothing
+from .smoothing import backtrack_L, prox_grad_map, run_smoothing
 from .transfer import adaptive_mask, prolong_adaptive
 
 
@@ -119,30 +123,32 @@ def naive_line_search(problem: CompositeProblem, tau, y: np.ndarray,
 
 def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarray,
                 tau, config: CycleConfig, trace: CycleTrace,
-                fg_x: tuple) -> tuple[np.ndarray, tuple | None]:
+                fg_x: tuple) -> tuple[np.ndarray, tuple]:
     """One level of the cycle from x, where fg_x = (f(x), grad f(x)) of the
-    level's smooth part.  Returns the level's output with the pair there;
-    only the finest level evaluates that pair, and a coarser one returns
-    whatever its last smoothing step left (None when it computed none).
-    The pair at the corrected point z is evaluated once, for the finest
-    stage record and the first post-smoothing step alike.  The level's step
-    estimate lives in its workspace, and the smoothing steps grow it there
-    (see ``smoothing.backtrack_L``)."""
+    level's smooth part.  Returns the level's output with the pair there,
+    as a smoothing block returns it.  The finest level takes its first
+    pre-smoothing step itself and records it, the witness of the
+    sufficient-descent certificates.  The pair at the corrected point z is
+    evaluated once, for the finest stage record and the first
+    post-smoothing step alike.  The level's step estimate lives in its
+    workspace, and the smoothing steps grow it there (see
+    ``smoothing.backtrack_L``)."""
     level, lw = stack[ell], work[ell]
     problem = lw.problem
-    coarsest = ell == len(stack) - 1
-
-    pre = run_smoothing(lw, tau, x, stack.n_smooth, fg_x, pair=not coarsest)
-    trace.smoothing_steps[ell] += stack.n_smooth
-    if coarsest:
-        return pre.x, pre.fg
-    y, fg_y = pre.x, pre.fg
+    if ell == len(stack) - 1:
+        trace.smoothing_steps[ell] = stack.n_smooth
+        return run_smoothing(lw, tau, x, stack.n_smooth, fg_x)
+    trace.smoothing_steps[ell] = 2 * stack.n_smooth
     if ell == 0:
-        G = pre.L_first * (x - pre.y_first)
-        trace.G_first_sq, trace.L_first = float(G @ G), pre.L_first
-        trace.F_y_first = tilted_objective(problem, tau, pre.y_first, pre.f_first)
+        y, fg_y = backtrack_L(lw, tau, x, fg_x)
+        G = lw.L * (x - y)
+        trace.G_first_sq, trace.L_first = float(G @ G), lw.L
+        trace.F_y_first = tilted_objective(problem, tau, y, None if fg_y is None else fg_y[0])
+        y, fg_y = run_smoothing(lw, tau, y, stack.n_smooth - 1, fg_y)
         trace.stage_objectives += [tilted_objective(problem, tau, x, fg_x[0]),
                                    tilted_objective(problem, tau, y, fg_y[0])]
+    else:
+        y, fg_y = run_smoothing(lw, tau, x, stack.n_smooth, fg_x)
 
     transfer = level.transfer_down
     x_coarse = transfer.restrict @ y  # variables restrict with the full operator
@@ -180,12 +186,11 @@ def _level_pass(stack: LevelStack, work: list[LevelWork], ell: int, x: np.ndarra
     trace.alphas[ell] = alpha
 
     fg_z = problem.smooth.value_and_grad(z)
-    post = run_smoothing(lw, tau, z, stack.n_smooth, fg_z, pair=ell == 0)
-    trace.smoothing_steps[ell] += stack.n_smooth
+    x_next, fg_next = run_smoothing(lw, tau, z, stack.n_smooth, fg_z)
     if ell == 0:
         trace.stage_objectives += [tilted_objective(problem, tau, z, fg_z[0]),
-                                   tilted_objective(problem, tau, post.x, post.fg[0])]
-    return post.x, post.fg
+                                   tilted_objective(problem, tau, x_next, fg_next[0])]
+    return x_next, fg_next
 
 
 def vcycle(stack: LevelStack, x: np.ndarray, config: CycleConfig | None = None,

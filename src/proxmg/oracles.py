@@ -108,8 +108,11 @@ def make_chain_problem(n: int, lam: float = 0.01, seed: int = 0) -> CompositePro
     The curvature bound L is A's largest absolute row sum, which bounds
     every eigenvalue, and :func:`chain_constants` reads it back with the mu
     it computes for the rate certificates; b is drawn from a seeded PCG64
-    stream for reproducibility.
+    stream for reproducibility.  ``n`` must be an integer (numpy's
+    included) of at least 1.
     """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return _chain_level(rng.uniform(-1.0, 1.0, size=n), lam)
 

@@ -19,13 +19,13 @@ The steps take the level's share of a solve's workspace (``work``, a
 ``L_cap``.  A step writes the L it accepted back to ``work.L``, so the
 estimate only ever grows (Beck and Teboulle's monotone rule) and no caller
 updates it.  Every array a step returns is freshly allocated.  A block of
-steps returns the pair (f, grad f) at its output, so the next stage of a
-cycle reads it rather than evaluating it again.
+steps returns what a step returns, its output and the pair (f, grad f)
+there, which it completes once at its end when its last step was a fixed
+one, so the next stage of a cycle reads the pair rather than evaluating it
+again.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,37 +120,22 @@ def backtrack_L(work, tau, x: np.ndarray,
     raise RuntimeError(f"backtracking exceeded {MAX_DOUBLINGS} doublings; last L = {L / 2.0}")
 
 
-@dataclass
-class SmoothResult:
-    """Outcome of a block of smoothing steps; the estimate after it is the
-    workspace's ``L``."""
-
-    x: np.ndarray
-    y_first: np.ndarray  # iterate after the first step
-    L_first: float       # stepsize parameter used at the first step
-    fg: tuple | None     # (f(x), grad f(x)) at the output x; see run_smoothing
-    f_first: float | None = None  # f(y_first) when the first step computed it
-
-
 def run_smoothing(work, tau, x: np.ndarray, n_steps: int,
-                  fg_x: tuple | None = None, pair: bool = True) -> SmoothResult:
-    """n_steps backtracking steps (see :func:`backtrack_L`) on ``work``.
+                  fg_x: tuple | None = None) -> tuple[np.ndarray, tuple]:
+    """n_steps backtracking steps (see :func:`backtrack_L`) on ``work``;
+    returns (x, (f(x), grad f(x))) at the block's output, as a step does.
 
     ``fg_x`` is (f(x), grad f(x)) when the caller already has it; each step
-    hands the pair at its output to the next.  The pair at the block's
-    output is evaluated once at the end when the last step, started at its
-    cap, left it unset, so a fixed step still costs one gradient.  A caller
-    that does not read the pair passes ``pair=False``, and then gets the
-    pair only when the last step computed it (None otherwise).
+    hands the pair at its output to the next.  When the last step, started
+    at its cap, left the pair unset, the block evaluates it once at its
+    end, so a fixed step still costs one gradient.  Zero steps return x
+    with its pair.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one smoothing step")
+    if n_steps < 0:
+        raise ValueError(f"the number of smoothing steps must be nonnegative, got {n_steps}")
     fg = fg_x
-    for k in range(n_steps):
+    for _ in range(n_steps):
         x, fg = backtrack_L(work, tau, x, fg)
-        if k == 0:
-            y_first, L_first = x, work.L
-            f_first = None if fg is None else fg[0]
-    if fg is None and pair:
+    if fg is None:
         fg = work.problem.smooth.value_and_grad(x)
-    return SmoothResult(x, y_first, L_first, fg, f_first)
+    return x, fg

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from proxmg.accelerated import fastmgprox_solve
 from proxmg.certificates import (check_angle_condition, check_fixed_point,
                                  check_smoothing_descent,
                                  check_stage_monotonicity)
@@ -294,13 +296,12 @@ def _cycle_evaluations_per_level(monkeypatch, step_mode):
 
 def test_fixed_step_cycle_evaluations_per_level(monkeypatch):
     # a fixed step costs one gradient; the pair (f, grad f) is completed once
-    # per smoothing block, not once per step, and only where the cycle reads
-    # it: after pre-smoothing above the coarsest level, at the corrected
-    # point (for the finest stage record and the first post-smoothing step
-    # alike), and after the finest post-smoothing.  The one value call left
-    # is the first fine step's F(y1) record
+    # per smoothing block, not once per step, at the end of every block,
+    # and once at the corrected point (for the finest stage record and the
+    # first post-smoothing step alike).  The one value call left is the
+    # first fine step's F(y1) record
     assert _cycle_evaluations_per_level(monkeypatch, "fixed") == {
-        "grad": {15: 38, 7: 38, 3: 19}, "value_and_grad": {15: 3, 7: 3, 3: 1},
+        "grad": {15: 38, 7: 38, 3: 19}, "value_and_grad": {15: 3, 7: 4, 3: 2},
         "value": {15: 1}}
 
 
@@ -330,3 +331,63 @@ def test_each_tau_side_takes_one_subgradient(monkeypatch, lam, variant, expected
     monkeypatch.setattr(SeparableNonsmooth, "subgradient", counted)
     vcycle(stack, x, CycleConfig(variant=variant, step_mode="fixed"))
     assert counts == expected
+
+
+@pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
+def test_the_recorded_witness_is_the_prox_grad_step_at_L_first(step_mode):
+    # certify_run rebuilds the first fine step y1 from x, L_first and grad f(x)
+    stack = build_obstacle_hierarchy(15, 100.0, 3)
+    p = stack.fine.problem
+    x = next(start_points(0, p.dim))
+    work = workspace(stack, step_mode)
+    fg = p.smooth.value_and_grad(x)
+    for _ in range(3):
+        x_next, fg_next, ct = vcycle(stack, x, CycleConfig(step_mode=step_mode), fg, work)
+        y1 = prox_grad_step(p, None, x, ct.L_first, fg[1])
+        G = ct.L_first * (x - y1)
+        assert np.float64(ct.G_first_sq).tobytes() == np.float64(G @ G).tobytes()
+        assert np.float64(ct.F_y_first).tobytes() == np.float64(p.objective(y1)).tobytes()
+        x, fg = x_next, fg_next
+
+
+# SHA-256 prefixes of x and the per-iteration objectives of 12-iteration
+# solves from seed 0's start on the n = 15, 3-level stack, with each cycle's
+# G_first_sq and F_y_first for mgprox; the cycle takes the first fine step
+# outside the smoothing block, and these bytes are those of the step taken
+# as the block's first
+ONE_STEP_DIGESTS = {
+    ('mgprox', 1, 'fixed', 1e-06): "4a4d8c807d54a581",
+    ('mgprox', 1, 'fixed', 100.0): "c1bd6576f4140dce",
+    ('mgprox', 1, 'backtracking', 1e-06): "ee8c5b43d03ada6f",
+    ('mgprox', 1, 'backtracking', 100.0): "fad0d6c1aa219275",
+    ('mgprox', 2, 'fixed', 1e-06): "862e6969a5e8d330",
+    ('mgprox', 2, 'fixed', 100.0): "e6c99cb5e891382b",
+    ('mgprox', 2, 'backtracking', 1e-06): "f20eca073e6e78a9",
+    ('mgprox', 2, 'backtracking', 100.0): "fe1a41271e61e119",
+    ('fastmgprox', 1, 'fixed', 1e-06): "094705223412cfb3",
+    ('fastmgprox', 1, 'fixed', 100.0): "c18c25ecb25c86e1",
+    ('fastmgprox', 1, 'backtracking', 1e-06): "9a88900187749604",
+    ('fastmgprox', 1, 'backtracking', 100.0): "9bc6034bee17a17f",
+    ('fastmgprox', 2, 'fixed', 1e-06): "be470c6c84fff4b5",
+    ('fastmgprox', 2, 'fixed', 100.0): "e3f34a336302135e",
+    ('fastmgprox', 2, 'backtracking', 1e-06): "bc38f0ab6cb3c4dd",
+    ('fastmgprox', 2, 'backtracking', 100.0): "588e088d2a2e5e3a",
+}
+
+
+@pytest.mark.parametrize("lam", [1e-6, 100.0])
+@pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
+@pytest.mark.parametrize("n_smooth", [1, 2])
+@pytest.mark.parametrize("solver", ["mgprox", "fastmgprox"])
+def test_short_smoothing_budgets_keep_their_bytes(solver, n_smooth, step_mode, lam):
+    # n_smooth = 1 is the one budget whose fine pre-smoothing block is empty
+    # after the first step
+    stack = build_obstacle_hierarchy(15, lam, 3, n_smooth)
+    x0 = next(start_points(0, stack.fine.problem.dim))
+    solve = mgprox_solve if solver == "mgprox" else fastmgprox_solve
+    x, tr = solve(stack, x0, StoppingRule(12, 0.0), CycleConfig(step_mode=step_mode))
+    series = [*tr.objectives]
+    if solver == "mgprox":
+        series += [v for ct in tr.cycles for v in (ct.G_first_sq, ct.F_y_first)]
+    digest = hashlib.sha256(x.tobytes() + np.array(series).tobytes()).hexdigest()[:16]
+    assert digest == ONE_STEP_DIGESTS[solver, n_smooth, step_mode, lam]

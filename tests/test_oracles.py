@@ -66,6 +66,18 @@ def test_synthetic_matrix_is_spd():
     assert np.all(np.linalg.eigvalsh(A) > 0)
 
 
+def test_a_chain_size_that_is_not_a_positive_integer_is_rejected():
+    # these sizes used to fail inside numpy: "Offset -1 (index 0) out of
+    # bounds" at 0, a TypeError at 2.5, "negative dimensions" at -3
+    for n in (0, 2.5, -3, 8.0, float("nan")):
+        with pytest.raises(ValueError, match="^n must"):
+            make_chain_problem(n)
+        with pytest.raises(ValueError, match="^n must"):
+            build_chain_hierarchy(n)
+    assert make_chain_problem(np.int64(8)).dim == 8
+    assert build_chain_hierarchy(np.int64(8)).fine.problem.dim == 8
+
+
 def test_reference_matches_direct_solve_without_penalty():
     stack = build_chain_hierarchy(4, lam=0.0, num_levels=2, seed=5)
     ref = reference_solution(stack, seed=5)

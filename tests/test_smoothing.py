@@ -90,7 +90,7 @@ def test_smoothing_block_is_monotone_and_strictly_descends(mode):
             else LevelWork(p, 1.0, math.inf))
     prev = p.objective(x)
     for _ in range(5):
-        x = run_smoothing(work, None, x, 4).x
+        x, _ = run_smoothing(work, None, x, 4)
         cur = p.objective(x)
         G = np.linalg.norm(prox_grad_map(p, None, x, p.lipschitz))
         assert cur <= prev + 1e-12
@@ -104,15 +104,18 @@ def test_first_step_sufficient_descent_certificate():
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.uniform(0, 1, size=p.dim)
     L = p.lipschitz
-    res = run_smoothing(LevelWork(p, L, L), None, x, 1)
+    y, _ = run_smoothing(LevelWork(p, L, L), None, x, 1)
     G = np.linalg.norm(prox_grad_map(p, None, x, L))
-    assert p.objective(res.x) <= p.objective(x) - G * G / (2.0 * L) + 1e-12
+    assert p.objective(y) <= p.objective(x) - G * G / (2.0 * L) + 1e-12
 
 
 def test_run_smoothing_validation():
     p = quadratic_problem()
     with pytest.raises(ValueError):
-        run_smoothing(LevelWork(p, 1.0, math.inf), None, np.array([1.0]), 0)
+        run_smoothing(LevelWork(p, 1.0, math.inf), None, np.array([1.0]), -1)
+    x = np.array([1.0])
+    y, (f, g) = run_smoothing(LevelWork(p, 1.0, math.inf), None, x, 0)
+    assert y is x and f == p.smooth.value(x) and np.array_equal(g, p.smooth.grad(x))
     with pytest.raises(ValueError):
         backtrack_L(LevelWork(p, -1.0, math.inf), None, np.array([1.0]))
 
@@ -206,9 +209,7 @@ def test_steps_grow_the_workspace_estimate_up_to_its_cap(L0, L_cap):
             assert work.L == L_cap
         else:
             assert before <= work.L <= L_cap
-        res = run_smoothing(work, tau, x, 1)
-        assert work.L == res.L_first
-        x = res.x
+        x, _ = run_smoothing(work, tau, x, 1)
     assert work.L > 1.0  # the estimate did move from a start below the curvature
 
 
@@ -219,7 +220,7 @@ def test_a_smoothing_block_returns_the_pair_at_its_output(mode):
     x, tau = rng.uniform(0, 1, size=p.dim), rng.uniform(-1, 1, size=p.dim)
     L = p.lipschitz
     work = LevelWork(p, L, L) if mode == "fixed" else LevelWork(p, 1.0, step_cap(L))
-    res = run_smoothing(work, tau, x, 3)
-    f, g = p.smooth.value_and_grad(res.x)
-    assert np.float64(res.fg[0]).tobytes() == np.float64(f).tobytes()
-    assert res.fg[1].tobytes() == g.tobytes()
+    y, fg_y = run_smoothing(work, tau, x, 3)
+    f, g = p.smooth.value_and_grad(y)
+    assert np.float64(fg_y[0]).tobytes() == np.float64(f).tobytes()
+    assert fg_y[1].tobytes() == g.tobytes()
