@@ -33,23 +33,20 @@ phi_bar0 = F(x0) the bound holds at every k.  A momentum taken from the
 V-cycle's output, L (y - x+), has no such lower model behind it, and
 ``estimate-sequence-bound`` fails on it.
 
-Adaptive restart (O'Donoghue and Candes, *Found. Comput. Math.* 15, 2015;
-Su, Boyd and Candes, *JMLR* 17, 2016).  The momentum pays only while it
-moves the iterate faster; against a V-cycle that already contracts by a
-constant factor it soon adds back more error than it saves.  So
-``fastmgprox_solve`` ends an epoch after an iteration from x to x+ when
-any of three tests fires:
+Adaptive restart (O'Donoghue and Candes, *Found. Comput. Math.* 15,
+2015).  The momentum pays only while it moves the iterate faster; against
+a V-cycle that already contracts by a constant factor it soon adds back
+more error than it saves.  So ``fastmgprox_solve`` ends an epoch after an
+iteration from x to x+ when any of three tests fires, in this order:
 
     the function test,  F(x+) > F(x);
     the gradient test,  <G(y), x+ - x> > 0;
-    the speed test,     ||x+ - x|| < ||x - x-||,
+    the pullback test,  <z+ - x+, x+ - x> < 0.
 
-where x- is the previous iterate, whether or not the previous iteration
-ended an epoch (the first iteration has none, and its speed test does
-not fire).  The next epoch starts at x+ with z = x+, gamma = gamma0,
-lambda = 1 and phi_bar = F(x+).  The gradient test fires when the step
-climbs along G(y), often before F itself rises; with the function test
-alone, some smooth solves to 1e-10 run past 1 000 iterations.
+The next epoch starts at x+ with z = x+, gamma = gamma0, lambda = 1 and
+phi_bar = F(x+).  The gradient test fires when the step climbs along
+G(y), often before F itself rises; with the function test alone, some
+smooth solves to 1e-10 run past 1 000 iterations.
 
 The first two tests see only a step that climbs, and a stalled epoch
 need not climb.  z moves by (alpha / gamma+) G(y), a fine prox-gradient
@@ -59,13 +56,14 @@ the stale z by about alpha ||z - x||.  The cycle from y can still lower F
 below F(x), with its step x+ - x pointing downhill against G(y), so both
 tests stay quiet while the error falls like alpha, about 2/k, in place of
 the cycle's geometric rate (at n = 15, lam = 100, neither fired in 200
-iterations from seeds 1 and 2's starts).  The steps of such an epoch get
-shorter, and the speed test ends it.  Where the cycle contracts by a
-steady factor, every step is shorter than the last, so the speed test
-fires after each iteration from the second on: each epoch is then one
-iteration with z = x, hence y = x, and the solver runs the plain cycle
-plus one fine prox step.  It keeps its momentum only while its steps
-grow.
+iterations from seeds 1 and 2's starts).  The next extrapolation moves
+the iterate by alpha (z+ - x+), and the pullback test ends the epoch
+when that move points back against the step just taken.  A V-cycle step
+outruns the fine step that moves z, so in every run measured away from
+the rounding floor the test fires after each iteration: each epoch is
+then one iteration with z = x, hence y = x, and the solver runs the plain
+cycle plus one fine prox step.  At the floor, where x+ - x = 0, no test
+fires and an epoch runs on.
 
 Ending an epoch early costs the bound nothing.  The reset
 phi_bar = F(x+) is exact, not a bound: an epoch is a fresh estimate
@@ -180,20 +178,33 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     return x_next, fg_next, state_next, diag
 
 
+def _restart_reason(F_x: float, F_next: float, G_y: np.ndarray, x: np.ndarray,
+                   x_next: np.ndarray, z_next: np.ndarray) -> str | None:
+    """The first of the three restart tests that fires on an iteration from
+    x to x+, or None: ``"function"``, F(x+) > F(x); ``"gradient"``,
+    <G(y), x+ - x> > 0; ``"pullback"``, <z+ - x+, x+ - x> < 0."""
+    d = x_next - x
+    return ("function" if F_next > F_x else
+            "gradient" if float(G_y.dot(d)) > 0.0 else
+            "pullback" if float((z_next - x_next).dot(d)) < 0.0 else None)
+
+
 def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
                      config: CycleConfig | None = None) -> tuple[np.ndarray, SolverTrace]:
     """Accelerated multigrid solve with adaptive restart; gamma0 is the fine
     Lipschitz bound.
 
-    An iteration from x to x+ ends its epoch when F(x+) > F(x),
-    <G(y), x+ - x> > 0 or ||x+ - x|| < ||x - x-||; the next epoch starts at
-    x+ the way the first one starts at x0: the next step builds its state
-    with z = x+, gamma = gamma0, lambda = 1 and phi_bar = F(x+) from the
-    driver's record.  The iterations after which one started are
+    An iteration from x to x+ ends its epoch when the first of three tests
+    fires (:func:`_restart_reason`): the function test F(x+) > F(x), then
+    the gradient test <G(y), x+ - x> > 0, then the pullback test
+    <z+ - x+, x+ - x> < 0.  The next epoch starts at x+ the way the first
+    one starts at x0: the next step builds its state with z = x+,
+    gamma = gamma0, lambda = 1 and phi_bar = F(x+) from the driver's
+    record.  The iterations after which one started are
     ``trace.meta["restarts"]``, and ``trace.meta["restart_reasons"]`` names,
-    for each, the first of ``"function"``, ``"gradient"`` and ``"speed"``
-    that fired.  The solve keeps its per-level state in a workspace of its
-    own and writes no level of the stack.
+    for each, the first of ``"function"``, ``"gradient"`` and
+    ``"pullback"`` that fired.  The solve keeps its per-level state in a
+    workspace of its own and writes no level of the stack.
     """
     config = config or CycleConfig()
     work = workspace(stack, config.step_mode)
@@ -204,10 +215,9 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     trace.extras = {key: [] for key in ("alpha", "lam", "gamma", "phi_bar", "F_y",
                                         "g_norm_y", "alpha_residual")}
     state = None
-    prev_sq = 0.0  # ||x - x^-||^2; the first step has none, so never shorter
 
     def step(x, fg):
-        nonlocal state, prev_sq
+        nonlocal state
         F_x = trace.objectives[-1] if trace.objectives else trace.objective_initial
         if state is None:  # an epoch starts: z = x and phi_bar = F(x)
             state = FastState(z=x.copy(), gamma=L0, phi_bar=F_x)
@@ -215,14 +225,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
         ctrace = diag.pop("cycle")
         for key, series in trace.extras.items():
             series.append(diag[key])
-        F_next = diag["F_x_next"]
-        d = x_next - x
-        d_sq = float(d.dot(d))
-        reason = ("function" if F_next > F_x else
-                  "gradient" if float(diag["G_y"].dot(d)) > 0.0 else
-                  "speed" if d_sq < prev_sq else None)
-        prev_sq = d_sq
-        if reason:
+        if reason := _restart_reason(F_x, diag["F_x_next"], diag["G_y"], x, x_next, state.z):
             state = None
             trace.meta["restarts"].append(trace.iterations + 1)
             trace.meta["restart_reasons"].append(reason)

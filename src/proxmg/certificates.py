@@ -178,13 +178,15 @@ def check_fast_certificates(trace: SolverTrace, gamma0: float,
     The iterations after which the run restarted its estimate sequence are
     ``trace.meta["restarts"]``.  A restart resets gamma and lambda together
     and phi_bar to F(x+), so only the decay bound needs the epochs; the
-    other four hold per iteration.  A certificate fails at margin -inf, and
-    names the series, when a series it reads from ``trace.extras`` does not
-    hold one entry per iteration.
+    other four hold per iteration.  The decay bound's detail names the
+    longest epoch of a restarted run, the largest k it was tested at.  A
+    certificate fails at margin -inf, and names the series, when a series
+    it reads from ``trace.extras`` does not hold one entry per iteration.
     """
     ex = trace.extras
     lam = ex.get("lam", [])
     restarts = trace.meta.get("restarts", [])
+    epochs = f", longest epoch {np.diff([0, *restarts, len(lam)]).max()}" if restarts else ""
 
     def least(name, keys, margins, detail, strict=False):
         short = "; ".join(f"{k} holds {len(ex.get(k, []))} of {trace.iterations} entries"
@@ -194,7 +196,7 @@ def check_fast_certificates(trace: SolverTrace, gamma0: float,
 
     return [
         least("lambda-decay-bound", ["lam"], _lambda_decay_margins(lam, restarts, gamma0, L),
-              f"{len(lam)} iterations", strict=True),
+              f"{len(lam)} iterations{epochs}", strict=True),
         least("estimate-sequence-bound", ["phi_bar"],
               ((p - F) / max(1.0, abs(p)) + FAST_REL_SLACK
                for F, p in zip(trace.objectives, ex.get("phi_bar", []))),

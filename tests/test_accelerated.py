@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxmg.accelerated import (FastState, fast_step, fastmgprox_solve,
+from proxmg.accelerated import (FastState, _restart_reason, fast_step, fastmgprox_solve,
                                 lambda_rate_bound, phi_bar_update, solve_alpha)
 from proxmg.certificates import check_fast_certificates
 from proxmg.hierarchy import build_obstacle_hierarchy, workspace
@@ -269,19 +269,16 @@ def _restarted_run(stack, iters, keep_lam=False, restart=True):
                                         "g_norm_y", "alpha_residual")}
     state = FastState(z=x.copy(), gamma=L, phi_bar=F_x)
     work = workspace(stack, "fixed")
-    prev_sq = 0.0
     for k in range(1, iters + 1):
         x_next, _, state, diag = fast_step(stack, state, x, CycleConfig(), work)
         for key, series in trace.extras.items():
             series.append(diag[key])
         F_next = diag["F_x_next"]
         step = x_next - x
-        step_sq = float(step @ step)
         if restart and (F_next > F_x or float(diag["G_y"] @ step) > 0.0
-                        or step_sq < prev_sq):
+                        or float((state.z - x_next) @ step) < 0.0):
             state = FastState(x_next, L, state.lam if keep_lam else 1.0, F_next)
             trace.meta["restarts"].append(k)
-        prev_sq = step_sq
         x, F_x = x_next, F_next
         trace.objectives.append(F_x)
     return trace
@@ -342,8 +339,60 @@ def test_restarted_fastmgprox_reaches_the_tolerance_within_half_again_mgprox(
 
 
 @pytest.mark.parametrize("n_side, levels", [(15, 3), (31, 4)])
-def test_restarted_fastmgprox_reaches_the_tolerance_within_twice_mgprox_in_contact(
+def test_restarted_fastmgprox_reaches_the_tolerance_within_mgprox_in_contact(
         n_side, levels):
     # lam = 100, where the momentum can keep F and <G(y), x+ - x> falling while
-    # the iterate stalls; only the speed restart ends those epochs
-    _assert_cycles_within(2.0, n_side, levels, 100.0, "fixed")
+    # the extrapolation pulls the iterate back toward a stale z; the pullback
+    # restart ends those epochs after their first iteration
+    _assert_cycles_within(1.0, n_side, levels, 100.0, "fixed")
+
+
+@pytest.mark.parametrize("ahead", [True, False])
+def test_the_pullback_test_ends_an_epoch_when_z_lies_behind_the_step(ahead):
+    # a step from x to x+ that lowers F and descends along G(y), so the
+    # function and gradient tests stay quiet; z+ lies ahead of x+ along the
+    # step or behind it, with a component across the step besides
+    x, x_next = np.array([0.5, 0.0, 0.0]), np.array([1.5, 0.5, 0.0])
+    step = x_next - x
+    z_next = x_next + (0.1 if ahead else -0.1) * step + np.array([0.0, 0.0, 5.0])
+    assert _restart_reason(2.0, 1.0, -step, x, x_next, z_next) == (
+        None if ahead else "pullback")
+    # the function and gradient tests come first
+    assert _restart_reason(1.0, 2.0, step, x, x_next, z_next) == "function"
+    assert _restart_reason(2.0, 1.0, step, x, x_next, z_next) == "gradient"
+
+
+def test_the_pullback_test_ends_the_contact_epochs():
+    # n = 15, lam = 100, fixed steps, away from the rounding floor: every
+    # iteration ends its epoch, and the pullback test ends most of them
+    stack = build_obstacle_hierarchy(15, 100.0, 3, 20)
+    _, trace = fastmgprox_solve(stack, next(start_points(0, stack.fine.problem.dim)),
+                                StoppingRule(30, 0.0))
+    reasons = trace.meta["restart_reasons"]
+    assert trace.meta["restarts"] == list(range(1, 31))
+    assert set(reasons) <= {"function", "gradient", "pullback"}
+    assert reasons.count("pullback") > len(reasons) / 2, reasons
+
+
+def test_a_stalled_run_fails_the_accelerated_descent():
+    # each F(x+) set to that iteration's F(y): the cycle after the prox step
+    # lowered nothing, so F(x+) misses F(y) - ||G(y)||^2/2L
+    stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
+    _, trace = fastmgprox_solve(stack, next(start_points(0, stack.fine.problem.dim)),
+                                StoppingRule(40, 0.0))
+    L = stack.fine.L_est
+    certs = {r.name: r for r in check_fast_certificates(trace, trace.meta["gamma0"], L)}
+    assert certs["accelerated-descent"].passed, certs["accelerated-descent"].line()
+    trace.objectives = list(trace.extras["F_y"])
+    certs = {r.name: r for r in check_fast_certificates(trace, trace.meta["gamma0"], L)}
+    descent = certs["accelerated-descent"]
+    assert not descent.passed and descent.margin < 0.0, descent.line()
+
+
+def test_the_decay_bound_names_the_longest_epoch():
+    trace = SolverTrace(algorithm="restarted")
+    trace.objectives = [1.0] * 7
+    trace.extras = {"lam": [0.5] * 7}
+    trace.meta["restarts"] = [1, 2, 5]
+    cert = check_fast_certificates(trace, 1.0, 1.0)[0]
+    assert cert.detail == "7 iterations, longest epoch 3"

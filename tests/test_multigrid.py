@@ -364,14 +364,14 @@ ONE_STEP_DIGESTS = {
     ('mgprox', 2, 'fixed', 100.0): "e6c99cb5e891382b",
     ('mgprox', 2, 'backtracking', 1e-06): "f20eca073e6e78a9",
     ('mgprox', 2, 'backtracking', 100.0): "fe1a41271e61e119",
-    ('fastmgprox', 1, 'fixed', 1e-06): "094705223412cfb3",
-    ('fastmgprox', 1, 'fixed', 100.0): "c18c25ecb25c86e1",
-    ('fastmgprox', 1, 'backtracking', 1e-06): "9a88900187749604",
-    ('fastmgprox', 1, 'backtracking', 100.0): "9bc6034bee17a17f",
-    ('fastmgprox', 2, 'fixed', 1e-06): "be470c6c84fff4b5",
-    ('fastmgprox', 2, 'fixed', 100.0): "e3f34a336302135e",
-    ('fastmgprox', 2, 'backtracking', 1e-06): "bc38f0ab6cb3c4dd",
-    ('fastmgprox', 2, 'backtracking', 100.0): "588e088d2a2e5e3a",
+    ('fastmgprox', 1, 'fixed', 1e-06): "8eb52445dce6d547",
+    ('fastmgprox', 1, 'fixed', 100.0): "8d347a930f4b3176",
+    ('fastmgprox', 1, 'backtracking', 1e-06): "827cbb12174fe37d",
+    ('fastmgprox', 1, 'backtracking', 100.0): "637b8021ea7506c4",
+    ('fastmgprox', 2, 'fixed', 1e-06): "255ae3ce4fa262ea",
+    ('fastmgprox', 2, 'fixed', 100.0): "1c9a5358990ef72f",
+    ('fastmgprox', 2, 'backtracking', 1e-06): "15b4ac6d8dea9c5e",
+    ('fastmgprox', 2, 'backtracking', 100.0): "ba0557c3411eb60b",
 }
 
 
