@@ -33,42 +33,29 @@ The demo prints each solver's iterations, time, final relative residual and
 objective gap, then the iterations after which fastmgprox restarted its
 momentum and how many restarts each of its three tests caused.
 
-The same comparison is available from the command line:
+The rows call their solvers from ``cli.SOLVERS``, as the command line does:
     proxmg compare --n-exp 4 --levels 3 --tol 1e-10 --seed 0 --max-iters 2000
 """
 
 import time
 
-import numpy as np
-
-from proxmg import (CycleConfig, StoppingRule, build_obstacle_hierarchy,
-                    fastmgprox_solve, fista_solve, make_obstacle_problem,
-                    mgprox_solve, proxgrad_solve)
+from proxmg import StoppingRule, build_obstacle_hierarchy, start_points
+from proxmg.cli import SOLVERS
 
 TOL, CAP = 1e-10, 2000
-problem = make_obstacle_problem(15, lam=1e-6)
-rng = np.random.Generator(np.random.PCG64(0))
-x0 = rng.uniform(0, 1, size=problem.dim)
+# (row label, solver, step mode, iteration budget)
+RACE = [("mgprox", "mgprox", "fixed", CAP), ("mgprox/bt", "mgprox", "backtracking", CAP),
+        ("kocvara3", "kocvara3", "fixed", 200), ("fastmgprox", "fastmgprox", "fixed", 300),
+        ("proxgrad", "proxgrad", "fixed", 40000), ("fista", "fista", "fixed", 40000)]
+stack = build_obstacle_hierarchy(15, 1e-6, 3)
+problem = stack.fine.problem
+x0 = next(start_points(0, problem.dim))
 
 runs = {}
-
-def race(name, fn):
+for label, name, mode, budget in RACE:
     start = time.perf_counter()
-    x, trace = fn()
-    runs[name] = (x, trace, time.perf_counter() - start)
-
-race("mgprox", lambda: mgprox_solve(build_obstacle_hierarchy(15, 1e-6, 3), x0.copy(),
-                                    StoppingRule(CAP, TOL)))
-race("mgprox/bt", lambda: mgprox_solve(build_obstacle_hierarchy(15, 1e-6, 3), x0.copy(),
-                                       StoppingRule(CAP, TOL),
-                                       CycleConfig(step_mode="backtracking")))
-race("kocvara3", lambda: mgprox_solve(build_obstacle_hierarchy(15, 1e-6, 3), x0.copy(),
-                                      StoppingRule(200, TOL),
-                                      CycleConfig(variant="kocvara3")))
-race("fastmgprox", lambda: fastmgprox_solve(build_obstacle_hierarchy(15, 1e-6, 3),
-                                            x0.copy(), StoppingRule(300, TOL)))
-race("proxgrad", lambda: proxgrad_solve(problem, x0.copy(), StoppingRule(40000, TOL)))
-race("fista", lambda: fista_solve(problem, x0.copy(), StoppingRule(40000, TOL)))
+    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(budget, TOL), mode)
+    runs[label] = (x, trace, time.perf_counter() - start)
 
 f_min = min(tr.best_objective() for _, tr, _ in runs.values())
 f_ini = next(iter(runs.values()))[1].objective_initial

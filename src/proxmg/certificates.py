@@ -414,7 +414,10 @@ def verify_fast(seed: int) -> list[CertificateResult]:
     the seed's first start point: on the chain problem, and on the n = 15
     obstacle problem (3 levels, fixed steps) at lam = 1e-6 and at lam = 100,
     where the mask is non-empty.  Each is reported at its worst margin over
-    the three runs."""
+    the three runs.  Their epochs longer than one iteration all start once
+    |G| is exactly 0 (longest 1 / 52 / 6 at seed 0), so ``lambda-decay-bound``
+    tests k > 1 only on an iterate that no longer moves; the test suite runs
+    it over an unrestarted, moving run."""
     stacks = [build_chain_hierarchy(64, 0.01, 2, 20, seed=seed),
               *(build_obstacle_hierarchy(15, lam, 3, 20) for lam in (1e-6, 100.0))]
     runs = []

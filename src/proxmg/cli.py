@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-solve    run one solver on one problem, write a CSV trace, print a summary
-compare  run all five solvers from the same start, print a comparison table
+solve    run one solver of ``SOLVERS`` on one problem, write a CSV trace, print a summary
+compare  run the solvers of ``SOLVERS``, in order, from one start; print a comparison table
 verify   run the certificate suite (certificates.SCOPES); exit 0 iff everything holds
 
 CSV schema: ``iter,time_s,objective,rel_prox_grad_norm,coarse_alpha`` with a
@@ -38,7 +38,20 @@ from .multigrid import CycleConfig, StoppingRule, mgprox_solve
 from .oracles import build_chain_hierarchy
 from .problems import start_points
 
-ALGORITHMS = ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3")
+
+def _multigrid(solve, variant="mgprox"):
+    return lambda stack, x0, stop, mode: solve(
+        stack, x0, stop, CycleConfig(variant=variant, step_mode=mode))
+
+
+def _fine_level(solve):  # single-level solvers backtrack whatever the mode
+    return lambda stack, x0, stop, mode: solve(stack.fine.problem, x0, stop)
+
+
+# name -> solve(stack, x0, stop, step_mode) -> (x, trace), in compare's row order
+SOLVERS = {"mgprox": _multigrid(mgprox_solve), "fastmgprox": _multigrid(fastmgprox_solve),
+           "proxgrad": _fine_level(proxgrad_solve), "fista": _fine_level(fista_solve),
+           "kocvara3": _multigrid(mgprox_solve, "kocvara3")}
 
 
 def _positive_int(text: str) -> int:
@@ -94,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--smoothing", type=_positive_int, default=20, metavar="N",
                        help="pre/post smoothing steps per level (default 20)")
         if with_algo:
-            p.add_argument("--algo", choices=ALGORITHMS, default="mgprox")
+            p.add_argument("--algo", choices=tuple(SOLVERS), default="mgprox")
         p.add_argument("--tol", type=_positive_float, default=1e-10,
                        help="relative prox-gradient-map tolerance (default 1e-10)")
         p.add_argument("--max-iters", type=_positive_int, default=100000)
@@ -121,26 +134,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _setup(args):
-    """The level stack of the requested problem and the seed's start point
-    (the first draw of ``problems.start_points``), which every run begins at."""
+    """The problem's level stack, the seed's start point (the first draw of
+    ``problems.start_points``, where every run begins) and the stopping rule."""
     if args.problem == "eop":
         stack = build_obstacle_hierarchy(2**args.n_exp - 1, args.lam, args.levels,
                                          args.smoothing)
     else:
         stack = build_chain_hierarchy(2**args.n_exp, args.lam, args.levels, args.smoothing,
                                       seed=args.seed)
-    return stack, next(start_points(args.seed, stack.fine.problem.dim))
-
-
-def _run_algorithm(algo: str, stack, x0, args):
-    stop = StoppingRule(args.max_iters, args.tol)
-    if algo in ("proxgrad", "fista"):
-        solve = proxgrad_solve if algo == "proxgrad" else fista_solve
-        return solve(stack.fine.problem, x0, stop)
-    cycle_cfg = CycleConfig(variant="kocvara3" if algo == "kocvara3" else "mgprox",
-                            step_mode=args.step_mode)
-    solve = fastmgprox_solve if algo == "fastmgprox" else mgprox_solve
-    return solve(stack, x0, stop, cycle_cfg)
+    return (stack, next(start_points(args.seed, stack.fine.problem.dim)),
+            StoppingRule(args.max_iters, args.tol))
 
 
 def _write_csv(path: str, trace, wall_time: bool):
@@ -154,9 +157,9 @@ def _write_csv(path: str, trace, wall_time: bool):
 
 
 def cmd_solve(args) -> int:
-    stack, x0 = _setup(args)
+    stack, x0, stop = _setup(args)
     problem = stack.fine.problem
-    x, trace = _run_algorithm(args.algo, stack, x0, args)
+    x, trace = SOLVERS[args.algo](stack, x0, stop, args.step_mode)
     if args.out:
         _write_csv(args.out, trace, args.wall_time)
     gap = (problem.objective(x) - trace.best_objective()) / abs(trace.objective_initial)
@@ -169,14 +172,13 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     # solvers keep their per-solve state in workspaces of their own, so they
     # share one stack and no row depends on the run order
-    stack, x0 = _setup(args)
+    stack, x0, stop = _setup(args)
     problem = stack.fine.problem
     results = {}
-    for algo in ALGORITHMS:
+    for algo, solve in SOLVERS.items():
         start = time.perf_counter()
-        x, trace = _run_algorithm(algo, stack, x0.copy(), args)
-        elapsed = time.perf_counter() - start
-        results[algo] = (x, trace, elapsed)
+        x, trace = solve(stack, x0.copy(), stop, args.step_mode)
+        results[algo] = (x, trace, time.perf_counter() - start)
         _write_csv(f"{args.out_prefix}_{algo}.csv", trace, args.wall_time)
     f_min = min(res[1].best_objective() for res in results.values())
     f_ini = abs(next(iter(results.values()))[1].objective_initial)

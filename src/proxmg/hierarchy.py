@@ -110,10 +110,13 @@ def workspace(stack: LevelStack, step_mode: str) -> list[LevelWork]:
 
     Backtracking starts each level's estimate at 1 and caps it at
     ``step_cap(L_est)``; fixed steps start at the cap, L = L_cap = L_est.
+    Any other mode raises ``ValueError``.
     """
     if step_mode == "backtracking":
         return [LevelWork(lev.problem, 1.0, step_cap(lev.L_est)) for lev in stack.levels]
-    return [LevelWork(lev.problem, lev.L_est, lev.L_est) for lev in stack.levels]
+    if step_mode == "fixed":
+        return [LevelWork(lev.problem, lev.L_est, lev.L_est) for lev in stack.levels]
+    raise ValueError(f"unknown step_mode {step_mode!r}")
 
 
 def build_tau(transfer: TransferPair, mask: np.ndarray, fine_side: np.ndarray,

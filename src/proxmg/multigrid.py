@@ -59,7 +59,8 @@ LINE_SEARCH_MIN_STEP = 1e-15
 
 @dataclass
 class CycleConfig:
-    """Knobs for one V-cycle; defaults match the benchmark protocol."""
+    """Knobs for one V-cycle.  The defaults give the mgprox cycle with fixed
+    1/L steps; both of the benchmark's mgprox solves backtrack instead."""
 
     alpha_init: ClassVar[float] = 1.0  # first step of the line search
     variant: str = "mgprox"        # "mgprox" | "kocvara3"

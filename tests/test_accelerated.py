@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from proxmg.accelerated import (FastState, _restart_reason, fast_step, fastmgprox_solve,
                                 lambda_rate_bound, phi_bar_update, solve_alpha)
 from proxmg.certificates import check_fast_certificates
+from proxmg.cli import SOLVERS
 from proxmg.hierarchy import build_obstacle_hierarchy, workspace
 from proxmg.membrane import make_obstacle_problem
-from proxmg.multigrid import CycleConfig, SolverTrace, StoppingRule, mgprox_solve
+from proxmg.multigrid import CycleConfig, SolverTrace, StoppingRule
 from proxmg.oracles import build_chain_hierarchy, reference_solution
 from proxmg.problems import start_points
 from proxmg.smoothing import prox_grad_step
@@ -318,17 +319,16 @@ def test_the_decay_bound_needs_the_epoch_count_on_a_restarted_contact_run():
 def _assert_cycles_within(ratio, n_side, levels, lam, step_mode):
     """Restarted ``fastmgprox`` reaches 1e-10 in at most ``ratio`` times
     ``mgprox``'s cycles, from each of seeds 0-2's first start."""
-    config = CycleConfig(step_mode=step_mode)
     stop = StoppingRule(1000, 1e-10)
     for seed in range(3):
         x0 = next(start_points(seed, n_side * n_side))
         cycles = {}
-        for solve in (mgprox_solve, fastmgprox_solve):
-            _, trace = solve(build_obstacle_hierarchy(n_side, lam, levels, 20), x0, stop,
-                             config)
-            assert trace.converged, (solve.__name__, seed, trace.rel_g_norms[-1])
-            cycles[solve.__name__] = trace.iterations
-        assert cycles["fastmgprox_solve"] <= ratio * cycles["mgprox_solve"], (seed, cycles)
+        for name in ("mgprox", "fastmgprox"):
+            _, trace = SOLVERS[name](build_obstacle_hierarchy(n_side, lam, levels, 20), x0,
+                                     stop, step_mode)
+            assert trace.converged, (name, seed, trace.rel_g_norms[-1])
+            cycles[name] = trace.iterations
+        assert cycles["fastmgprox"] <= ratio * cycles["mgprox"], (seed, cycles)
 
 
 @pytest.mark.parametrize("n_side, levels", [(15, 3), (31, 4)])

@@ -14,12 +14,10 @@ import time
 
 import numpy as np
 
-from proxmg.baselines import fista_solve, proxgrad_solve
 from proxmg.certificates import SCOPES
-from proxmg.cli import main
+from proxmg.cli import SOLVERS, main
 from proxmg.hierarchy import build_obstacle_hierarchy
-from proxmg.multigrid import (CycleConfig, StoppingRule, cycle_work_units,
-                              mgprox_solve, vcycle)
+from proxmg.multigrid import StoppingRule, cycle_work_units, vcycle
 
 
 def report(num, ok, text):
@@ -88,15 +86,13 @@ def test_criterion_08_accelerated_certificates():
 def test_criterion_09_benchmark_ordering():
     start = time.perf_counter()
     stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
-    problem = stack.fine.problem
-    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=problem.dim)
-    _, trace = mgprox_solve(stack, x0.copy(), StoppingRule(400, 1e-10))
+    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=stack.fine.problem.dim)
+    _, trace = SOLVERS["mgprox"](stack, x0.copy(), StoppingRule(400, 1e-10), "fixed")
     mg_cycles = trace.iterations
     budget = 10 * mg_cycles + 1
-    _, tr_f = fista_solve(problem, x0.copy(), StoppingRule(budget, 1e-10))
-    _, tr_p = proxgrad_solve(problem, x0.copy(), StoppingRule(budget, 1e-10))
-    _, tr_k = mgprox_solve(stack, x0.copy(), StoppingRule(3 * mg_cycles, 1e-10),
-                           CycleConfig(variant="kocvara3"))
+    _, tr_f = SOLVERS["fista"](stack, x0.copy(), StoppingRule(budget, 1e-10), "fixed")
+    _, tr_p = SOLVERS["proxgrad"](stack, x0.copy(), StoppingRule(budget, 1e-10), "fixed")
+    _, tr_k = SOLVERS["kocvara3"](stack, x0.copy(), StoppingRule(3 * mg_cycles, 1e-10), "fixed")
     elapsed = time.perf_counter() - start
     ok = (trace.converged and mg_cycles <= 200
           and not tr_f.converged and not tr_p.converged

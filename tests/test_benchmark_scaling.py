@@ -7,9 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from proxmg.baselines import fista_solve, proxgrad_solve
+from proxmg.cli import SOLVERS
 from proxmg.hierarchy import build_obstacle_hierarchy
-from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
+from proxmg.multigrid import StoppingRule
 from proxmg.problems import start_points
 
 
@@ -17,21 +17,17 @@ def test_multigrid_is_fastest_in_iterations_on_the_63_grid():
     stack = build_obstacle_hierarchy(63, 1e-6, 5, 20)
     rng = np.random.Generator(np.random.PCG64(0))
     x0 = rng.uniform(0, 1, size=stack.fine.problem.dim)
-    x, tr = mgprox_solve(stack, x0.copy(), StoppingRule(600, 1e-10),
-                         CycleConfig(step_mode="backtracking"))
+    _, tr = SOLVERS["mgprox"](stack, x0.copy(), StoppingRule(600, 1e-10), "backtracking")
     assert tr.converged
-    budget = 10 * tr.iterations + 1
-    problem = stack.fine.problem
-    _, tr_f = fista_solve(problem, x0.copy(), StoppingRule(budget, 1e-10))
-    _, tr_p = proxgrad_solve(problem, x0.copy(), StoppingRule(budget, 1e-10))
-    assert not tr_f.converged
-    assert not tr_p.converged
+    stop = StoppingRule(10 * tr.iterations + 1, 1e-10)
+    for name in ("fista", "proxgrad"):
+        assert not SOLVERS[name](stack, x0.copy(), stop, "fixed")[1].converged, name
 
 
 def _cycles(n_side, num_levels, step_mode):
     stack = build_obstacle_hierarchy(n_side, 1e-6, num_levels, 20)
     x0 = np.random.Generator(np.random.PCG64(0)).uniform(0, 1, size=stack.fine.problem.dim)
-    _, tr = mgprox_solve(stack, x0, StoppingRule(600, 1e-10), CycleConfig(step_mode=step_mode))
+    _, tr = SOLVERS["mgprox"](stack, x0, StoppingRule(600, 1e-10), step_mode)
     assert tr.converged
     return tr.iterations
 
@@ -61,8 +57,7 @@ def _contact_cycles(n_side, num_levels, seed, starts, rel_tol, budget):
     stack = build_obstacle_hierarchy(n_side, 100.0, num_levels, 20)
     counts = []
     for x0 in itertools.islice(start_points(seed, n_side * n_side), starts):
-        _, tr = mgprox_solve(stack, x0, StoppingRule(budget, rel_tol),
-                             CycleConfig(step_mode="backtracking"))
+        _, tr = SOLVERS["mgprox"](stack, x0, StoppingRule(budget, rel_tol), "backtracking")
         counts.append(tr.iterations if tr.converged else None)
     return counts
 

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxmg.baselines import fista_solve, proxgrad_solve
+from proxmg.cli import SOLVERS
 from proxmg.grid import GridLevel
 from proxmg.hierarchy import LevelStack, LevelWork, build_obstacle_hierarchy
 from proxmg.membrane import (MembraneEnergy, build_difference_operators,
                              lipschitz_upper_bound, make_obstacle_problem)
-from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
+from proxmg.multigrid import StoppingRule
 from proxmg.problems import CompositeProblem, QuadraticForm, laplacian_1d
 from proxmg.smoothing import backtrack_L
 
@@ -128,11 +128,9 @@ def _solve_all(lam, x0, sparse):
         stack = LevelStack([dataclasses.replace(level, problem=CompositeProblem(
             SparseMembrane(level.problem.smooth.grid), level.problem.nonsmooth))
             for level in stack.levels], stack.n_smooth)
-    fine = stack.fine.problem
-    runs = [mgprox_solve(stack, x0, StoppingRule(200, 1e-10),
-                         CycleConfig(step_mode="backtracking")),
-            fista_solve(fine, x0, StoppingRule(100, 0.0)),
-            proxgrad_solve(fine, x0, StoppingRule(100, 0.0))]
+    runs = [SOLVERS["mgprox"](stack, x0, StoppingRule(200, 1e-10), "backtracking"),
+            *(SOLVERS[name](stack, x0, StoppingRule(100, 0.0), "fixed")
+              for name in ("fista", "proxgrad"))]
     return [(x.tobytes(), np.array(t.objectives + t.g_norms).tobytes()) for x, t in runs]
 
 
@@ -147,8 +145,7 @@ def test_backtracking_mgprox_iterate_does_not_depend_on_the_step_bound():
     8 / h^2 (replacing sqrt(3) n^2 / h) left these bytes where they were."""
     stack = build_obstacle_hierarchy(63, 1e-6, 5, 20)
     x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=63 * 63)
-    x, tr = mgprox_solve(stack, x0, StoppingRule(600, 1e-10),
-                         CycleConfig(step_mode="backtracking"))
+    x, tr = SOLVERS["mgprox"](stack, x0, StoppingRule(600, 1e-10), "backtracking")
     assert tr.converged and tr.iterations == 18
     assert hashlib.sha256(x.tobytes()).hexdigest() == (
         "4a1f1200a8dd533fbe8b1947944d6b48181892fce988af3fa5d19e74da3f63de")

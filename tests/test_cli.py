@@ -5,11 +5,21 @@ import pytest
 
 from proxmg import certificates, cli
 from proxmg.certificates import SCOPES
-from proxmg.cli import _build_parser, main
+from proxmg.cli import SOLVERS, _build_parser, main
 
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+def _choices(command, dest):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def _rows(table):  # the cells of compare's solver rows, in the printed order
+    return [cells for cells in map(str.split, table.splitlines())
+            if cells and cells[0] in SOLVERS]
 
 
 def test_solve_writes_csv_with_schema(tmp_path, capsys):
@@ -67,19 +77,27 @@ def test_unknown_algorithm_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_algo_choices_compare_rows_and_csv_names_follow_the_solver_table(tmp_path, capsys):
+    assert tuple(_choices("solve", "algo")) == tuple(SOLVERS)
+    main(["compare", "--n-exp", "3", "--levels", "2", "--max-iters", "2",
+          "--out-prefix", str(tmp_path / "t")])
+    assert tuple(cells[0] for cells in _rows(capsys.readouterr().out)) == tuple(SOLVERS)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"t_{a}.csv" for a in SOLVERS)
+
+
 def test_compare_is_bit_deterministic(tmp_path, capsys):
     args = ["compare", "--n-exp", "3", "--levels", "2", "--tol", "1e-8",
             "--seed", "7", "--max-iters", "400"]
     code = main(args + ["--out-prefix", str(tmp_path / "a")])
     assert code == 0
     main(args + ["--out-prefix", str(tmp_path / "b")])
-    for algo in ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3"):
+    for algo in SOLVERS:
         a = read(tmp_path / f"a_{algo}.csv")
         b = read(tmp_path / f"b_{algo}.csv")
         assert a == b
         assert a.splitlines()[0] == "iter,time_s,objective,rel_prox_grad_norm,coarse_alpha"
     table = capsys.readouterr().out
-    for algo in ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3"):
+    for algo in SOLVERS:
         assert algo in table
 
 
@@ -92,12 +110,7 @@ def test_compare_table_is_deterministic_outside_the_time_column(tmp_path, capsys
     second = capsys.readouterr().out
 
     def strip_time(text):
-        rows = []
-        for line in text.splitlines():
-            cells = line.split()
-            if cells and cells[0] in ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3"):
-                rows.append((cells[0], cells[1], cells[3]))  # iterations and gap
-        return rows
+        return [(c[0], c[1], c[3]) for c in _rows(text)]  # iterations and gap
 
     assert strip_time(first) == strip_time(second)
     assert len(strip_time(first)) == 5
@@ -111,11 +124,7 @@ def test_compare_multigrid_has_the_fewest_iterations(tmp_path, capsys):
     main(["compare", "--n-exp", "4", "--levels", "3", "--tol", "1e-10",
           "--seed", "0", "--max-iters", "200", "--out-prefix", str(tmp_path / "c")])
     out = capsys.readouterr().out
-    counts = {}
-    for line in out.splitlines():
-        cells = line.split()
-        if cells and cells[0] in ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3"):
-            counts[cells[0]] = (cells[1].startswith(">"), int(cells[1].lstrip(">")))
+    counts = {c[0]: (c[1].startswith(">"), int(c[1].lstrip(">"))) for c in _rows(out)}
     assert (counts["mgprox"], counts["fastmgprox"]) == ((False, 19), (False, 17))
     for algo in ("proxgrad", "fista", "kocvara3"):
         unconverged, iters = counts[algo]
@@ -173,7 +182,7 @@ def test_compare_config_file_with_flag_override(tmp_path, capsys):
                       "seed=4 step_mode=fixed")  # the flag's seed, the file's step mode
     main(["compare", "--n-exp", "3", "--levels", "2", "--max-iters", "5",
           "--step-mode", "fixed", "--seed", "4", "--out-prefix", str(tmp_path / "a")])
-    for algo in ("mgprox", "fastmgprox", "proxgrad", "fista", "kocvara3"):
+    for algo in SOLVERS:
         assert (tmp_path / f"f_{algo}.csv").read_bytes() == (tmp_path / f"a_{algo}.csv").read_bytes()
 
 
@@ -202,10 +211,7 @@ def test_verify_negative_controls(capsys):
 
 
 def test_verify_scope_choices_are_the_suite_table():
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    scope = next(a for a in sub.choices["verify"]._actions if a.dest == "scope")
-    assert set(scope.choices) == {"all", *SCOPES}
+    assert set(_choices("verify", "scope")) == {"all", *SCOPES}
 
 
 def test_verify_fixed_point_certifies_a_masked_contact_cycle(capsys):
@@ -233,7 +239,7 @@ def test_solve_and_verify_start_from_the_same_array(seed, monkeypatch):
         starts.append(x0.copy())
         raise Started
 
-    monkeypatch.setattr(cli, "mgprox_solve", record)
+    monkeypatch.setitem(cli.SOLVERS, "mgprox", record)
     monkeypatch.setattr(certificates, "certify_run", record)
     with pytest.raises(Started):
         main(["solve", "--n-exp", "4", "--levels", "3", "--seed", str(seed)])

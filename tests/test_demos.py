@@ -1,7 +1,7 @@
 """Every demo script, and README's quick start, runs against the library in ``src``.
 
-The demos call the public solver signatures directly, so a removed option or
-a renamed trace field shows up here as a failing script.
+The demos call the public solver signatures (demo 05 through ``cli.SOLVERS``),
+so a removed option or a renamed trace field shows up here as a failing script.
 """
 
 import os

@@ -9,21 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from proxmg.accelerated import fastmgprox_solve
-from proxmg.baselines import fista_solve, proxgrad_solve
+from proxmg.cli import SOLVERS
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.membrane import MembraneEnergy
-from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
+from proxmg.multigrid import StoppingRule
 from proxmg.oracles import build_chain_hierarchy
 
-SOLVERS = {
-    "mgprox": lambda stack, x0, stop: mgprox_solve(stack, x0, stop),
-    "kocvara3": lambda stack, x0, stop: mgprox_solve(
-        stack, x0, stop, CycleConfig(variant="kocvara3")),
-    "fastmgprox": lambda stack, x0, stop: fastmgprox_solve(stack, x0, stop),
-    "proxgrad": lambda stack, x0, stop: proxgrad_solve(stack.fine.problem, x0, stop),
-    "fista": lambda stack, x0, stop: fista_solve(stack.fine.problem, x0, stop),
-}
 MULTIGRID = {"mgprox", "kocvara3", "fastmgprox"}
 
 
@@ -47,7 +38,7 @@ def _assert_series_lengths(name, trace):
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_zero_budget_returns_the_start(name, stack, x0):
-    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(0, 1e-10))
+    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(0, 1e-10), "fixed")
     assert x.tobytes() == x0.tobytes()
     assert trace.iterations == 0
     assert not trace.converged
@@ -59,7 +50,7 @@ def test_zero_budget_returns_the_start(name, stack, x0):
 def test_a_start_that_already_meets_the_tolerance_is_converged_without_a_step(
         name, stack, x0):
     # the start's relative norm is 1, below an infinite tolerance
-    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(50, math.inf))
+    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(50, math.inf), "fixed")
     assert trace.converged
     assert trace.iterations == 0
     assert x.tobytes() == x0.tobytes()
@@ -69,19 +60,19 @@ def test_a_start_that_already_meets_the_tolerance_is_converged_without_a_step(
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_convergence_on_the_last_budgeted_iteration_is_reported(name, stack, x0):
     rel_tol = 1e-2
-    x_free, free = SOLVERS[name](stack, x0.copy(), StoppingRule(10_000, rel_tol))
+    x_free, free = SOLVERS[name](stack, x0.copy(), StoppingRule(10_000, rel_tol), "fixed")
     assert free.converged
     k = free.iterations
     assert k > 0 and free.rel_g_norms[-1] < rel_tol <= free.rel_g_norms[-2]
     _assert_series_lengths(name, free)
 
-    x_tight, tight = SOLVERS[name](stack, x0.copy(), StoppingRule(k, rel_tol))
+    x_tight, tight = SOLVERS[name](stack, x0.copy(), StoppingRule(k, rel_tol), "fixed")
     assert tight.converged and tight.iterations == k
     assert x_tight.tobytes() == x_free.tobytes()
     assert tight.rel_g_norms == free.rel_g_norms
     _assert_series_lengths(name, tight)
 
-    _, short = SOLVERS[name](stack, x0.copy(), StoppingRule(k - 1, rel_tol))
+    _, short = SOLVERS[name](stack, x0.copy(), StoppingRule(k - 1, rel_tol), "fixed")
     assert not short.converged and short.iterations == k - 1
     _assert_series_lengths(name, short)
 
@@ -91,7 +82,7 @@ def test_the_recorded_objectives_are_f_plus_g_at_the_iterates(name, stack, x0):
     # the driver forms F from the pair each step returns; it must be the
     # fine objective at the iterate, to the byte
     problem = stack.fine.problem
-    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(3, 0.0))
+    x, trace = SOLVERS[name](stack, x0.copy(), StoppingRule(3, 0.0), "fixed")
     assert trace.objective_initial == problem.objective(x0)
     assert trace.objectives[-1].hex() == problem.objective(x).hex()
 
@@ -109,9 +100,8 @@ def test_a_budget_that_is_not_an_integer_is_rejected(max_iters):
         StoppingRule(max_iters, 0.0)
 
 
-def test_a_numpy_integer_budget_is_accepted(stack):
-    x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, stack.fine.problem.dim)
-    _, trace = proxgrad_solve(stack.fine.problem, x0, StoppingRule(np.int64(3), 0.0))
+def test_a_numpy_integer_budget_is_accepted(stack, x0):
+    _, trace = SOLVERS["proxgrad"](stack, x0, StoppingRule(np.int64(3), 0.0), "fixed")
     assert trace.iterations == 3
 
 
@@ -127,7 +117,7 @@ def test_a_start_with_a_non_finite_entry_is_rejected(name, bad, stack, x0, monke
     start = x0.copy()
     start[7] = bad
     with pytest.raises(ValueError, match="start point"):
-        SOLVERS[name](stack, start, StoppingRule(400, 1e-10))
+        SOLVERS[name](stack, start, StoppingRule(400, 1e-10), "fixed")
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -135,7 +125,7 @@ def test_a_zero_tolerance_runs_the_whole_budget_at_the_minimizer(name):
     # |b_i| <= 1 < lam, so the minimizer is x = 0 and |G| reaches exactly 0
     chain = build_chain_hierarchy(64, 10.0, 2, 20, seed=0)
     x0 = np.random.Generator(np.random.PCG64(0)).uniform(0.0, 1.0, size=64)
-    x, trace = SOLVERS[name](chain, x0, StoppingRule(50, 0.0))
+    x, trace = SOLVERS[name](chain, x0, StoppingRule(50, 0.0), "fixed")
     assert trace.iterations == 50
     assert not trace.converged
     assert not np.any(x) and trace.g_norms == [0.0] * 50

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from proxmg.cli import ALGORITHMS, main
+from proxmg.cli import SOLVERS, main
 
 ARGS = ["compare", "--n-exp", "4", "--levels", "3", "--max-iters", "60", "--seed", "1"]
 
@@ -53,7 +53,7 @@ def _csv_digests(args, tmp_path, capsys):
     assert main([*args, "--out-prefix", str(tmp_path / "c")]) == 0
     capsys.readouterr()
     return {algo: hashlib.sha256((tmp_path / f"c_{algo}.csv").read_bytes()).hexdigest()
-            for algo in ALGORITHMS}
+            for algo in SOLVERS}
 
 
 @pytest.mark.parametrize("step_mode, lam", sorted(DIGESTS))

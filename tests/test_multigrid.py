@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxmg.accelerated import fastmgprox_solve
 from proxmg.certificates import (check_angle_condition, check_fixed_point,
                                  check_smoothing_descent,
                                  check_stage_monotonicity)
+from proxmg.cli import SOLVERS
 from proxmg.grid import GridLevel
 from proxmg.hierarchy import LevelStack, build_obstacle_hierarchy, workspace
 from proxmg.membrane import MembraneEnergy, make_obstacle_problem
@@ -384,8 +384,7 @@ def test_short_smoothing_budgets_keep_their_bytes(solver, n_smooth, step_mode, l
     # after the first step
     stack = build_obstacle_hierarchy(15, lam, 3, n_smooth)
     x0 = next(start_points(0, stack.fine.problem.dim))
-    solve = mgprox_solve if solver == "mgprox" else fastmgprox_solve
-    x, tr = solve(stack, x0, StoppingRule(12, 0.0), CycleConfig(step_mode=step_mode))
+    x, tr = SOLVERS[solver](stack, x0, StoppingRule(12, 0.0), step_mode)
     series = [*tr.objectives]
     if solver == "mgprox":
         series += [v for ct in tr.cycles for v in (ct.G_first_sq, ct.F_y_first)]

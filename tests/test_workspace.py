@@ -4,7 +4,9 @@ A workspace holds, per level, the stack's own problem and the step estimate
 L with its cap, and nothing else.  A solver's output must not depend on what
 ran on the stack before it, although the stack's energies reuse their
 scratch from one solve to the next, and no array a step returns may change
-when the workspace steps again.
+when the workspace steps again.  The solvers are called through
+``cli.SOLVERS``, whose entries must give the bytes of the direct calls they
+stand for.
 """
 
 import math
@@ -14,24 +16,23 @@ import pytest
 
 from proxmg.accelerated import fastmgprox_solve
 from proxmg.baselines import fista_solve, proxgrad_solve
+from proxmg.cli import SOLVERS
 from proxmg.hierarchy import LevelWork, build_obstacle_hierarchy, workspace
 from proxmg.membrane import make_obstacle_problem
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
 from proxmg.smoothing import backtrack_L, run_smoothing
 
 STOP = StoppingRule(10, 1e-10)
-
-SOLVERS = {
-    "mgprox-fixed": lambda stack, x0: mgprox_solve(stack, x0, STOP),
-    "mgprox-backtracking": lambda stack, x0: mgprox_solve(
-        stack, x0, STOP, CycleConfig(step_mode="backtracking")),
-    "kocvara3": lambda stack, x0: mgprox_solve(
-        stack, x0, STOP, CycleConfig(variant="kocvara3", step_mode="backtracking")),
-    "fastmgprox": lambda stack, x0: fastmgprox_solve(
-        stack, x0, STOP, CycleConfig(step_mode="backtracking")),
-    "fista": lambda stack, x0: fista_solve(stack.fine.problem, x0, STOP),
-    "proxgrad": lambda stack, x0: proxgrad_solve(stack.fine.problem, x0, STOP),
-}
+# every table entry in both step modes, by test id: (name, step mode)
+RUNS = {"mgprox-fixed": ("mgprox", "fixed"), "mgprox-backtracking": ("mgprox", "backtracking"),
+        "kocvara3": ("kocvara3", "backtracking"), "kocvara3-fixed": ("kocvara3", "fixed"),
+        "fastmgprox": ("fastmgprox", "backtracking"), "fastmgprox-fixed": ("fastmgprox", "fixed"),
+        "fista": ("fista", "fixed"), "fista-backtracking": ("fista", "backtracking"),
+        "proxgrad": ("proxgrad", "fixed"), "proxgrad-backtracking": ("proxgrad", "backtracking")}
+# each entry's direct call: the solver and its cycle variant (None: single level)
+DIRECT = {"mgprox": (mgprox_solve, "mgprox"), "fastmgprox": (fastmgprox_solve, "mgprox"),
+          "proxgrad": (proxgrad_solve, None), "fista": (fista_solve, None),
+          "kocvara3": (mgprox_solve, "kocvara3")}
 
 
 def _fingerprint(x, trace):
@@ -49,14 +50,23 @@ def _fingerprint(x, trace):
 
 @pytest.mark.parametrize("lam", [1e-6, 100.0])
 @pytest.mark.parametrize("n_side", [15, 31])
-@pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_solve_is_the_same_on_a_fresh_and_on_a_used_stack(name, n_side, lam):
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_solve_is_the_same_on_a_fresh_and_on_a_used_stack(run, n_side, lam):
+    # and the table entry gives the bytes of the direct call it stands for
+    name, mode = RUNS[run]
     x0 = np.random.Generator(np.random.PCG64(n_side)).uniform(0.0, 1.0, n_side * n_side)
-    fresh = SOLVERS[name](build_obstacle_hierarchy(n_side, lam, 3), x0)
+    fresh = build_obstacle_hierarchy(n_side, lam, 3)
+    solve, variant = DIRECT[name]
+    if variant is None:  # no step mode to pass, so both modes give these bytes
+        direct = solve(fresh.fine.problem, x0, STOP)
+    else:
+        direct = solve(fresh, x0, STOP, CycleConfig(variant=variant, step_mode=mode))
     used = build_obstacle_hierarchy(n_side, lam, 3)
-    before = "kocvara3" if name == "mgprox-backtracking" else "mgprox-backtracking"
-    SOLVERS[before](used, x0[::-1].copy())
-    assert _fingerprint(*SOLVERS[name](used, x0)) == _fingerprint(*fresh)
+    before = "kocvara3" if (name, mode) == ("mgprox", "backtracking") else "mgprox"
+    SOLVERS[before](used, x0[::-1].copy(), STOP, "backtracking")
+    x, trace = SOLVERS[name](used, x0, STOP, mode)
+    assert _fingerprint(x, trace) == _fingerprint(*direct)
+    assert (trace.algorithm, trace.meta.get("step_mode")) == (name, mode if variant else None)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "backtracking"])
@@ -67,6 +77,16 @@ def test_a_workspace_holds_the_stacks_problems_and_only_the_step_estimates(mode)
     for lev, lw in zip(stack, work):
         assert lw.problem is lev.problem
         assert set(vars(lw)) == {"problem", "L", "L_cap"}  # no array of its own
+
+
+def test_the_runs_are_every_table_entry_in_both_modes():
+    assert set(RUNS.values()) == {(n, m) for n in SOLVERS for m in ("fixed", "backtracking")}
+
+
+def test_an_unknown_step_mode_is_rejected():
+    # a misspelt mode used to get the fixed-step workspace
+    with pytest.raises(ValueError, match="'backtrack'"):
+        workspace(build_obstacle_hierarchy(15, 1e-6, 3), "backtrack")
 
 
 @pytest.mark.parametrize("tilted", [False, True])
