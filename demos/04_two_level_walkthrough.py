@@ -31,7 +31,7 @@ print(f"smoothing steps per level: {ct.smoothing_steps} "
 
 print("\n== run to convergence ==")
 x, trace = mgprox_solve(stack, x0, StoppingRule(100, 1e-10))
-print(f"{trace.iterations} cycles to relative residual {trace.rel_g_norms[-1]:.2e}")
+print(f"{trace.iterations} cycles to relative residual {trace.final_rel_g_norm:.2e}")
 
 print("\n== fixed point: one cycle of the solver from the solution does nothing ==")
 ref = reference_solution(stack, seed=0)

@@ -149,20 +149,18 @@ def _setup(args):
 def _write_csv(path: str, trace, wall_time: bool):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iter,time_s,objective,rel_prox_grad_norm,coarse_alpha\n")
-        for k in range(trace.iterations):
+        for k, rel in enumerate(trace.rel_g_norms):
             t = f"{trace.times[k]:.6f}" if wall_time else ""
             a = f"{trace.cycles[k].alphas[0]:.15e}" if trace.cycles else ""
-            fh.write(f"{k + 1},{t},{trace.objectives[k]:.15e},"
-                     f"{trace.rel_g_norms[k]:.15e},{a}\n")
+            fh.write(f"{k + 1},{t},{trace.objectives[k]:.15e},{rel:.15e},{a}\n")
 
 
 def cmd_solve(args) -> int:
     stack, x0, stop = _setup(args)
-    problem = stack.fine.problem
-    x, trace = SOLVERS[args.algo](stack, x0, stop, args.step_mode)
+    _, trace = SOLVERS[args.algo](stack, x0, stop, args.step_mode)
     if args.out:
         _write_csv(args.out, trace, args.wall_time)
-    gap = (problem.objective(x) - trace.best_objective()) / abs(trace.objective_initial)
+    gap = (trace.final_objective - trace.best_objective()) / abs(trace.objective_initial)
     mode_note = f" step_mode={trace.meta['step_mode']}" if "step_mode" in trace.meta else ""
     print(f"{args.algo}: iterations={trace.iterations} rel_norm={trace.final_rel_g_norm:.3e} "
           f"rel_gap={gap:.3e} converged={trace.converged}{mode_note}")
@@ -173,21 +171,20 @@ def cmd_compare(args) -> int:
     # solvers keep their per-solve state in workspaces of their own, so they
     # share one stack and no row depends on the run order
     stack, x0, stop = _setup(args)
-    problem = stack.fine.problem
     results = {}
     for algo, solve in SOLVERS.items():
         start = time.perf_counter()
-        x, trace = solve(stack, x0.copy(), stop, args.step_mode)
-        results[algo] = (x, trace, time.perf_counter() - start)
+        _, trace = solve(stack, x0.copy(), stop, args.step_mode)
+        results[algo] = (trace, time.perf_counter() - start)
         _write_csv(f"{args.out_prefix}_{algo}.csv", trace, args.wall_time)
-    f_min = min(res[1].best_objective() for res in results.values())
-    f_ini = abs(next(iter(results.values()))[1].objective_initial)
-    print(f"problem={args.problem} n={problem.dim} lam={args.lam:g} levels={args.levels} "
-          f"smoothing={args.smoothing} tol={args.tol:g} seed={args.seed} "
+    f_min = min(trace.best_objective() for trace, _ in results.values())
+    f_ini = abs(next(iter(results.values()))[0].objective_initial)
+    print(f"problem={args.problem} n={stack.fine.problem.dim} lam={args.lam:g} "
+          f"levels={args.levels} smoothing={args.smoothing} tol={args.tol:g} seed={args.seed} "
           f"step_mode={args.step_mode}")
     print(f"{'algorithm':<12} {'iterations':>10} {'time_s':>10} {'(F - F_min)/F_ini':>18}")
-    for algo, (x, trace, elapsed) in results.items():
-        gap = (problem.objective(x) - f_min) / f_ini
+    for algo, (trace, elapsed) in results.items():
+        gap = (trace.final_objective - f_min) / f_ini
         iters = f"{trace.iterations}" if trace.converged else f">{trace.iterations}"
         print(f"{algo:<12} {iters:>10} {elapsed:>10.2f} {gap:>18.3e}")
     return 0

@@ -246,14 +246,17 @@ class StoppingRule:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration record shared by all solvers in the library."""
+    """Per-iteration record shared by all solvers in the library, and the
+    one place where a run's end is read: ``final_objective`` and
+    ``final_rel_g_norm`` are F and relative |G| where the run stopped, at
+    x0 for a run of no iterations.  Relative |G| is not recorded: it is
+    derived from ``g_norms`` and ``g_norm_initial`` by one rule."""
 
     algorithm: str
     objective_initial: float = 0.0
     g_norm_initial: float = 0.0
     objectives: list[float] = field(default_factory=list)
     g_norms: list[float] = field(default_factory=list)
-    rel_g_norms: list[float] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
     cycles: list[CycleTrace] = field(default_factory=list)
     converged: bool = False
@@ -264,16 +267,31 @@ class SolverTrace:
     def iterations(self) -> int:
         return len(self.objectives)
 
+    def _rel(self, g: float) -> float:
+        """|G| relative to |G(x0)|; where |G(x0)| is 0, 0 at |G| = 0 and
+        inf above it."""
+        g0 = self.g_norm_initial
+        if g0 > 0.0:
+            return g / g0
+        return 0.0 if g == 0.0 else float("inf")
+
+    @property
+    def rel_g_norms(self) -> list[float]:
+        return [self._rel(g) for g in self.g_norms]
+
     @property
     def final_rel_g_norm(self) -> float:
-        """Relative |G| where the run stopped.  A run of no iterations
-        stopped at its start, whose relative |G| is 1 (0 where |G(x0)| is
-        0), as :func:`iterate` judges it."""
-        return self.rel_g_norms[-1] if self.rel_g_norms else float(self.g_norm_initial > 0.0)
+        """Relative |G| where the run stopped, as :func:`iterate` judges
+        it: 1 at the start (0 where |G(x0)| is 0)."""
+        return self._rel(self.g_norms[-1] if self.g_norms else self.g_norm_initial)
+
+    @property
+    def final_objective(self) -> float:
+        """F where the run stopped, at x0 for a run of no iterations."""
+        return self.objectives[-1] if self.objectives else self.objective_initial
 
     def best_objective(self) -> float:
-        vals = self.objectives or [self.objective_initial]
-        return min(min(vals), self.objective_initial)
+        return min([*self.objectives, self.objective_initial])
 
 
 def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
@@ -294,8 +312,10 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
     iteration counts of different solvers are comparable.  The rule holds
     once that norm falls below ``rel_tol`` times its value at x0, so
     ``rel_tol`` 0 runs all ``max_iters`` iterations even where the norm
-    reaches 0; a run that spends its budget without meeting it is reported
-    on the trace, not raised.  A start point with a non-finite entry is
+    reaches 0.  The driver judges the rule by the trace's
+    ``final_rel_g_norm``, so the record and the decision cannot disagree;
+    a run that spends its budget without meeting it is reported on the
+    trace, not raised.  A start point with a non-finite entry is
     refused with a ``ValueError`` before anything is evaluated.
     """
     L = problem.lipschitz
@@ -308,24 +328,16 @@ def iterate(trace: SolverTrace, problem: CompositeProblem, x0: np.ndarray,
     if not np.all(np.isfinite(x)):  # |G(x0)| would be NaN and the rule never hold
         raise ValueError("the start point x0 has a non-finite entry")
     fg = problem.smooth.value_and_grad(x)
-    gn = gn0 = trace.g_norm_initial = g_norm(x, fg)
+    trace.g_norm_initial = g_norm(x, fg)
     trace.objective_initial = problem.objective(x, fg[0])
-
-    def rel(gn):
-        if gn0 > 0.0:
-            return gn / gn0
-        return 0.0 if gn == 0.0 else float("inf")
-
     t0 = time.perf_counter()
     while True:
-        trace.converged = rel(gn) < stop.rel_tol
+        trace.converged = trace.final_rel_g_norm < stop.rel_tol
         if trace.converged or trace.iterations == stop.max_iters:
             return x
         x, fg, cycle = step(x, fg)
-        gn = g_norm(x, fg)
         trace.objectives.append(problem.objective(x, fg[0]))
-        trace.g_norms.append(gn)
-        trace.rel_g_norms.append(rel(gn))
+        trace.g_norms.append(g_norm(x, fg))
         trace.times.append(time.perf_counter() - t0)
         if cycle is not None:
             trace.cycles.append(cycle)
@@ -341,7 +353,6 @@ def mgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     """
     config = config or CycleConfig()
     work = workspace(stack, config.step_mode)
-    trace = SolverTrace(algorithm=config.variant)
-    trace.meta.update(step_mode=config.step_mode)
+    trace = SolverTrace(algorithm=config.variant, meta={"step_mode": config.step_mode})
     return iterate(trace, stack.fine.problem, x0, stop,
                    lambda x, fg: vcycle(stack, x, config, fg, work)), trace

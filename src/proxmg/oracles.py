@@ -148,22 +148,24 @@ def build_chain_hierarchy(n: int, lam: float = 0.01, num_levels: int = 2,
 
 @dataclass
 class Reference:
-    """High-accuracy solution used as the anchor of the certificate suite."""
+    """High-accuracy solution used as the anchor of the certificate suite:
+    x*, F(x*) and the relative prox-gradient norm there, the end of its
+    FISTA run as that run's trace reads it (``SolverTrace.final_objective``
+    and ``final_rel_g_norm``)."""
 
     x: np.ndarray
     objective: float
-    g_norm: float
-    g_norm_initial: float
+    rel_g_norm: float
 
 
 def reference_solution(stack: LevelStack, seed: int) -> Reference:
     """The fine problem solved by FISTA from the seed's first start point.
 
     FISTA runs until the prox-gradient norm falls below ``REFERENCE_TOL``
-    times its value at the start; the returned norm and start norm are the
-    ones its trace records.  A run that spends ``REFERENCE_MAX_ITERS``
-    iterations first raises ``RuntimeError``, so no certificate rests on an
-    unconverged point.
+    times its value at the start; the returned objective and relative norm
+    are read off its trace where it stopped, not evaluated again.  A run
+    that spends ``REFERENCE_MAX_ITERS`` iterations first raises
+    ``RuntimeError``, so no certificate rests on an unconverged point.
     """
     problem = stack.fine.problem
     x0 = next(start_points(seed, problem.dim))
@@ -171,5 +173,4 @@ def reference_solution(stack: LevelStack, seed: int) -> Reference:
     if not trace.converged:
         raise RuntimeError(f"reference solve stopped at relative |G| {trace.final_rel_g_norm:.3e} "
                            f"after {REFERENCE_MAX_ITERS} iterations, short of {REFERENCE_TOL:g}")
-    g = trace.g_norms[-1] if trace.g_norms else 0.0
-    return Reference(x, problem.objective(x), g, trace.g_norm_initial)
+    return Reference(x, trace.final_objective, trace.final_rel_g_norm)

@@ -17,6 +17,7 @@ from proxmg.certificates import (_least, check_angle_condition, check_fast_certi
                                  check_converged, check_one_over_k,
                                  check_smoothing_descent, check_stage_monotonicity,
                                  check_work_units)
+from proxmg.cli import SOLVERS
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import SolverTrace, StoppingRule, mgprox_solve
 from proxmg.oracles import reference_solution
@@ -129,8 +130,24 @@ def test_certify_run_solves_as_mgprox_solve_does(seed, monkeypatch):
     x, solved = mgprox_solve(stack, x0, stop)
     assert ends[0].tobytes() == x.tobytes()
     assert trace.converged and trace.iterations == solved.iterations > 0
+    assert (trace.algorithm, trace.meta) == (solved.algorithm, solved.meta)
     assert repr(trace.objectives) == repr(solved.objectives)
     assert repr(trace.rel_g_norms) == repr(solved.rel_g_norms)
     assert ([repr(dataclasses.asdict(ct)) for ct in trace.cycles]
             == [repr(dataclasses.asdict(ct)) for ct in solved.cycles])
     assert len(results) == 6 and all(r.passed for r in results), [r.line() for r in results]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "backtracking"])
+def test_kocvara3_fails_the_angle_condition_where_mgprox_passes(mode):
+    # the control of angle-condition: kocvara3 drops the subgradient terms
+    # from its correction, and at lam = 1 its corrections are not descent
+    # directions of F (margins -1.29 fixed, -0.626 backtracking); at
+    # lam = 1e-6 it fails only by rounding, and at lam = 100 it passes
+    stack = build_obstacle_hierarchy(15, 1.0, 3)
+    x0 = next(start_points(0, stack.fine.problem.dim))
+    stop = StoppingRule(300, 1e-10)
+    coarse, full = (check_angle_condition(SOLVERS[name](stack, x0.copy(), stop, mode)[1])
+                    for name in ("kocvara3", "mgprox"))
+    assert not coarse.passed and coarse.margin < -0.5, coarse.line()
+    assert full.passed, full.line()

@@ -12,7 +12,7 @@ import pytest
 from proxmg.cli import SOLVERS
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.membrane import MembraneEnergy
-from proxmg.multigrid import StoppingRule
+from proxmg.multigrid import SolverTrace, StoppingRule
 from proxmg.oracles import build_chain_hierarchy
 
 MULTIGRID = {"mgprox", "kocvara3", "fastmgprox"}
@@ -130,3 +130,19 @@ def test_a_zero_tolerance_runs_the_whole_budget_at_the_minimizer(name):
     assert not trace.converged
     assert not np.any(x) and trace.g_norms == [0.0] * 50
     _assert_series_lengths(name, trace)
+
+
+def test_the_trace_says_where_a_run_stopped():
+    # relative |G| is derived by one rule, also where |G(x0)| is 0; F and
+    # relative |G| at the end are the start's for a run of no iterations
+    trace = SolverTrace("t", objective_initial=3.0, g_norm_initial=4.0)
+    assert trace.final_objective == trace.best_objective() == 3.0
+    assert trace.final_rel_g_norm == 1.0
+    trace.objectives, trace.g_norms = [2.0, 5.0], [2.0, 1.0]
+    assert trace.rel_g_norms == [0.5, 0.25] and trace.final_rel_g_norm == 0.25
+    assert (trace.final_objective, trace.best_objective()) == (5.0, 2.0)
+    trace.objectives = [4.0, 5.0]
+    assert trace.best_objective() == 3.0  # the start counts
+    at_rest = SolverTrace("t", g_norm_initial=0.0, objectives=[1.0, 1.0], g_norms=[0.0, 2.0])
+    assert at_rest.rel_g_norms == [0.0, math.inf]
+    assert SolverTrace("t").final_rel_g_norm == 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxmg import oracles
+from proxmg.baselines import fista_solve
 from proxmg.certificates import check_stage_monotonicity
 from proxmg.hierarchy import build_obstacle_hierarchy
 from proxmg.multigrid import CycleConfig, StoppingRule, mgprox_solve
@@ -104,8 +105,21 @@ def test_reference_is_idempotent():
     ref = reference_solution(stack, seed=2)
     again = reference_solution(stack, seed=2)
     assert again.x.tobytes() == ref.x.tobytes()
-    assert (again.objective, again.g_norm, again.g_norm_initial) == (
-        ref.objective, ref.g_norm, ref.g_norm_initial)
+    assert (again.objective, again.rel_g_norm) == (ref.objective, ref.rel_g_norm)
+
+
+def test_the_reference_is_where_its_fista_run_stopped():
+    # read off the trace, not evaluated again: the same bytes as F(x*) and
+    # as the run's own final relative |G|
+    stack = build_chain_hierarchy(16, 0.05, 2, seed=2)
+    ref = reference_solution(stack, seed=2)
+    problem = stack.fine.problem
+    x, trace = fista_solve(problem, next(start_points(2, problem.dim)),
+                           StoppingRule(oracles.REFERENCE_MAX_ITERS, oracles.REFERENCE_TOL))
+    assert ref.x.tobytes() == x.tobytes()
+    assert ref.objective.hex() == problem.objective(x).hex() == trace.final_objective.hex()
+    assert ref.rel_g_norm.hex() == (trace.g_norms[-1] / trace.g_norm_initial).hex()
+    assert 0.0 < ref.rel_g_norm < oracles.REFERENCE_TOL
 
 
 def test_reference_raises_when_fista_spends_its_budget(monkeypatch):
