@@ -13,8 +13,8 @@ exactly what the correction term needs to cancel for the cycle to have the
 right fixed point.
 
 The accelerated variant converges in 16 iterations, as the plain cycle
-does.  It restarts its momentum after each iteration that raises F, whose
-step climbs along the gradient mapping G(y), or after which the next
+does.  It restarts its momentum on the first of two tests: after each
+iteration that raises F (the function test), or after which the next
 extrapolation would pull the iterate back against its step (the pullback
 test).  Here the V-cycle's step outruns the fine prox-gradient step that
 moves the auxiliary point z, so the pullback test ends every epoch after
@@ -31,13 +31,14 @@ contraction shows through.
 
 The demo prints each solver's iterations, time, final relative residual and
 objective gap, then the iterations after which fastmgprox restarted its
-momentum and how many restarts each of its three tests caused.
+momentum and how many restarts each of its two tests caused.
 
 The rows call their solvers from ``cli.SOLVERS``, as the command line does:
     proxmg compare --n-exp 4 --levels 3 --tol 1e-10 --seed 0 --max-iters 2000
 """
 
 import time
+from collections import Counter
 
 from proxmg import StoppingRule, build_obstacle_hierarchy, start_points
 from proxmg.cli import SOLVERS
@@ -65,5 +66,5 @@ for name, (tr, secs) in runs.items():
     print(f"{name:<12} {iters:>10} {secs:>8.2f} {tr.final_rel_g_norm:>13.2e} {gap:>16.2e}")
 fast_meta = runs["fastmgprox"][0].meta
 print(f"\nfastmgprox restarted its momentum after iterations {fast_meta['restarts']}")
-for reason in ("function", "gradient", "pullback"):
-    print(f"  {reason} test: {fast_meta['restart_reasons'].count(reason)} restarts")
+for reason, count in Counter(fast_meta["restart_reasons"]).items():
+    print(f"  {reason} test: {count} restarts")

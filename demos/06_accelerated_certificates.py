@@ -17,6 +17,7 @@ k = 1 only, as its detail says ("longest epoch 1").
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -35,7 +36,7 @@ x0 = rng.uniform(0, 1, size=64)
 x, trace = fastmgprox_solve(stack, x0, StoppingRule(200, 0.0))
 gamma0 = trace.meta["gamma0"]
 restarts = set(trace.meta["restarts"])
-reasons = {r: trace.meta["restart_reasons"].count(r) for r in ("function", "gradient", "pullback")}
+reasons = dict(Counter(trace.meta["restart_reasons"]))
 print(f"gamma0 = L = {gamma0:.4f}; 200 accelerated iterations, "
       f"{len(restarts)} restarts {reasons}\n")
 

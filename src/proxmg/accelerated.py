@@ -37,47 +37,43 @@ Adaptive restart (O'Donoghue and Candes, *Found. Comput. Math.* 15,
 2015).  The momentum pays only while it moves the iterate faster; against
 a V-cycle that already contracts by a constant factor it soon adds back
 more error than it saves.  So ``fastmgprox_solve`` ends an epoch after an
-iteration from x to x+ when any of three tests fires, in this order:
+iteration from x to x+ when either of two tests fires, in this order
+(``_restart_reason``):
 
     the function test,  F(x+) > F(x);
-    the gradient test,  <G(y), x+ - x> > 0;
     the pullback test,  <z+ - x+, x+ - x> < 0.
 
 The next epoch starts at x+ with z = x+, gamma = gamma0, lambda = 1 and
-phi_bar = F(x+).  The gradient test fires when the step climbs along
-G(y), often before F itself rises; with the function test alone, some
-smooth solves to 1e-10 run past 1 000 iterations.
+phi_bar = F(x+).
 
-The first two tests see only a step that climbs, and a stalled epoch
-need not climb.  z moves by (alpha / gamma+) G(y), a fine prox-gradient
-step, while x moves by a whole V-cycle, so z lags behind x, and each
+The function test sees only a step that climbs, and a stalled epoch need
+not climb.  z moves by (alpha / gamma+) G(y), a fine prox-gradient step,
+while x moves by a whole V-cycle, so z lags behind x, and each
 extrapolation y = alpha z + (1 - alpha) x pulls the iterate back toward
 the stale z by about alpha ||z - x||.  The cycle from y can still lower F
-below F(x), with its step x+ - x pointing downhill against G(y), so both
-tests stay quiet while the error falls like alpha, about 2/k, in place of
-the cycle's geometric rate (at n = 15, lam = 100, neither fired in 200
-iterations from seeds 1 and 2's starts).  The next extrapolation moves
-the iterate by alpha (z+ - x+), and the pullback test ends the epoch
-when that move points back against the step just taken.  A V-cycle step
-outruns the fine step that moves z, so in every run measured away from
-the rounding floor the test fires after each iteration: each epoch is
-then one iteration with z = x, hence y = x, and the solver runs the plain
-cycle plus one fine prox step.  At the floor, where x+ - x = 0, no test
-fires and an epoch runs on.
+below F(x), so the function test stays quiet while the error falls like
+alpha, about 2/k, in place of the cycle's geometric rate.  The next
+extrapolation moves the iterate by alpha (z+ - x+), and the pullback test
+ends the epoch when that move points back against the step just taken.  A
+V-cycle step outruns the fine step that moves z, so in every run measured
+away from the rounding floor the test fires after each iteration: each
+epoch is then one iteration with z = x, hence y = x, and the solver runs
+the plain cycle plus one fine prox step.  At the floor, where x+ - x = 0,
+no test fires and an epoch runs on.
 
-At an epoch's first iteration the gradient test adds nothing to the
+There is no gradient test, <G(y), x+ - x> > 0, the third test of
+O'Donoghue and Candes: at an epoch's first iteration it implies the
 pullback test.  There z = x, hence y = x, and L alpha^2 = gamma+, so with
 d = x+ - x
 
     <z+ - x+, d> = -||d||^2 - <G(y), d> / (L alpha),
 
-which is negative whenever <G(y), d> > 0: a step that fires the gradient
-test fires the pullback test too.  Over 39 runs of 200 iterations at
-rel_tol 0 (n = 15 and 31 on 3 and 4 levels, lam in {1e-6, 1, 100}, both
-step modes, seeds 0-2, and ``verify``'s chain at seeds 0-2), the gradient
-test fired first 17 times, each time with the pullback test; 5 of those
-were inside an epoch, near the rounding floor.  The function test fired
-first 494 times, 4 of them without the pullback test.
+which is negative whenever <G(y), d> > 0.  Over 21 runs of 200 iterations
+at rel_tol 0 (n = 15 on 3 levels, lam in {1e-6, 1, 100}, both step modes,
+seeds 0-2, and ``verify``'s chain at seeds 0-2), the gradient test would
+have fired 11 times, 3 of them inside an epoch near the rounding floor,
+and the pullback test fired each time; with the gradient test or without
+it the runs restart at the same iterations and keep every byte.
 
 Ending an epoch early costs the bound nothing.  The reset
 phi_bar = F(x+) is exact, not a bound: an epoch is a fresh estimate
@@ -192,15 +188,14 @@ def fast_step(stack: LevelStack, state: FastState, x: np.ndarray,
     return x_next, fg_next, state_next, diag
 
 
-def _restart_reason(F_x: float, F_next: float, G_y: np.ndarray, x: np.ndarray,
-                   x_next: np.ndarray, z_next: np.ndarray) -> str | None:
-    """The first of the three restart tests that fires on an iteration from
-    x to x+, or None: ``"function"``, F(x+) > F(x); ``"gradient"``,
-    <G(y), x+ - x> > 0; ``"pullback"``, <z+ - x+, x+ - x> < 0."""
-    d = x_next - x
+def _restart_reason(F_x: float, F_next: float, x: np.ndarray, x_next: np.ndarray,
+                    z_next: np.ndarray) -> str | None:
+    """The first of the two restart tests that fires on an iteration from
+    x to x+, or None: ``"function"``, F(x+) > F(x); ``"pullback"``,
+    <z+ - x+, x+ - x> < 0.  The module docstring says why there is no
+    gradient test."""
     return ("function" if F_next > F_x else
-            "gradient" if float(G_y.dot(d)) > 0.0 else
-            "pullback" if float((z_next - x_next).dot(d)) < 0.0 else None)
+            "pullback" if float((z_next - x_next).dot(x_next - x)) < 0.0 else None)
 
 
 def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
@@ -208,17 +203,16 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
     """Accelerated multigrid solve with adaptive restart; gamma0 is the fine
     Lipschitz bound.
 
-    An iteration from x to x+ ends its epoch when the first of three tests
+    An iteration from x to x+ ends its epoch when the first of two tests
     fires (:func:`_restart_reason`): the function test F(x+) > F(x), then
-    the gradient test <G(y), x+ - x> > 0, then the pullback test
-    <z+ - x+, x+ - x> < 0.  The next epoch starts at x+ the way the first
-    one starts at x0: the next step builds its state with z = x+,
-    gamma = gamma0, lambda = 1 and phi_bar = F(x+) from the driver's
-    record.  The iterations after which one started are
+    the pullback test <z+ - x+, x+ - x> < 0.  The next epoch starts at x+
+    the way the first one starts at x0: the next step builds its state with
+    z = x+, gamma = gamma0, lambda = 1 and phi_bar = F(x+) from the
+    driver's record.  The iterations after which one started are
     ``trace.meta["restarts"]``, and ``trace.meta["restart_reasons"]`` names,
-    for each, the first of ``"function"``, ``"gradient"`` and
-    ``"pullback"`` that fired.  The solve keeps its per-level state in a
-    workspace of its own and writes no level of the stack.
+    for each, the first of ``"function"`` and ``"pullback"`` that fired.
+    The solve keeps its per-level state in a workspace of its own and
+    writes no level of the stack.
     """
     config = config or CycleConfig()
     work = workspace(stack, config.step_mode)
@@ -239,7 +233,7 @@ def fastmgprox_solve(stack: LevelStack, x0: np.ndarray, stop: StoppingRule,
         ctrace = diag.pop("cycle")
         for key, series in trace.extras.items():
             series.append(diag[key])
-        if reason := _restart_reason(F_x, diag["F_x_next"], diag["G_y"], x, x_next, state.z):
+        if reason := _restart_reason(F_x, diag["F_x_next"], x, x_next, state.z):
             state = None
             trace.meta["restarts"].append(trace.iterations + 1)
             trace.meta["restart_reasons"].append(reason)

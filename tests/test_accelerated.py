@@ -136,7 +136,7 @@ def _unrestarted_run(name):
     """200 iterations of the estimate sequence with no restart, seed 0: one
     epoch, over which Nesterov's bounds are proven with k counted from 1."""
     stack = UNRESTARTED_STACKS[name]()
-    return stack, _restarted_run(stack, 200, restart=False)
+    return stack, _restarted_run(stack, 200, rule=None)[1]
 
 
 def test_final_rate_bound_from_the_estimate_sequence():
@@ -256,39 +256,54 @@ def test_lambda_decaying_like_one_over_k_fails_the_decay_bound():
     assert not certs["lambda-decay-bound"].passed, certs["lambda-decay-bound"].line()
 
 
-def _restarted_run(stack, iters, keep_lam=False, restart=True):
-    """``fastmgprox_solve``'s loop written out, from the seed-0 start; with
-    ``keep_lam`` a restart resets gamma to gamma0 but lets lambda carry on,
-    and with ``restart`` off the run never restarts."""
+def _two_tests(F_x, F_next, diag, x, x_next, z_next):
+    """The solver's restart rule."""
+    return _restart_reason(F_x, F_next, x, x_next, z_next)
+
+
+def _three_tests(F_x, F_next, diag, x, x_next, z_next):
+    """O'Donoghue and Candes's three tests: the solver's two with the
+    gradient test <G(y), x+ - x> > 0 between them."""
+    d = x_next - x
+    return ("function" if F_next > F_x else
+            "gradient" if float(diag["G_y"] @ d) > 0.0 else
+            "pullback" if float((z_next - x_next) @ d) < 0.0 else None)
+
+
+def _restarted_run(stack, iters, keep_lam=False, rule=_two_tests, step_mode="fixed"):
+    """``fastmgprox_solve``'s loop written out, from the seed-0 start; returns
+    (x, trace).  ``rule(F_x, F_next, diag, x, x_next, z_next)`` names the
+    restart test that fired, or None; with ``rule`` None the run never
+    restarts, and with ``keep_lam`` a restart resets gamma to gamma0 but
+    lets lambda carry on."""
     problem = stack.fine.problem
     L = stack.fine.L_est
     x = next(start_points(0, problem.dim))
     F_x = problem.objective(x)
     trace = SolverTrace(algorithm="restarted", objective_initial=F_x)
-    trace.meta.update(gamma0=L, restarts=[])
+    trace.meta.update(gamma0=L, restarts=[], restart_reasons=[])
     trace.extras = {key: [] for key in ("alpha", "lam", "gamma", "phi_bar", "F_y",
                                         "g_norm_y", "alpha_residual")}
     state = FastState(z=x.copy(), gamma=L, phi_bar=F_x)
-    work = workspace(stack, "fixed")
+    config, work = CycleConfig(step_mode=step_mode), workspace(stack, step_mode)
     for k in range(1, iters + 1):
-        x_next, _, state, diag = fast_step(stack, state, x, CycleConfig(), work)
+        x_next, _, state, diag = fast_step(stack, state, x, config, work)
         for key, series in trace.extras.items():
             series.append(diag[key])
         F_next = diag["F_x_next"]
-        step = x_next - x
-        if restart and (F_next > F_x or float(diag["G_y"] @ step) > 0.0
-                        or float((state.z - x_next) @ step) < 0.0):
+        if rule and (reason := rule(F_x, F_next, diag, x, x_next, state.z)):
             state = FastState(x_next, L, state.lam if keep_lam else 1.0, F_next)
             trace.meta["restarts"].append(k)
+            trace.meta["restart_reasons"].append(reason)
         x, F_x = x_next, F_next
         trace.objectives.append(F_x)
-    return trace
+    return x, trace
 
 
 def test_a_restart_that_keeps_lambda_fails_the_gamma_and_alpha_identities():
     stack = build_obstacle_hierarchy(15, 1e-6, 3, 20)
     L = stack.fine.L_est
-    honest = _restarted_run(stack, 40)
+    _, honest = _restarted_run(stack, 40)
     _, solved = fastmgprox_solve(stack, next(start_points(0, stack.fine.problem.dim)),
                                  StoppingRule(40, 0.0))
     # the loop above is the solver's: same restarts, same bytes in every series
@@ -296,7 +311,7 @@ def test_a_restart_that_keeps_lambda_fails_the_gamma_and_alpha_identities():
     assert honest.extras == solved.extras and honest.objectives == solved.objectives
     assert all(r.passed for r in check_fast_certificates(honest, L, L))
 
-    certs = {r.name: r for r in check_fast_certificates(_restarted_run(stack, 40, True), L, L)}
+    certs = {r.name: r for r in check_fast_certificates(_restarted_run(stack, 40, True)[1], L, L)}
     for name in ("gamma-lambda-identity", "alpha-equation"):
         assert not certs[name].passed, certs[name].line()
 
@@ -341,25 +356,58 @@ def test_restarted_fastmgprox_reaches_the_tolerance_within_half_again_mgprox(
 @pytest.mark.parametrize("n_side, levels", [(15, 3), (31, 4)])
 def test_restarted_fastmgprox_reaches_the_tolerance_within_mgprox_in_contact(
         n_side, levels):
-    # lam = 100, where the momentum can keep F and <G(y), x+ - x> falling while
-    # the extrapolation pulls the iterate back toward a stale z; the pullback
+    # lam = 100, where the momentum can keep F falling while the
+    # extrapolation pulls the iterate back toward a stale z; the pullback
     # restart ends those epochs after their first iteration
     _assert_cycles_within(1.0, n_side, levels, 100.0, "fixed")
 
 
 @pytest.mark.parametrize("ahead", [True, False])
 def test_the_pullback_test_ends_an_epoch_when_z_lies_behind_the_step(ahead):
-    # a step from x to x+ that lowers F and descends along G(y), so the
-    # function and gradient tests stay quiet; z+ lies ahead of x+ along the
-    # step or behind it, with a component across the step besides
+    # a step from x to x+ that lowers F, so the function test stays quiet;
+    # z+ lies ahead of x+ along the step or behind it, with a component
+    # across the step besides
     x, x_next = np.array([0.5, 0.0, 0.0]), np.array([1.5, 0.5, 0.0])
     step = x_next - x
     z_next = x_next + (0.1 if ahead else -0.1) * step + np.array([0.0, 0.0, 5.0])
-    assert _restart_reason(2.0, 1.0, -step, x, x_next, z_next) == (
-        None if ahead else "pullback")
-    # the function and gradient tests come first
-    assert _restart_reason(1.0, 2.0, step, x, x_next, z_next) == "function"
-    assert _restart_reason(2.0, 1.0, step, x, x_next, z_next) == "gradient"
+    assert _restart_reason(2.0, 1.0, x, x_next, z_next) == (None if ahead else "pullback")
+    # the function test comes first
+    assert _restart_reason(1.0, 2.0, x, x_next, z_next) == "function"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.floats(1e-3, 1e6))
+def test_at_an_epoch_start_a_step_that_climbs_along_G_fires_the_pullback_test(seed, L):
+    # z = x, hence y = x, gamma = gamma0 = L, and z+ = x - (alpha / gamma+) G
+    # with L alpha^2 = gamma+, so <z+ - x+, d> = -||d||^2 - <G, d> / (L alpha)
+    # for d = x+ - x: a step with <G, d> > 0, which the gradient test would
+    # catch, fires the pullback test
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x, G, d = (rng.uniform(-1.0, 1.0, size=8) for _ in range(3))
+    G *= np.sign(G @ d)
+    alpha = solve_alpha(L, L)
+    z_next = x - (alpha / ((1.0 - alpha) * L)) * G
+    x_next = x + d
+    assert float((z_next - x_next) @ (x_next - x)) == pytest.approx(
+        -float(d @ d) - float(G @ d) / (L * alpha), rel=1e-9)
+    assert _restart_reason(2.0, 1.0, x, x_next, z_next) == "pullback"
+
+
+@pytest.mark.parametrize("lam, step_mode, gradient_at", [
+    (100.0, "fixed", [73]), (1e-6, "backtracking", [140, 145])])
+def test_the_gradient_test_changes_no_restart(lam, step_mode, gradient_at):
+    # n = 15, 3 levels, 200 iterations from seed 0's start at rel_tol 0: near
+    # the rounding floor the three tests name the gradient test first, and
+    # the pullback test fires there too, so the solver's two tests restart
+    # at the same iterations and keep every byte
+    stack = build_obstacle_hierarchy(15, lam, 3, 20)
+    x_three, three = _restarted_run(stack, 200, rule=_three_tests, step_mode=step_mode)
+    x, trace = fastmgprox_solve(stack, next(start_points(0, stack.fine.problem.dim)),
+                                StoppingRule(200, 0.0), CycleConfig(step_mode=step_mode))
+    reasons = dict(zip(three.meta["restarts"], three.meta["restart_reasons"]))
+    assert [k for k, r in reasons.items() if r == "gradient"] == gradient_at
+    assert three.meta["restarts"] == trace.meta["restarts"]
+    assert three.objectives == trace.objectives and x_three.tobytes() == x.tobytes()
 
 
 def test_the_pullback_test_ends_the_contact_epochs():
@@ -370,7 +418,7 @@ def test_the_pullback_test_ends_the_contact_epochs():
                                 StoppingRule(30, 0.0))
     reasons = trace.meta["restart_reasons"]
     assert trace.meta["restarts"] == list(range(1, 31))
-    assert set(reasons) <= {"function", "gradient", "pullback"}
+    assert set(reasons) <= {"function", "pullback"}
     assert reasons.count("pullback") > len(reasons) / 2, reasons
 
 

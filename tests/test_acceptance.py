@@ -13,6 +13,7 @@ import hashlib
 import time
 
 import numpy as np
+import pytest
 
 from proxmg.certificates import SCOPES
 from proxmg.cli import SOLVERS, main
@@ -161,3 +162,20 @@ def test_verify_lines_are_pinned_to_the_bit():
     lines = [r.line() for scope in SCOPES for r in run_scope(scope)[0].values()]
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert (len(lines), digest) == (31, VERIFY_LINES_SHA256), "\n".join(lines)
+
+
+# SHA-256 of the fast scope's 5 certificate lines at seeds 1 and 2, the
+# lines ``proxmg verify --scope fast --seed S`` prints before its summary.
+# Their 200-iteration runs reach the rounding floor, where epochs run longer
+# than one iteration and the choice of restart tests can show.
+FAST_LINES_SHA256 = {
+    1: "bec71c3bc7c9aea1394acada0c6626db27b9699f2c1a0e6627fffb49821051aa",
+    2: "6b8a6a92f50ecbebe73561a4f9b380942d985bd3dfb95e71df835229d670c54a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FAST_LINES_SHA256))
+def test_fast_verify_lines_are_pinned_to_the_bit_at_seeds_1_and_2(seed):
+    lines = [r.line() for r in SCOPES["fast"](seed)]
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert (len(lines), digest) == (5, FAST_LINES_SHA256[seed]), "\n".join(lines)
